@@ -29,7 +29,6 @@ from .analytic import (
     system_time_pmf_geo,
 )
 from .engine import (
-    AoiTracker,
     DeliveryLog,
     MeasurePoint,
     MetricsReport,
@@ -50,7 +49,7 @@ from .errors import (
     UnstableError,
 )
 from .netdelay import DelayStage, DestState, deliver_due
-from .queueing import ArrivalOutcome, Discipline, Packet, SourceQueue
+from .queueing import Discipline, Packet, SourceQueue
 
 __version__ = "0.1.0"
 
@@ -78,14 +77,12 @@ __all__ = [
     "MetricsReport",
     "SourceMetrics",
     "DeliveryLog",
-    "AoiTracker",
     "run",
     "run_with_logs",
     "dedicated_channel_run",
     "sample_path_estimators",
     # building blocks
     "Discipline",
-    "ArrivalOutcome",
     "Packet",
     "SourceQueue",
     "PolicyKind",

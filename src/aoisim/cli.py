@@ -45,7 +45,7 @@ from .analytic import (
     stationary_geo,
     stationary_replacement,
 )
-from .engine import MeasurePoint, SimConfig, run, run_with_logs
+from .engine import MeasurePoint, SimConfig, SourceMetrics, run, run_with_logs
 from .errors import ConfigError
 from .queueing import Discipline
 
@@ -260,6 +260,15 @@ def _fmt6(v: float) -> str:
     return np.format_float_positional(v, precision=6, unique=False, fractional=False)
 
 
+def _obsolete_frac(config: SimConfig, m: SourceMetrics) -> float | None:
+    """Share of destination receptions that were obsolete; None without a
+    delay stage or before the first reception."""
+    receptions = m.informative + m.obsolete
+    if config.network_k is None or receptions == 0:
+        return None
+    return m.obsolete / receptions
+
+
 def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
     """One metrics row per source for the pinned ``simulate`` CSV columns."""
     report = run(config)
@@ -269,11 +278,6 @@ def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
         service = config.channel.service_probs
         success = config.channel.success_probs
         access = config.policy.access_probs
-        receptions = m.informative + m.obsolete
-        if config.network_k is None or receptions == 0:
-            obs_frac = None
-        else:
-            obs_frac = m.obsolete / receptions
         rows.append(
             {
                 "source_id": i,
@@ -289,7 +293,7 @@ def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
                 "avg_aoi": m.avg_aoi,
                 "drop_prob": m.empirical_drop_prob,
                 "effective_rate": m.empirical_effective_rate,
-                "obsolete_frac": obs_frac,
+                "obsolete_frac": _obsolete_frac(config, m),
                 "stability_warning": m.stability_warning,
             }
         )
@@ -435,18 +439,13 @@ def _sweep_job(config: SimConfig) -> list[tuple[int, float, float, float, float 
     report = run(config)
     rows = []
     for m in report.per_source:
-        receptions = m.informative + m.obsolete
-        if config.network_k is None or receptions == 0:
-            obs_frac = None
-        else:
-            obs_frac = m.obsolete / receptions
         rows.append(
             (
                 m.source_id,
                 m.avg_aoi,
                 m.empirical_drop_prob,
                 m.empirical_effective_rate,
-                obs_frac,
+                _obsolete_frac(config, m),
                 m.stability_warning,
             )
         )
@@ -468,8 +467,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             points.append((v, seed, build_sim_config(point_doc)))
 
     configs = [cfg for _, _, cfg in points]
-    if ns.workers > 1:
-        with ProcessPoolExecutor(max_workers=ns.workers) as pool:
+    # the pool starts every worker up front, so never ask for idle ones
+    workers = min(ns.workers, len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_job, configs))
     else:
         results = [_sweep_job(cfg) for cfg in configs]
@@ -540,13 +541,19 @@ class CheckRow:
 
     @property
     def err(self) -> float:
-        if self.relative:
+        """Relative error, or absolute error on absolute rows and against a zero reference."""
+        if self.relative and self.ref != 0.0:
             return abs(self.sim - self.ref) / abs(self.ref)
         return abs(self.sim - self.ref)
 
     @property
     def passed(self) -> bool:
         return self.tol is None or self.err <= self.tol
+
+
+def _json_number(v: float) -> float | None:
+    """JSON has no NaN or infinity; such values become null."""
+    return v if math.isfinite(v) else None
 
 
 def _mean(xs: list[float]) -> float:
@@ -687,16 +694,16 @@ def cmd_validate(ns: argparse.Namespace) -> int:
                 {
                     "kind": "hard" if r.hard else "info",
                     "name": r.name,
-                    "sim": r.sim,
-                    "ref": r.ref,
-                    "err": r.err,
+                    "sim": _json_number(r.sim),
+                    "ref": _json_number(r.ref),
+                    "err": _json_number(r.err),
                     "tol": r.tol,
                     "passed": r.passed if r.hard else None,
                 }
                 for r in rows
             ],
         }
-        json.dump(out, sys.stdout, indent=2)
+        json.dump(out, sys.stdout, indent=2, allow_nan=False)
         sys.stdout.write("\n")
     else:
         name_w = max(len(r.name) for r in rows)
@@ -768,3 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

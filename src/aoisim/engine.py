@@ -1,6 +1,6 @@
-"""Slot-driven simulator for N sources sharing a medium.
+"""Event-driven simulator for N sources sharing a medium.
 
-Within each slot, events happen in a fixed order:
+Time is slotted.  Within each slot, events happen in a fixed order:
 
 1. occupancy is sampled (slot-start state, the state arrivals will "see");
 2. the access policy grants the slot from the slot-start backlog;
@@ -14,9 +14,20 @@ Within each slot, events happen in a fixed order:
    ``slot + 1`` while nothing has been received.
 
 The average age reported for a run is the per-slot mean of those samples.
+
+The engine only visits event slots: slots with an arrival, a grant to a
+backlogged source, or a delay-stage reception.  Each event slot runs the six
+steps above in the same order, touching only the sources involved; nothing
+changes in the slots between them.  Steps 1 and 6 are therefore kept as
+running sums: the occupancy histogram adds the time spent in each state when
+the state changes, and the age area adds the arithmetic series
+``slot - newest_gen + 1`` between receptions.  Every random stream is drawn
+in the same order as a slot-by-slot loop would draw it, so results are the
+same at every seed.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,6 +37,7 @@ from .access import (
     PolicyConfig,
     PolicyKind,
     grant,
+    next_grant,
     resolve,
 )
 from .analytic import QueueParams
@@ -37,7 +49,6 @@ from .streams import SourceStreams
 __all__ = [
     "MeasurePoint",
     "SimConfig",
-    "AoiTracker",
     "DeliveryLog",
     "SourceMetrics",
     "MetricsReport",
@@ -48,6 +59,7 @@ __all__ = [
 ]
 
 _NAN = float("nan")
+_ATTEMPT, _ARRIVAL, _DUE = 0, 1, 2
 
 
 class MeasurePoint(Enum):
@@ -101,29 +113,6 @@ class SimConfig:
         if self.measure_at is not None:
             return self.measure_at
         return MeasurePoint.DESTINATION if self.network_k is not None else MeasurePoint.AP
-
-
-class AoiTracker:
-    """Age accumulator of one source at one monitor point."""
-
-    __slots__ = ("newest_gen", "age_sum", "samples")
-
-    def __init__(self) -> None:
-        self.newest_gen: int | None = None
-        self.age_sum = 0
-        self.samples = 0
-
-    def on_update(self, gen_slot: int) -> None:
-        newest = self.newest_gen
-        if newest is None or gen_slot > newest:
-            self.newest_gen = gen_slot
-
-    def sample(self, slot: int) -> int:
-        newest = self.newest_gen
-        age = slot + 1 if newest is None else slot - newest + 1
-        self.age_sum += age
-        self.samples += 1
-        return age
 
 
 @dataclass
@@ -216,6 +205,12 @@ def _service_share(config: SimConfig, i: int) -> float:
     return att / n
 
 
+def _window_sum(lo: int, hi: int, base: int) -> int:
+    """Sum of ``slot - base + 1`` over the slots ``lo <= slot < hi``."""
+    k = hi - lo
+    return k * (lo + hi - 1) // 2 - k * (base - 1)
+
+
 def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     """Run one simulation, returning metrics and the per-source reception traces."""
     config.validate()
@@ -224,19 +219,33 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     horizon = config.horizon
     warmup = config.warmup
     window = horizon - warmup
+    policy = config.policy
+    channel = config.channel
+    per_slot_grant = policy.kind is PolicyKind.WORK_CONSERVING
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
     streams = [SourceStreams(config.seed, i) for i in range(n)]
-    policy = config.policy
-    channel = config.channel
 
     stage = DelayStage(config.network_k) if config.network_k is not None else None
     dest = DestState(n) if stage is not None else None
     measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
 
-    trackers = [AoiTracker() for _ in range(n)]
     logs = [DeliveryLog() for _ in range(n)]
-    occ_counts: list[list[int]] = [[0, 0, 0] for _ in range(n)]
+    # Step 6 lazily: the age is slot - base + 1, with base 0 until something
+    # is received.  age_area holds the window's ages before slot age_from.
+    base = [0] * n
+    age_from = [warmup] * n
+    age_area = [0] * n
+    # Step 1 lazily: occ is the occupancy every slot start from occ_from on
+    # sees; occ_slots[i][o] counts the window's slot starts that saw o.
+    occ = [0] * n
+    occ_from = [warmup] * n
+    occ_slots: list[dict[int, int]] = [{} for _ in range(n)]
+    # work conserving is granted slot by slot from the backlog flags; the
+    # other policies hold one pending grant event per backlogged source
+    backlogged = [False] * n
+    n_backlogged = 0
+    grant_pending = [False] * n
     last_gen = [-1] * n
     y_sum = [0] * n
     y2_sum = [0] * n
@@ -244,101 +253,138 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     seq = [0] * n
     informative = [0] * n
     obsolete = [0] * n
-    base_generated = [0] * n
-    base_delivered = [0] * n
-    base_dropped = [0] * n
+    counts_at_warmup: list[tuple[int, int, int]] | None = None
 
-    rr = policy.kind is PolicyKind.ROUND_ROBIN
+    # events: (slot, kind, source); within a slot they pop attempts first,
+    # in ascending source order, then arrivals, then delay-stage receptions
+    events: list[tuple[int, int, int]] = []
+    for i, lam in enumerate(lambdas):
+        if lam > 0.0:
+            first = streams[i].arrival.skip_to_below(lam, horizon)
+            if first < horizon:
+                events.append((first, _ARRIVAL, i))
+    heapq.heapify(events)
 
-    for slot in range(horizon):
-        rec = slot >= warmup
-        if rec and slot == warmup and warmup:
-            for i in range(n):
-                q = queues[i]
-                base_generated[i] = q.generated
-                base_delivered[i] = q.delivered
-                base_dropped[i] = q.dropped
-
-        if rec:
-            for i in range(n):
-                o = queues[i].occupancy()
-                oc = occ_counts[i]
-                if o >= len(oc):
-                    oc.extend([0] * (o + 1 - len(oc)))
-                oc[o] += 1
-
-        # grant from the slot-start backlog
-        if rr:
-            granted = [slot % n]
+    slot = -1
+    while True:
+        if per_slot_grant and n_backlogged:
+            slot += 1
+        elif events:
+            slot = events[0][0]
         else:
-            nonempty = [queues[i].occupancy() > 0 for i in range(n)]
-            granted = grant(policy, slot, nonempty, streams)
+            break
+        if slot >= horizon:
+            break
+        rec = slot >= warmup
+        if counts_at_warmup is None and rec:
+            # no event lies between the warm-up boundary and this slot
+            counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
 
-        transmitters = []
-        for g in granted:
-            if queues[g].begin_attempt() is not None:
-                transmitters.append(g)
-        successes = resolve(channel, transmitters, streams) if transmitters else []
-
-        delivered_now: list[int] = []
-        for i in successes:
-            pkt = queues[i].on_delivery()
-            if stage is not None:
-                stage.inject(pkt, slot, streams[i].delay)
-                if not measure_dest:
-                    trackers[i].on_update(pkt.gen_slot)
-                    if rec:
-                        logs[i].gen_slots.append(pkt.gen_slot)
-                        logs[i].recv_slots.append(slot)
-                        delivered_now.append(i)
+        granted: list[int] = []
+        arrivals: list[int] = []
+        due = False
+        while events and events[0][0] == slot:
+            _, kind, i = heapq.heappop(events)
+            if kind == _ATTEMPT:
+                granted.append(i)
+                grant_pending[i] = False
+            elif kind == _ARRIVAL:
+                arrivals.append(i)
             else:
-                trackers[i].on_update(pkt.gen_slot)
-                if rec:
-                    logs[i].gen_slots.append(pkt.gen_slot)
-                    logs[i].recv_slots.append(slot)
-                    delivered_now.append(i)
+                due = True
+        if per_slot_grant:
+            granted = grant(policy, slot, backlogged, streams)
 
-        if stage is not None:
+        # every granted source is backlogged, so each one transmits
+        received: list[tuple[int, int]] = []  # (source, gen_slot) reaching the monitor point
+        if granted:
+            for i in granted:
+                queues[i].begin_attempt()
+            for i in resolve(channel, granted, streams):
+                pkt = queues[i].on_delivery()
+                if stage is not None:
+                    arrive = stage.inject(pkt, slot, streams[i].delay)
+                    if arrive < horizon:
+                        heapq.heappush(events, (arrive, _DUE, -1))
+                if not measure_dest:
+                    received.append((i, pkt.gen_slot))
+
+        if due:
             for pkt, fresh in deliver_due(stage, dest, slot):
-                src = pkt.source_id
+                i = pkt.source_id
                 if rec:
                     if fresh:
-                        informative[src] += 1
+                        informative[i] += 1
                     else:
-                        obsolete[src] += 1
+                        obsolete[i] += 1
                 if fresh and measure_dest:
-                    trackers[src].on_update(pkt.gen_slot)
-                    if rec:
-                        logs[src].gen_slots.append(pkt.gen_slot)
-                        logs[src].recv_slots.append(slot)
+                    received.append((i, pkt.gen_slot))
 
-        for i in range(n):
-            lam = lambdas[i]
-            if lam > 0.0 and streams[i].arrival.uniform() < lam:
-                queues[i].on_arrival(Packet(i, slot, seq[i]))
-                seq[i] += 1
-                prev = last_gen[i]
-                if rec and prev >= 0:
-                    y = slot - prev
-                    y_sum[i] += y
-                    y2_sum[i] += y * y
-                    y_count[i] += 1
-                last_gen[i] = slot
+        for i, gen_slot in received:
+            if gen_slot > base[i]:
+                lo = age_from[i]
+                if slot > lo:
+                    age_area[i] += _window_sum(lo, slot, base[i])
+                    age_from[i] = slot
+                base[i] = gen_slot
+            if rec:
+                logs[i].gen_slots.append(gen_slot)
+                logs[i].recv_slots.append(slot)
+
+        for i in arrivals:
+            queues[i].on_arrival(Packet(i, slot, seq[i]))
+            seq[i] += 1
+            prev = last_gen[i]
+            if rec and prev >= 0:
+                y = slot - prev
+                y_sum[i] += y
+                y2_sum[i] += y * y
+                y_count[i] += 1
+            last_gen[i] = slot
+            nxt = slot + 1 + streams[i].arrival.skip_to_below(lambdas[i], horizon - slot - 1)
+            if nxt < horizon:
+                heapq.heappush(events, (nxt, _ARRIVAL, i))
 
         # classify what each delivery left behind, arrivals of this slot included
-        for i in delivered_now:
-            logs[i].left_empty.append(queues[i].occupancy() == 0)
+        if rec and not measure_dest:
+            for i, _ in received:
+                logs[i].left_empty.append(queues[i].occupancy() == 0)
 
-        if rec:
-            for i in range(n):
-                trackers[i].sample(slot)
+        # the next slot starts: record occupancy changes and schedule grants
+        # (a source both granted and arriving is visited twice; the second
+        # visit changes nothing)
+        for i in granted + arrivals if arrivals else granted:
+            o = queues[i].occupancy()
+            if o != occ[i]:
+                lo = occ_from[i]
+                if slot >= lo:
+                    hist = occ_slots[i]
+                    hist[occ[i]] = hist.get(occ[i], 0) + slot + 1 - lo
+                    occ_from[i] = slot + 1
+                occ[i] = o
+            if per_slot_grant:
+                if backlogged[i] != (o > 0):
+                    backlogged[i] = o > 0
+                    n_backlogged += 1 if o else -1
+            elif o and not grant_pending[i]:
+                grant_pending[i] = True
+                nxt = next_grant(policy, i, slot + 1, horizon, n, streams)
+                if nxt < horizon:
+                    heapq.heappush(events, (nxt, _ATTEMPT, i))
+
+    if counts_at_warmup is None:
+        counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
 
     per_source = []
     for i in range(n):
         q = queues[i]
-        generated = q.generated - base_generated[i]
-        delivered = q.delivered - base_delivered[i]
-        dropped = q.dropped - base_dropped[i]
+        base_generated, base_delivered, base_dropped = counts_at_warmup[i]
+        generated = q.generated - base_generated
+        delivered = q.delivered - base_delivered
+        dropped = q.dropped - base_dropped
+        avg_aoi = (age_area[i] + _window_sum(age_from[i], horizon, base[i])) / window
+        hist = occ_slots[i]
+        hist[occ[i]] = hist.get(occ[i], 0) + horizon - occ_from[i]
         log = logs[i]
         m = len(log.gen_slots)
         if m >= 2:
@@ -354,14 +400,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         yc = y_count[i]
         mean_y = y_sum[i] / yc if yc else _NAN
         mean_y2 = y2_sum[i] / yc if yc else _NAN
-        total = sum(occ_counts[i])
-        hist = {
-            o: c / total for o, c in enumerate(occ_counts[i]) if c
-        }
         per_source.append(
             SourceMetrics(
                 source_id=i,
-                avg_aoi=trackers[i].age_sum / window,
+                avg_aoi=avg_aoi,
                 generated=generated,
                 delivered=delivered,
                 dropped=dropped,
@@ -370,7 +412,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
                 obsolete=obsolete[i],
                 empirical_drop_prob=dropped / generated if generated else 0.0,
                 empirical_effective_rate=delivered / window,
-                occupancy_hist=hist,
+                occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
                 estimator_yt=est_yt,
                 estimator_zt=est_zt,
                 mean_system_time=mean_t,

@@ -19,42 +19,33 @@ __all__ = ["DelayStage", "DestState", "deliver_due"]
 class DelayStage:
     """In-flight packets keyed by their destination arrival slot."""
 
-    __slots__ = ("k", "_due", "_pending")
+    __slots__ = ("k", "_due")
 
     def __init__(self, k: float):
         if not (0.0 < k <= 1.0):
             raise DomainError(f"delay parameter k must be in (0, 1], got {k}")
         self.k = k
         self._due: dict[int, list[Packet]] = {}
-        self._pending = 0
 
     def inject(self, packet: Packet, ap_slot: int, stream: UniformStream) -> int:
         """Launch a packet at the access point; returns its arrival slot."""
         delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
         arrive = ap_slot + delay
         self._due.setdefault(arrive, []).append(packet)
-        self._pending += 1
         return arrive
 
     def due(self, slot: int) -> list[Packet]:
         """Packets whose delay expires this slot (unordered)."""
-        pkts = self._due.pop(slot, [])
-        self._pending -= len(pkts)
-        return pkts
-
-    def pending(self) -> int:
-        return self._pending
+        return self._due.pop(slot, [])
 
 
 class DestState:
-    """Per-source reception bookkeeping at the destination."""
+    """Newest generation slot received so far at the destination, per source."""
 
-    __slots__ = ("newest_gen", "informative", "obsolete")
+    __slots__ = ("newest_gen",)
 
     def __init__(self, n_sources: int):
         self.newest_gen: list[int | None] = [None] * n_sources
-        self.informative = [0] * n_sources
-        self.obsolete = [0] * n_sources
 
     def classify(self, packet: Packet) -> bool:
         """Record one reception; True when it is informative."""
@@ -62,9 +53,7 @@ class DestState:
         newest = self.newest_gen[i]
         if newest is None or packet.gen_slot > newest:
             self.newest_gen[i] = packet.gen_slot
-            self.informative[i] += 1
             return True
-        self.obsolete[i] += 1
         return False
 
 

@@ -18,17 +18,12 @@ from enum import Enum
 
 from .errors import ProtocolError
 
-__all__ = ["Discipline", "ArrivalOutcome", "Packet", "SourceQueue"]
+__all__ = ["Discipline", "Packet", "SourceQueue"]
 
 
 class Discipline(Enum):
     FIFO = "fifo"
     REPLACEMENT = "replacement"
-
-
-class ArrivalOutcome(Enum):
-    QUEUED = "queued"
-    REPLACED = "replaced"
 
 
 class Packet:
@@ -79,18 +74,15 @@ class SourceQueue:
             return n + len(self._fifo)
         return n + (0 if self._waiting is None else 1)
 
-    def on_arrival(self, packet: Packet) -> ArrivalOutcome:
+    def on_arrival(self, packet: Packet) -> None:
         """Admit a fresh update; under replacement this may evict the waiting one."""
         self.generated += 1
         if self.discipline is Discipline.FIFO:
             self._fifo.append(packet)
-            return ArrivalOutcome.QUEUED
-        if self._waiting is None:
-            self._waiting = packet
-            return ArrivalOutcome.QUEUED
+            return
+        if self._waiting is not None:
+            self.dropped += 1
         self._waiting = packet
-        self.dropped += 1
-        return ArrivalOutcome.REPLACED
 
     def begin_attempt(self) -> Packet | None:
         """Packet to transmit in a granted slot, promoting one into service if idle."""

@@ -4,10 +4,17 @@ Each stream is an independent PCG64 substream keyed by
 (run seed, source id, role).  Substreams are derived through numpy's
 SeedSequence spawn keys, so adding sources or roles never perturbs the draws
 of existing streams, and the same key always reproduces the same sequence.
+
+A stream builds its generator and draws its first block of uniforms on first
+use, so a source's unused roles cost nothing; a first use that says how many
+draws it may take (``skip_to_below``) draws no more than that.  Later blocks
+hold ``_BLOCK`` values.  Block sizes never change which values are drawn,
+only when.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -29,25 +36,67 @@ class Role:
 class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
-    __slots__ = ("_gen", "_buf", "_idx")
+    __slots__ = ("_seed", "_key", "_gen", "_buf", "_idx", "_end", "_below", "_below_p")
 
     def __init__(self, seed: int, key: tuple[int, ...]):
-        ss = np.random.SeedSequence(entropy=seed & _U64, spawn_key=key)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-        self._buf = self._gen.random(_BLOCK).tolist()
+        self._seed = seed
+        self._key = key
+        self._gen: np.random.Generator | None = None
+        self._buf: np.ndarray | None = None
+        self._idx = self._end = 0
+        self._below: list[int] = []  # positions in the block of draws below _below_p
+        self._below_p: float | None = None
+
+    def _refill(self, first_size: int = _BLOCK) -> None:
+        gen = self._gen
+        size = _BLOCK
+        if gen is None:
+            ss = np.random.SeedSequence(entropy=self._seed & _U64, spawn_key=self._key)
+            gen = self._gen = np.random.Generator(np.random.PCG64(ss))
+            size = min(first_size, _BLOCK)
+        self._buf = gen.random(size)
         self._idx = 0
+        self._end = size
+        self._below_p = None
 
     def uniform(self) -> float:
+        if self._idx == self._end:
+            self._refill()
         i = self._idx
-        buf = self._buf
-        if i == _BLOCK:
-            self._buf = buf = self._gen.random(_BLOCK).tolist()
-            i = 0
         self._idx = i + 1
-        return buf[i]
+        return self._buf.item(i)
 
-    def bernoulli(self, p: float) -> bool:
-        return self.uniform() < p
+    def skip_to_below(self, p: float, limit: int) -> int:
+        """Take draws up to and including the first one below ``p``.
+
+        Takes at most ``limit`` draws and returns how many draws came before
+        the one below ``p``, or ``limit`` when none of them is.  Equivalent
+        to counting ``uniform() >= p`` calls, but one block at a time.
+        """
+        if self._below_p == p:  # fast path: the next hit is in this block
+            below = self._below
+            i = self._idx
+            j = bisect_left(below, i)
+            if j < len(below) and below[j] - i < limit:
+                self._idx = below[j] + 1
+                return below[j] - i
+        skipped = 0
+        while skipped < limit:
+            if self._idx == self._end:
+                self._refill(limit - skipped)
+            if self._below_p != p:
+                self._below = np.flatnonzero(self._buf < p).tolist()
+                self._below_p = p
+            i = self._idx
+            below = self._below
+            j = bisect_left(below, i)
+            stop = min(self._end, i + limit - skipped)
+            if j < len(below) and below[j] < stop:
+                self._idx = below[j] + 1
+                return skipped + below[j] - i
+            skipped += stop - i
+            self._idx = stop
+        return limit
 
     def geometric(self, p: float) -> int:
         """Number of Bernoulli(p) trials up to the first success; support {1, 2, ...}."""

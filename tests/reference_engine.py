@@ -1,0 +1,218 @@
+"""Reference implementation: the slot-by-slot engine loop.
+
+``run_with_logs`` visits every slot and does the work of every source in it,
+following the six steps of ``aoisim.engine`` literally.  It is kept here,
+outside the package, as the oracle for the differential tests of the
+event-driven engine, together with ``AoiTracker``, the per-slot age
+accumulator it needs.  Only the tests import it.
+"""
+from __future__ import annotations
+
+from aoisim.access import PolicyKind, grant, resolve
+from aoisim.engine import (
+    DeliveryLog,
+    MeasurePoint,
+    MetricsReport,
+    SimConfig,
+    SourceMetrics,
+    _service_share,
+    sample_path_estimators,
+)
+from aoisim.netdelay import DelayStage, DestState, deliver_due
+from aoisim.queueing import Discipline, Packet, SourceQueue
+from aoisim.streams import SourceStreams
+
+_NAN = float("nan")
+
+
+class AoiTracker:
+    """Age accumulator of one source at one monitor point."""
+
+    __slots__ = ("newest_gen", "age_sum", "samples")
+
+    def __init__(self) -> None:
+        self.newest_gen: int | None = None
+        self.age_sum = 0
+        self.samples = 0
+
+    def on_update(self, gen_slot: int) -> None:
+        newest = self.newest_gen
+        if newest is None or gen_slot > newest:
+            self.newest_gen = gen_slot
+
+    def sample(self, slot: int) -> int:
+        newest = self.newest_gen
+        age = slot + 1 if newest is None else slot - newest + 1
+        self.age_sum += age
+        self.samples += 1
+        return age
+
+
+def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
+    """Run one simulation, returning metrics and the per-source reception traces."""
+    config.validate()
+    n = config.n_sources
+    lambdas = config.lambdas
+    horizon = config.horizon
+    warmup = config.warmup
+    window = horizon - warmup
+
+    queues = [SourceQueue(config.discipline, i) for i in range(n)]
+    streams = [SourceStreams(config.seed, i) for i in range(n)]
+    policy = config.policy
+    channel = config.channel
+
+    stage = DelayStage(config.network_k) if config.network_k is not None else None
+    dest = DestState(n) if stage is not None else None
+    measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
+
+    trackers = [AoiTracker() for _ in range(n)]
+    logs = [DeliveryLog() for _ in range(n)]
+    occ_counts: list[list[int]] = [[0, 0, 0] for _ in range(n)]
+    last_gen = [-1] * n
+    y_sum = [0] * n
+    y2_sum = [0] * n
+    y_count = [0] * n
+    seq = [0] * n
+    informative = [0] * n
+    obsolete = [0] * n
+    base_generated = [0] * n
+    base_delivered = [0] * n
+    base_dropped = [0] * n
+
+    rr = policy.kind is PolicyKind.ROUND_ROBIN
+
+    for slot in range(horizon):
+        rec = slot >= warmup
+        if rec and slot == warmup and warmup:
+            for i in range(n):
+                q = queues[i]
+                base_generated[i] = q.generated
+                base_delivered[i] = q.delivered
+                base_dropped[i] = q.dropped
+
+        if rec:
+            for i in range(n):
+                o = queues[i].occupancy()
+                oc = occ_counts[i]
+                if o >= len(oc):
+                    oc.extend([0] * (o + 1 - len(oc)))
+                oc[o] += 1
+
+        # grant from the slot-start backlog
+        if rr:
+            granted = [slot % n]
+        else:
+            nonempty = [queues[i].occupancy() > 0 for i in range(n)]
+            granted = grant(policy, slot, nonempty, streams)
+
+        transmitters = []
+        for g in granted:
+            if queues[g].begin_attempt() is not None:
+                transmitters.append(g)
+        successes = resolve(channel, transmitters, streams) if transmitters else []
+
+        delivered_now: list[int] = []
+        for i in successes:
+            pkt = queues[i].on_delivery()
+            if stage is not None:
+                stage.inject(pkt, slot, streams[i].delay)
+                if not measure_dest:
+                    trackers[i].on_update(pkt.gen_slot)
+                    if rec:
+                        logs[i].gen_slots.append(pkt.gen_slot)
+                        logs[i].recv_slots.append(slot)
+                        delivered_now.append(i)
+            else:
+                trackers[i].on_update(pkt.gen_slot)
+                if rec:
+                    logs[i].gen_slots.append(pkt.gen_slot)
+                    logs[i].recv_slots.append(slot)
+                    delivered_now.append(i)
+
+        if stage is not None:
+            for pkt, fresh in deliver_due(stage, dest, slot):
+                src = pkt.source_id
+                if rec:
+                    if fresh:
+                        informative[src] += 1
+                    else:
+                        obsolete[src] += 1
+                if fresh and measure_dest:
+                    trackers[src].on_update(pkt.gen_slot)
+                    if rec:
+                        logs[src].gen_slots.append(pkt.gen_slot)
+                        logs[src].recv_slots.append(slot)
+
+        for i in range(n):
+            lam = lambdas[i]
+            if lam > 0.0 and streams[i].arrival.uniform() < lam:
+                queues[i].on_arrival(Packet(i, slot, seq[i]))
+                seq[i] += 1
+                prev = last_gen[i]
+                if rec and prev >= 0:
+                    y = slot - prev
+                    y_sum[i] += y
+                    y2_sum[i] += y * y
+                    y_count[i] += 1
+                last_gen[i] = slot
+
+        # classify what each delivery left behind, arrivals of this slot included
+        for i in delivered_now:
+            logs[i].left_empty.append(queues[i].occupancy() == 0)
+
+        if rec:
+            for i in range(n):
+                trackers[i].sample(slot)
+
+    per_source = []
+    for i in range(n):
+        q = queues[i]
+        generated = q.generated - base_generated[i]
+        delivered = q.delivered - base_delivered[i]
+        dropped = q.dropped - base_dropped[i]
+        log = logs[i]
+        m = len(log.gen_slots)
+        if m >= 2:
+            est_yt, est_zt = sample_path_estimators(log, window)
+        else:
+            est_yt = est_zt = _NAN
+        if m:
+            mean_t = sum(
+                r - g for g, r in zip(log.gen_slots, log.recv_slots)
+            ) / m
+        else:
+            mean_t = _NAN
+        yc = y_count[i]
+        mean_y = y_sum[i] / yc if yc else _NAN
+        mean_y2 = y2_sum[i] / yc if yc else _NAN
+        total = sum(occ_counts[i])
+        hist = {
+            o: c / total for o, c in enumerate(occ_counts[i]) if c
+        }
+        per_source.append(
+            SourceMetrics(
+                source_id=i,
+                avg_aoi=trackers[i].age_sum / window,
+                generated=generated,
+                delivered=delivered,
+                dropped=dropped,
+                in_system_at_end=q.occupancy(),
+                informative=informative[i],
+                obsolete=obsolete[i],
+                empirical_drop_prob=dropped / generated if generated else 0.0,
+                empirical_effective_rate=delivered / window,
+                occupancy_hist=hist,
+                estimator_yt=est_yt,
+                estimator_zt=est_zt,
+                mean_system_time=mean_t,
+                mean_interarrival=mean_y,
+                mean_interarrival_sq=mean_y2,
+                stability_warning=(
+                    config.discipline is Discipline.FIFO
+                    and lambdas[i] >= _service_share(config, i) - 1e-12
+                ),
+            )
+        )
+    report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
+    return report, logs

@@ -11,9 +11,10 @@ from aoisim.access import (
     PolicyConfig,
     PolicyKind,
     grant,
+    next_grant,
     resolve,
 )
-from aoisim.errors import ConfigError
+from aoisim.errors import ConfigError, ProtocolError
 from aoisim.streams import SourceStreams
 
 
@@ -30,6 +31,43 @@ class TestRoundRobin:
         for slot in range(9):
             assert grant(policy, slot, full, ss) == [slot % 3]
             assert grant(policy, slot, empty, ss) == [slot % 3]
+
+
+class TestNextGrant:
+    def test_round_robin_jumps_to_the_next_owned_slot(self) -> None:
+        policy = PolicyConfig(PolicyKind.ROUND_ROBIN)
+        ss = streams_for(3)
+        assert next_grant(policy, 2, 0, 100, 3, ss) == 2
+        assert next_grant(policy, 2, 3, 100, 3, ss) == 5
+        assert next_grant(policy, 0, 3, 100, 3, ss) == 3
+        assert next_grant(policy, 1, 3, 4, 3, ss) == 4  # owned slot 4 is the limit
+
+    def test_random_access_counts_one_draw_per_slot(self) -> None:
+        q = 0.2
+        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(q,))
+        fast, slow = streams_for(1, seed=31), streams_for(1, seed=31)
+        slot = 0
+        for _ in range(300):
+            expect = slot
+            while slow[0].access.uniform() >= q:
+                expect += 1
+            slot = next_grant(policy, 0, slot, 10_000, 1, fast)
+            assert slot == expect
+            slot += 1
+
+    def test_random_access_agrees_with_grant(self) -> None:
+        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.3,))
+        a, b = streams_for(1, seed=37), streams_for(1, seed=37)
+        granted = [s for s in range(2000) if grant(policy, s, [True], a) == [0]]
+        slots, s = [], 0
+        while (s := next_grant(policy, 0, s, 2000, 1, b)) < 2000:
+            slots.append(s)
+            s += 1
+        assert slots == granted
+
+    def test_work_conserving_has_no_per_source_grant(self) -> None:
+        with pytest.raises(ProtocolError):
+            next_grant(PolicyConfig(PolicyKind.WORK_CONSERVING), 0, 0, 10, 2, streams_for(2))
 
 
 class TestWorkConserving:

@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import aoisim
+from aoisim import cli
 from aoisim.analytic import QueueParams, aoi_geo_geo_1, optimal_arrival_rate
 from aoisim.cli import SIMULATE_COLUMNS, build_sim_config, main
 from aoisim.engine import MeasurePoint
@@ -277,6 +283,37 @@ class TestSweepCommand:
         assert main(args + ["--out", out2, "--workers", "2"]) == 0
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
+    def test_workers_are_clamped_to_jobs_and_cpus(self, tmp_path, monkeypatch) -> None:
+        cfg = write_config(tmp_path, dedicated_doc(horizon=2000))
+        args = [
+            "sweep", "--config", cfg, "--axis", "lambda",
+            "--from", "0.1", "--to", "0.4", "--steps", "3", "--seeds", "1",
+        ]
+        requested = []
+
+        class RecordingPool:
+            """Stands in for the process pool: records its size, runs in-process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w64.csv"
+        assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
+        assert main(args + ["--out", str(out2), "--workers", "64"]) == 0
+        assert requested == [2]  # three jobs, two CPUs
+        assert out1.read_bytes() == out2.read_bytes()
+
     def test_axis_q_requires_random_access(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, dedicated_doc())
         rc = main(
@@ -341,3 +378,39 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, dedicated_doc(network_k=0.5))
         assert main(["validate", "--config", cfg]) == 2
         assert "network_k" in capsys.readouterr().err
+
+    def test_perfect_channel_replacement_runs_to_an_exit_code(self, tmp_path, capsys) -> None:
+        # at mu = 1 nothing is ever dropped, so the drop_prob reference is 0
+        doc = dedicated_doc(
+            channel="perfect", arrival_rates=0.3, horizon=20_000,
+            tolerances={"moments": 0.08},
+        )
+        del doc["service_probs"]
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        drop_row = next(line for line in captured.out.splitlines() if " drop_prob " in line)
+        assert "ref=0 " in drop_row and "err=0.00e+00" in drop_row
+
+    def test_json_output_is_strict_json(self, tmp_path, capsys) -> None:
+        # 30 slots leave some statistics without samples
+        cfg = write_config(tmp_path, dedicated_doc(horizon=30, seed=1))
+        main(["validate", "--config", cfg, "--json"])
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert any(r["sim"] is None for r in out["rows"])
+
+
+def test_python_dash_m_runs_the_cli() -> None:
+    env = dict(os.environ, PYTHONPATH=str(Path(aoisim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "aoisim", "analytic", "--lambda", "0.2", "--mu", "0.5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "geo.avg_aoi" in proc.stdout and "7.26667" in proc.stdout
+    assert "replacement.avg_aoi" in proc.stdout

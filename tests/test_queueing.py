@@ -13,7 +13,7 @@ import pytest
 
 from aoisim.analytic import QueueParams, stationary_geo, stationary_replacement
 from aoisim.errors import ProtocolError
-from aoisim.queueing import ArrivalOutcome, Discipline, Packet, SourceQueue
+from aoisim.queueing import Discipline, Packet, SourceQueue
 
 DRIVE_SLOTS = 200_000
 OCC_TOL = 0.01  # Monte Carlo tolerance on stationary occupancy fractions
@@ -28,7 +28,8 @@ class TestFifo:
         q = SourceQueue(Discipline.FIFO)
         a, b, c = pkt(1, 0), pkt(2, 1), pkt(3, 2)
         for x in (a, b, c):
-            assert q.on_arrival(x) is ArrivalOutcome.QUEUED
+            q.on_arrival(x)
+        assert q.dropped == 0
         assert q.begin_attempt() is a
         assert q.on_delivery() is a
         assert q.begin_attempt() is b
@@ -76,8 +77,9 @@ class TestReplacement:
         a, b, c = pkt(1, 0), pkt(2, 1), pkt(3, 2)
         q.on_arrival(a)
         assert q.begin_attempt() is a
-        assert q.on_arrival(b) is ArrivalOutcome.QUEUED
-        assert q.on_arrival(c) is ArrivalOutcome.REPLACED
+        q.on_arrival(b)
+        assert q.dropped == 0
+        q.on_arrival(c)
         assert q.dropped == 1
         assert q.occupancy() == 2
         assert q.on_delivery() is a
