@@ -29,21 +29,19 @@ from .analytic import (
     system_time_pmf_geo,
 )
 from .engine import (
-    DeliveryLog,
     MeasurePoint,
     MetricsReport,
+    ReceptionStats,
     SimConfig,
     SourceMetrics,
     dedicated_channel_run,
     run,
     run_with_logs,
-    sample_path_estimators,
 )
 from .errors import (
     ConfigError,
     DegenerateParamsError,
     DomainError,
-    InsufficientDataError,
     InvalidParamsError,
     ProtocolError,
     UnstableError,
@@ -76,11 +74,10 @@ __all__ = [
     "MeasurePoint",
     "MetricsReport",
     "SourceMetrics",
-    "DeliveryLog",
+    "ReceptionStats",
     "run",
     "run_with_logs",
     "dedicated_channel_run",
-    "sample_path_estimators",
     # building blocks
     "Discipline",
     "Packet",
@@ -101,5 +98,4 @@ __all__ = [
     "DomainError",
     "ProtocolError",
     "ConfigError",
-    "InsufficientDataError",
 ]

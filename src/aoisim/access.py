@@ -111,6 +111,8 @@ class ChannelConfig:
 
     def attempt_prob(self, source_id: int) -> float:
         """Per-attempt success of a lone transmitter on this channel."""
+        if self.kind is ChannelKind.COLLISION and not self.collision_thinning:
+            return 1.0
         p = 1.0
         if self.service_probs is not None:
             p *= self.service_probs[source_id]
@@ -177,19 +179,14 @@ def resolve(
     transmitters: Sequence[int],
     streams: Sequence[SourceStreams],
 ) -> list[int]:
-    """Transmitters whose packet is delivered this slot, ascending order."""
-    kind = channel.kind
-    if kind is ChannelKind.COLLISION:
-        if len(transmitters) != 1:
-            return []
-        t = transmitters[0]
-        if channel.collision_thinning:
-            p = channel.attempt_prob(t)
-            if p < 1.0 and not streams[t].channel.uniform() < p:
-                return []
-        return [t]
-    if kind is ChannelKind.PERFECT:
-        return list(transmitters)
+    """Transmitters whose packet is delivered this slot, ascending order.
+
+    A collision channel delivers nothing unless exactly one source
+    transmits.  Each remaining transmitter succeeds with its
+    ``attempt_prob``, taking a channel draw only when that is below 1.
+    """
+    if len(transmitters) != 1 and channel.kind is ChannelKind.COLLISION:
+        return []
     successes = []
     for t in transmitters:
         p = channel.attempt_prob(t)

@@ -45,7 +45,7 @@ from .analytic import (
     stationary_geo,
     stationary_replacement,
 )
-from .engine import MeasurePoint, SimConfig, SourceMetrics, run, run_with_logs
+from .engine import MeasurePoint, SimConfig, SourceMetrics, mean_or_nan, run, run_with_logs
 from .errors import ConfigError
 from .queueing import Discipline
 
@@ -556,20 +556,6 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _mean(xs: list[float]) -> float:
-    return sum(xs) / len(xs) if xs else float("nan")
-
-
-def _dedicated_success_prob(config: SimConfig) -> float:
-    """Per-attempt success of the lone source under this channel."""
-    kind = config.channel.kind
-    if kind is ChannelKind.PERFECT:
-        return 1.0
-    if kind is ChannelKind.COLLISION and not config.channel.collision_thinning:
-        return 1.0
-    return config.channel.attempt_prob(0)
-
-
 def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[CheckRow]:
     """Simulate ``config`` and pair each statistic with its closed form.
 
@@ -582,14 +568,14 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
         raise ConfigError("validate requires a scheduled policy (round_robin or work_conserving)")
     if config.network_k is not None:
         raise ConfigError("validate requires network_k to be absent (closed forms hold at the access point)")
-    params = QueueParams(config.lambdas[0], _dedicated_success_prob(config))
+    params = QueueParams(config.lambdas[0], config.channel.attempt_prob(0))
     tol_aoi = tolerances["aoi"]
     tol_occ = tolerances["occupancy"]
     tol_mom = tolerances["moments"]
 
-    report, logs = run_with_logs(config)
+    report, stats = run_with_logs(config)
     m = report.per_source[0]
-    log = logs[0]
+    rx = stats[0]
     hist = m.occupancy_hist
     rows: list[CheckRow] = []
 
@@ -632,38 +618,21 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     hard_abs("occupancy_pi1", hist.get(1, 0.0), st.pi1, tol_occ)
     hard_abs("occupancy_pi2", hist.get(2, 0.0), st.pi2, tol_occ)
 
-    recvs, gens, left = log.recv_slots, log.gen_slots, log.left_empty
-    z_empty: list[float] = []
-    z_busy: list[float] = []
-    t_after_empty: list[float] = []
-    t_after_busy: list[float] = []
-    tz: list[float] = []
-    for j in range(1, len(recvs)):
-        z = float(recvs[j] - recvs[j - 1])
-        t = float(recvs[j] - gens[j])
-        t_prev = float(recvs[j - 1] - gens[j - 1])
-        tz.append(t_prev * z)
-        if left[j - 1]:
-            z_empty.append(z)
-            t_after_empty.append(t)
-        else:
-            z_busy.append(z)
-            t_after_busy.append(t)
+    e, b = rx.after_empty, rx.after_busy
+    hard_rel("gap_mean_after_empty", mean_or_nan(e.z_sum, e.count), mom.ez_empty, tol_mom)
+    hard_rel("gap_mean_after_busy", mean_or_nan(b.z_sum, b.count), mom.ez_busy, tol_mom)
+    hard_rel("gap_sq_after_empty", mean_or_nan(e.z2_sum, e.count), mom.ez2_empty, tol_mom)
+    hard_rel("gap_sq_after_busy", mean_or_nan(b.z2_sum, b.count), mom.ez2_busy, tol_mom)
 
-    hard_rel("gap_mean_after_empty", _mean(z_empty), mom.ez_empty, tol_mom)
-    hard_rel("gap_mean_after_busy", _mean(z_busy), mom.ez_busy, tol_mom)
-    hard_rel("gap_sq_after_empty", _mean([z * z for z in z_empty]), mom.ez2_empty, tol_mom)
-    hard_rel("gap_sq_after_busy", _mean([z * z for z in z_busy]), mom.ez2_busy, tol_mom)
-
-    all_z = z_empty + z_busy
-    info("gap_mean", _mean(all_z), mom.ez)
-    info("gap_sq", _mean([z * z for z in all_z]), mom.ez2)
-    info("system_time_after_empty", _mean(t_after_empty), mom.et_empty)
-    info("system_time_after_busy", _mean(t_after_busy), mom.et_busy)
-    info("system_time_gap_cross", _mean(tz), mom.etz)
+    gaps = e.count + b.count
+    info("gap_mean", mean_or_nan(e.z_sum + b.z_sum, gaps), mom.ez)
+    info("gap_sq", mean_or_nan(e.z2_sum + b.z2_sum, gaps), mom.ez2)
+    info("system_time_after_empty", mean_or_nan(e.t_sum, e.count), mom.et_empty)
+    info("system_time_after_busy", mean_or_nan(b.t_sum, b.count), mom.et_busy)
+    info("system_time_gap_cross", mean_or_nan(rx.tz_sum, gaps), mom.etz)
     info("drop_prob", m.empirical_drop_prob, mom.p_drop)
     info("effective_rate", m.empirical_effective_rate, mom.lambda_e)
-    info("leave_empty_prob", sum(left) / len(left) if left else float("nan"), mom.p_leave_empty)
+    info("leave_empty_prob", mean_or_nan(rx.left_empty, rx.count), mom.p_leave_empty)
     info("estimator_yt", m.estimator_yt, m.avg_aoi)
     info("estimator_zt", m.estimator_zt, m.avg_aoi)
     return rows

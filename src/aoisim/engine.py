@@ -41,7 +41,7 @@ from .access import (
     resolve,
 )
 from .analytic import QueueParams
-from .errors import ConfigError, InsufficientDataError
+from .errors import ConfigError
 from .netdelay import DelayStage, DestState, deliver_due
 from .queueing import Discipline, Packet, SourceQueue
 from .streams import SourceStreams
@@ -49,10 +49,11 @@ from .streams import SourceStreams
 __all__ = [
     "MeasurePoint",
     "SimConfig",
-    "DeliveryLog",
+    "GapSums",
+    "ReceptionStats",
     "SourceMetrics",
     "MetricsReport",
-    "sample_path_estimators",
+    "mean_or_nan",
     "run",
     "run_with_logs",
     "dedicated_channel_run",
@@ -115,52 +116,88 @@ class SimConfig:
         return MeasurePoint.DESTINATION if self.network_k is not None else MeasurePoint.AP
 
 
-@dataclass
-class DeliveryLog:
-    """Per-source reception trace at the monitor point.
+@dataclass(slots=True)
+class GapSums:
+    """Sums over the inter-reception gaps Z that share one condition."""
 
-    ``left_empty`` is only populated when the monitor point is the access
-    point: entry j says whether delivery j left the source queue empty at the
-    end of its slot (arrivals of that slot included).
+    count: int = 0
+    z_sum: int = 0
+    z2_sum: int = 0
+    t_sum: int = 0  # system time of the reception that closes each gap
+
+
+@dataclass(slots=True)
+class ReceptionStats:
+    """Running sums over one source's receptions at the monitor point.
+
+    The engine calls ``add`` for every reception in the window, in order.
+    At the access point it then calls ``mark_left_empty`` when that delivery
+    left the source queue empty at the end of its slot (arrivals of that slot
+    included); receptions at the destination are never marked.  Every
+    reception after the first closes a gap with interarrival gap Y, system
+    time T, inter-reception gap Z and previous system time T₋; these are the
+    terms of the age-area decomposition (Kaul, Yates & Gruteser, "Real-time
+    status: How often should one update?", INFOCOM 2012).  Each sum is an
+    integer, so the statistics derived from them are exact up to one final
+    division, and the memory used does not grow with the horizon.
     """
 
-    gen_slots: list[int] = field(default_factory=list)
-    recv_slots: list[int] = field(default_factory=list)
-    left_empty: list[bool] = field(default_factory=list)
+    count: int = 0
+    t_sum: int = 0
+    yt2_sum: int = 0  # sum of 2YT + Y² + Y, twice the age area of each gap
+    zt2_sum: int = 0  # sum of 2T₋Z + Z² + Z
+    tz_sum: int = 0  # sum of T₋Z
+    left_empty: int = 0  # receptions marked by mark_left_empty
+    # gaps split by whether the reception that opened them left the queue empty
+    after_empty: GapSums = field(default_factory=GapSums)
+    after_busy: GapSums = field(default_factory=GapSums)
+    last_gen: int = 0
+    last_recv: int = 0
+    last_left_empty: bool = False
+
+    def add(self, gen: int, recv: int) -> None:
+        t = recv - gen
+        if self.count:
+            last_gen = self.last_gen
+            last_recv = self.last_recv
+            y = gen - last_gen
+            z = recv - last_recv
+            t_prev = last_recv - last_gen
+            self.yt2_sum += (2 * t + y + 1) * y
+            self.zt2_sum += (2 * t_prev + z + 1) * z
+            self.tz_sum += t_prev * z
+            gaps = self.after_empty if self.last_left_empty else self.after_busy
+            gaps.count += 1
+            gaps.z_sum += z
+            gaps.z2_sum += z * z
+            gaps.t_sum += t
+        self.count += 1
+        self.t_sum += t
+        self.last_gen = gen
+        self.last_recv = recv
+        self.last_left_empty = False
+
+    def mark_left_empty(self) -> None:
+        """The latest reception left the source queue empty."""
+        self.left_empty += 1
+        self.last_left_empty = True
 
 
-def sample_path_estimators(log: DeliveryLog, window: int) -> tuple[float, float]:
-    """Two area-decomposition estimates of the average age from one trace.
-
-    The first rebuilds the age area from interarrival gaps Y and system times
-    T, the second from inter-reception gaps Z and the previous system time;
-    both are scaled by the empirical reception rate over ``window`` slots.
-    On a stable run they agree with the per-slot average up to edge effects.
-    """
-    gens = log.gen_slots
-    recvs = log.recv_slots
-    m = len(gens)
-    if m < 2:
-        raise InsufficientDataError(f"need at least 2 receptions, got {m}")
-    if window < 1:
-        raise InsufficientDataError(f"window must be >= 1, got {window}")
-    rate = m / window
-    yt_acc = 0.0
-    zt_acc = 0.0
-    for j in range(1, m):
-        y = gens[j] - gens[j - 1]
-        t = recvs[j] - gens[j]
-        z = recvs[j] - recvs[j - 1]
-        t_prev = recvs[j - 1] - gens[j - 1]
-        yt_acc += y * t + 0.5 * y * y + 0.5 * y
-        zt_acc += t_prev * z + 0.5 * z * z + 0.5 * z
-    k = m - 1
-    return rate * yt_acc / k, rate * zt_acc / k
+def mean_or_nan(total: int, count: int) -> float:
+    """``total / count``, or NaN when there is nothing to average."""
+    return total / count if count else _NAN
 
 
 @dataclass(frozen=True)
 class SourceMetrics:
-    """Per-source results of one run (window excludes warm-up slots)."""
+    """Per-source results of one run (window excludes warm-up slots).
+
+    ``generated``, ``delivered`` and ``dropped`` count the window only, while
+    ``in_system_at_end`` counts every packet queued at the horizon, warm-up
+    arrivals included.  So ``generated == delivered + dropped +
+    in_system_at_end`` holds only without warm-up; with it, the left side
+    gains the occupancy at the warm-up boundary.
+    """
 
     source_id: int
     avg_aoi: float
@@ -193,11 +230,7 @@ class MetricsReport:
 def _service_share(config: SimConfig, i: int) -> float:
     """Heuristic per-source service capacity used for the stability flag."""
     n = config.n_sources
-    channel = config.channel
-    if channel.kind is ChannelKind.COLLISION and not channel.collision_thinning:
-        att = 1.0
-    else:
-        att = channel.attempt_prob(i)
+    att = config.channel.attempt_prob(i)
     if config.policy.kind is PolicyKind.RANDOM_ACCESS:
         qs = config.policy.access_probs
         assert qs is not None
@@ -211,8 +244,8 @@ def _window_sum(lo: int, hi: int, base: int) -> int:
     return k * (lo + hi - 1) // 2 - k * (base - 1)
 
 
-def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
-    """Run one simulation, returning metrics and the per-source reception traces."""
+def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats]]:
+    """Run one simulation, returning metrics and the per-source reception statistics."""
     config.validate()
     n = config.n_sources
     lambdas = config.lambdas
@@ -230,7 +263,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     dest = DestState(n) if stage is not None else None
     measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
 
-    logs = [DeliveryLog() for _ in range(n)]
+    stats = [ReceptionStats() for _ in range(n)]
     # Step 6 lazily: the age is slot - base + 1, with base 0 until something
     # is received.  age_area holds the window's ages before slot age_from.
     base = [0] * n
@@ -328,8 +361,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
                     age_from[i] = slot
                 base[i] = gen_slot
             if rec:
-                logs[i].gen_slots.append(gen_slot)
-                logs[i].recv_slots.append(slot)
+                stats[i].add(gen_slot, slot)
 
         for i in arrivals:
             queues[i].on_arrival(Packet(i, slot, seq[i]))
@@ -348,7 +380,8 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         # classify what each delivery left behind, arrivals of this slot included
         if rec and not measure_dest:
             for i, _ in received:
-                logs[i].left_empty.append(queues[i].occupancy() == 0)
+                if queues[i].occupancy() == 0:
+                    stats[i].mark_left_empty()
 
         # the next slot starts: record occupancy changes and schedule grants
         # (a source both granted and arriving is visited twice; the second
@@ -385,21 +418,16 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         avg_aoi = (age_area[i] + _window_sum(age_from[i], horizon, base[i])) / window
         hist = occ_slots[i]
         hist[occ[i]] = hist.get(occ[i], 0) + horizon - occ_from[i]
-        log = logs[i]
-        m = len(log.gen_slots)
-        if m >= 2:
-            est_yt, est_zt = sample_path_estimators(log, window)
+        rx = stats[i]
+        if rx.count >= 2:
+            # both estimates scale the mean age area per gap by the
+            # empirical reception rate
+            rate = rx.count / window
+            k = rx.count - 1
+            est_yt = rate * (rx.yt2_sum / 2) / k
+            est_zt = rate * (rx.zt2_sum / 2) / k
         else:
             est_yt = est_zt = _NAN
-        if m:
-            mean_t = sum(
-                r - g for g, r in zip(log.gen_slots, log.recv_slots)
-            ) / m
-        else:
-            mean_t = _NAN
-        yc = y_count[i]
-        mean_y = y_sum[i] / yc if yc else _NAN
-        mean_y2 = y2_sum[i] / yc if yc else _NAN
         per_source.append(
             SourceMetrics(
                 source_id=i,
@@ -415,9 +443,9 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
                 occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
                 estimator_yt=est_yt,
                 estimator_zt=est_zt,
-                mean_system_time=mean_t,
-                mean_interarrival=mean_y,
-                mean_interarrival_sq=mean_y2,
+                mean_system_time=mean_or_nan(rx.t_sum, rx.count),
+                mean_interarrival=mean_or_nan(y_sum[i], y_count[i]),
+                mean_interarrival_sq=mean_or_nan(y2_sum[i], y_count[i]),
                 stability_warning=(
                     config.discipline is Discipline.FIFO
                     and lambdas[i] >= _service_share(config, i) - 1e-12
@@ -425,7 +453,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
             )
         )
     report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
-    return report, logs
+    return report, stats
 
 
 def run(config: SimConfig) -> MetricsReport:

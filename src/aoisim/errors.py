@@ -24,7 +24,3 @@ class ProtocolError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration is malformed or internally inconsistent."""
-
-
-class InsufficientDataError(ValueError):
-    """Not enough observations to form the requested estimate."""

@@ -4,25 +4,70 @@
 following the six steps of ``aoisim.engine`` literally.  It is kept here,
 outside the package, as the oracle for the differential tests of the
 event-driven engine, together with ``AoiTracker``, the per-slot age
-accumulator it needs.  Only the tests import it.
+accumulator it needs, and ``DeliveryLog`` and ``sample_path_estimators``,
+which keep every reception and compute the two area-decomposition estimates
+from the whole trace.  Only the tests import it.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from aoisim.access import PolicyKind, grant, resolve
 from aoisim.engine import (
-    DeliveryLog,
     MeasurePoint,
     MetricsReport,
     SimConfig,
     SourceMetrics,
     _service_share,
-    sample_path_estimators,
 )
 from aoisim.netdelay import DelayStage, DestState, deliver_due
 from aoisim.queueing import Discipline, Packet, SourceQueue
 from aoisim.streams import SourceStreams
 
 _NAN = float("nan")
+
+
+@dataclass
+class DeliveryLog:
+    """Per-source reception trace at the monitor point.
+
+    ``left_empty`` is only populated when the monitor point is the access
+    point: entry j says whether delivery j left the source queue empty at the
+    end of its slot (arrivals of that slot included).
+    """
+
+    gen_slots: list[int] = field(default_factory=list)
+    recv_slots: list[int] = field(default_factory=list)
+    left_empty: list[bool] = field(default_factory=list)
+
+
+def sample_path_estimators(log: DeliveryLog, window: int) -> tuple[float, float]:
+    """Two area-decomposition estimates of the average age from one trace.
+
+    The first rebuilds the age area from interarrival gaps Y and system times
+    T, the second from inter-reception gaps Z and the previous system time;
+    both are scaled by the empirical reception rate over ``window`` slots.
+    On a stable run they agree with the per-slot average up to edge effects.
+    """
+    gens = log.gen_slots
+    recvs = log.recv_slots
+    m = len(gens)
+    if m < 2:
+        raise ValueError(f"need at least 2 receptions, got {m}")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    rate = m / window
+    yt_acc = 0.0
+    zt_acc = 0.0
+    for j in range(1, m):
+        y = gens[j] - gens[j - 1]
+        t = recvs[j] - gens[j]
+        z = recvs[j] - recvs[j - 1]
+        t_prev = recvs[j - 1] - gens[j - 1]
+        yt_acc += y * t + 0.5 * y * y + 0.5 * y
+        zt_acc += t_prev * z + 0.5 * z * z + 0.5 * z
+    k = m - 1
+    return rate * yt_acc / k, rate * zt_acc / k
 
 
 class AoiTracker:

@@ -103,9 +103,9 @@ def replacement_run():
         ChannelConfig(ChannelKind.ERASURE, service_probs=(REFERENCE.mu,)),
         DEDICATED_HORIZON, REPLACEMENT_SEED,
     )
-    report, logs = run_with_logs(config)
+    report, stats = run_with_logs(config)
     _register("dedicated replacement", report)
-    return config, report, logs[0]
+    return config, report, stats[0]
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +389,7 @@ def test_criterion_3_fifo_dedicated_run(fifo_run, capsys) -> None:
 
 
 def test_criterion_4_replacement_dedicated_run(replacement_run, capsys) -> None:
-    _, report, log = replacement_run
+    _, report, rx = replacement_run
     m = report.per_source[0]
     failures: list[str] = []
 
@@ -401,16 +401,12 @@ def test_criterion_4_replacement_dedicated_run(replacement_run, capsys) -> None:
         if abs(sim - ref) > 0.005:
             failures.append(f"occupancy pi{n} {sim:.4f} vs {ref:.4f} beyond 0.005")
 
-    gaps_empty: list[float] = []
-    gaps_busy: list[float] = []
-    for j in range(1, len(log.recv_slots)):
-        z = float(log.recv_slots[j] - log.recv_slots[j - 1])
-        (gaps_empty if log.left_empty[j - 1] else gaps_busy).append(z)
+    e, b = rx.after_empty, rx.after_busy
     conditional = (
-        ("gap mean after empty", statistics.fmean(gaps_empty), 7.0),
-        ("gap mean after busy", statistics.fmean(gaps_busy), 2.0),
-        ("gap second moment after empty", statistics.fmean([z * z for z in gaps_empty]), 71.0),
-        ("gap second moment after busy", statistics.fmean([z * z for z in gaps_busy]), 6.0),
+        ("gap mean after empty", e.z_sum / e.count, 7.0),
+        ("gap mean after busy", b.z_sum / b.count, 2.0),
+        ("gap second moment after empty", e.z2_sum / e.count, 71.0),
+        ("gap second moment after busy", b.z2_sum / b.count, 6.0),
     )
     for name, sim, ref in conditional:
         if _rel(sim, ref) > 0.02:

@@ -219,3 +219,13 @@ class TestChannelValidation:
         )
         assert channel.attempt_prob(0) == pytest.approx(0.45)
         assert channel.attempt_prob(1) == pytest.approx(0.2)
+
+    def test_collision_without_thinning_ignores_link_probs(self) -> None:
+        # a lone transmitter on an unthinned collision channel always succeeds
+        channel = ChannelConfig(ChannelKind.COLLISION, service_probs=(0.5,))
+        assert channel.attempt_prob(0) == 1.0
+        thinned = ChannelConfig(ChannelKind.COLLISION, service_probs=(0.5,), collision_thinning=True)
+        assert thinned.attempt_prob(0) == 0.5
+        ss = streams_for(1)
+        assert resolve(channel, [0], ss) == [0]
+        assert ss[0].channel.uniform() == streams_for(1)[0].channel.uniform()

@@ -1,22 +1,25 @@
 """Engine behavior: exact calibration traces, estimators, determinism."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
 
 import pytest
 
+import reference_engine
 from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.analytic import QueueParams
 from aoisim.engine import (
-    DeliveryLog,
+    GapSums,
     MeasurePoint,
+    ReceptionStats,
     SimConfig,
     dedicated_channel_run,
     run,
     run_with_logs,
-    sample_path_estimators,
 )
-from aoisim.errors import ConfigError, InsufficientDataError
+from aoisim.errors import ConfigError
 from aoisim.queueing import Discipline
 
 RR = PolicyConfig(PolicyKind.ROUND_ROBIN)
@@ -66,29 +69,76 @@ class TestCalibrationTraces:
 
     def test_sampled_age_floor(self) -> None:
         # minimum system time is one slot, so every delivered update is at
-        # least one slot old when sampled
-        _, logs = run_with_logs(config(lambdas=(0.7,), horizon=5000))
+        # least one slot old when sampled; the engine keeps no trace, and
+        # tests/test_differential.py ties its reception sums to this one
+        c = config(lambdas=(0.7,), horizon=5000)
+        _, logs = reference_engine.run_with_logs(c)
         assert all(r > g for g, r in zip(logs[0].gen_slots, logs[0].recv_slots))
+        _, stats = run_with_logs(c)
+        assert stats[0].count == len(logs[0].gen_slots) > 0
 
 
 class TestEstimators:
     def test_constant_trace(self) -> None:
-        # Y=2, T=1, Z=2 forever: both decompositions give 2.5
-        log = DeliveryLog(
-            gen_slots=[2 * j for j in range(50)],
-            recv_slots=[2 * j + 1 for j in range(50)],
+        # gen 0, 2, 4, ..., each received one slot later: Y=2, T=1, Z=2 every
+        # gap, and every third delivery leaves the queue empty
+        stats = ReceptionStats()
+        for j in range(50):
+            stats.add(2 * j, 2 * j + 1)
+            if j % 3 == 0:
+                stats.mark_left_empty()
+        # 49 gaps; those opened by deliveries 0, 3, ..., 48 follow an empty queue
+        assert stats == ReceptionStats(
+            count=50,
+            t_sum=50,
+            yt2_sum=49 * (2 * 2 * 1 + 2 * 2 + 2),
+            zt2_sum=49 * (2 * 1 * 2 + 2 * 2 + 2),
+            tz_sum=49 * 2,
+            left_empty=17,
+            after_empty=GapSums(count=17, z_sum=34, z2_sum=68, t_sum=17),
+            after_busy=GapSums(count=32, z_sum=64, z2_sum=128, t_sum=32),
+            last_gen=98,
+            last_recv=99,
+            last_left_empty=False,
         )
-        yt, zt = sample_path_estimators(log, window=100)
-        assert yt == pytest.approx(2.5, rel=1e-12)
-        assert zt == pytest.approx(2.5, rel=1e-12)
+        # two saturated sources under round robin produce that trace after a
+        # two-slot warm-up; both decompositions give the per-slot age 2.5
+        c = config(n_sources=2, lambdas=(1.0, 1.0), horizon=100, warmup=2)
+        report, run_stats = run_with_logs(c)
+        rx = run_stats[0]
+        assert (rx.count, rx.t_sum, rx.yt2_sum, rx.zt2_sum) == (49, 49, 48 * 10, 48 * 10)
+        m = report.per_source[0]
+        assert m.estimator_yt == m.estimator_zt == m.avg_aoi == 2.5
+
+    def test_uneven_trace_split_sums(self) -> None:
+        # (gen, recv, left empty): T = 2, 1, 4, 1; Y = 3, 2, 5; Z = 2, 5, 2
+        stats = ReceptionStats()
+        for gen, recv, empty in ((0, 2, True), (3, 4, False), (5, 9, True), (10, 11, False)):
+            stats.add(gen, recv)
+            if empty:
+                stats.mark_left_empty()
+        assert stats.count == 4 and stats.left_empty == 2
+        assert stats.t_sum == 2 + 1 + 4 + 1
+        assert stats.yt2_sum == (2 * 1 + 3 + 1) * 3 + (2 * 4 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5
+        assert stats.zt2_sum == (2 * 2 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5 + (2 * 4 + 2 + 1) * 2
+        assert stats.tz_sum == 2 * 2 + 1 * 5 + 4 * 2
+        assert stats.after_empty == GapSums(count=2, z_sum=4, z2_sum=8, t_sum=2)
+        assert stats.after_busy == GapSums(count=1, z_sum=5, z2_sum=25, t_sum=4)
 
     def test_needs_two_deliveries(self) -> None:
-        with pytest.raises(InsufficientDataError):
-            sample_path_estimators(DeliveryLog(gen_slots=[3], recv_slots=[4]), window=10)
-        with pytest.raises(InsufficientDataError):
-            sample_path_estimators(
-                DeliveryLog(gen_slots=[1, 3], recv_slots=[2, 4]), window=0
-            )
+        # a lone reception closes no gap, so neither estimate exists
+        stats = ReceptionStats()
+        stats.add(3, 4)
+        stats.mark_left_empty()
+        assert stats.after_empty == stats.after_busy == GapSums()
+        assert stats.yt2_sum == stats.zt2_sum == stats.tz_sum == 0
+        # a single update at slot 0, delivered in slot 1, and nothing after it
+        c = config(lambdas=(1.0,), horizon=2)
+        _, run_stats = run_with_logs(c)
+        assert run_stats[0].count == 1
+        m = run(c).per_source[0]
+        assert math.isnan(m.estimator_yt) and math.isnan(m.estimator_zt)
+        assert m.mean_system_time == 1.0
 
     @pytest.mark.parametrize("lam", [0.3, 0.6])
     def test_certain_service_matches_inverse_rate(self, lam: float) -> None:
@@ -144,12 +194,37 @@ class TestAccounting:
         assert m.empirical_drop_prob == pytest.approx(m.dropped / m.generated, rel=1e-12)
         assert m.generated == m.delivered + m.dropped + m.in_system_at_end
 
+    @pytest.mark.parametrize("discipline", list(Discipline))
+    def test_conservation_with_warmup(self, discipline: Discipline) -> None:
+        # window counts exclude warm-up, in_system_at_end does not: the
+        # occupancy at the warm-up boundary closes the balance, and a run
+        # that stops there has exactly that occupancy at its end
+        c = config(lambdas=(0.45,), discipline=discipline, horizon=20_000, warmup=3_001,
+                   channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5,)), seed=12)
+        at_warmup = run(dataclasses.replace(c, horizon=c.warmup, warmup=0)).per_source[0]
+        m = run(c).per_source[0]
+        assert at_warmup.in_system_at_end > 0
+        assert m.generated + at_warmup.in_system_at_end == m.delivered + m.dropped + m.in_system_at_end
+
     def test_interarrival_moments(self) -> None:
         lam = 0.3
         r = dedicated_channel_run(QueueParams(lam, 0.8), Discipline.FIFO, horizon=200_000, seed=7)
         m = r.per_source[0]
         assert m.mean_interarrival == pytest.approx(1.0 / lam, rel=0.01)
         assert m.mean_interarrival_sq == pytest.approx((2.0 - lam) / lam**2, rel=0.02)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_the_horizon(self) -> None:
+        # a run keeps running sums per source, not one entry per reception:
+        # 400k slots of a loaded dedicated FIFO queue stay under 2 MB
+        tracemalloc.start()
+        try:
+            dedicated_channel_run(QueueParams(0.4, 0.5), Discipline.FIFO, horizon=400_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestStabilityWarning:
