@@ -47,7 +47,7 @@ from .errors import (
     UnstableError,
 )
 from .netdelay import DelayStage, DestState, deliver_due
-from .queueing import Discipline, Packet, SourceQueue
+from .queueing import Discipline, SourceQueue
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "dedicated_channel_run",
     # building blocks
     "Discipline",
-    "Packet",
     "SourceQueue",
     "PolicyKind",
     "PolicyConfig",

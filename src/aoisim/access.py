@@ -175,21 +175,24 @@ def grant(
 
 
 def resolve(
-    channel: ChannelConfig,
+    probs: Sequence[float],
     transmitters: Sequence[int],
     streams: Sequence[SourceStreams],
+    collision: bool,
 ) -> list[int]:
     """Transmitters whose packet is delivered this slot, ascending order.
 
-    A collision channel delivers nothing unless exactly one source
-    transmits.  Each remaining transmitter succeeds with its
-    ``attempt_prob``, taking a channel draw only when that is below 1.
+    ``probs[i]`` is ``ChannelConfig.attempt_prob(i)`` and ``collision`` says
+    whether the channel is a collision channel; a run computes both once.  A
+    collision channel delivers nothing unless exactly one source transmits.
+    Each remaining transmitter succeeds with its probability, taking a channel
+    draw only when that is below 1.
     """
-    if len(transmitters) != 1 and channel.kind is ChannelKind.COLLISION:
+    if collision and len(transmitters) != 1:
         return []
     successes = []
     for t in transmitters:
-        p = channel.attempt_prob(t)
+        p = probs[t]
         if p >= 1.0 or streams[t].channel.uniform() < p:
             successes.append(t)
     return successes

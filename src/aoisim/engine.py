@@ -15,9 +15,14 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-The engine only visits event slots: slots with an arrival, a grant to a
-backlogged source, or a delay-stage reception.  Each event slot runs the six
-steps above in the same order, touching only the sources involved; nothing
+The engine only visits event slots: slots with an arrival, a delay-stage
+reception, or a grant to a backlogged source, except a round robin's failed
+attempts.  Under round robin only a slot's owner transmits and the channel
+draws are its own, so when an attempt fails the engine takes the owner's
+draws for its next slots up to the first success at once, and visits only
+that slot, which delivers without a further draw; the failed attempts in
+between change nothing but the draws.  Each event slot runs the six steps
+above in the same order, touching only the sources involved; nothing
 changes in the slots between them.  Steps 1 and 6 are therefore kept as
 running sums: the occupancy histogram adds the time spent in each state when
 the state changes, and the age area adds the arithmetic series
@@ -27,9 +32,10 @@ same at every seed.
 """
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
 from .access import (
     ChannelConfig,
@@ -37,13 +43,12 @@ from .access import (
     PolicyConfig,
     PolicyKind,
     grant,
-    next_grant,
     resolve,
 )
 from .analytic import QueueParams
 from .errors import ConfigError
 from .netdelay import DelayStage, DestState, deliver_due
-from .queueing import Discipline, Packet, SourceQueue
+from .queueing import Discipline, SourceQueue
 from .streams import SourceStreams
 
 __all__ = [
@@ -60,7 +65,9 @@ __all__ = [
 ]
 
 _NAN = float("nan")
-_ATTEMPT, _ARRIVAL, _DUE = 0, 1, 2
+# event kinds in pop order within a slot; _SUCCESS is a round-robin attempt
+# already known to succeed
+_SUCCESS, _ATTEMPT, _ARRIVAL, _DUE = 0, 1, 2, 3
 
 
 class MeasurePoint(Enum):
@@ -255,6 +262,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     policy = config.policy
     channel = config.channel
     per_slot_grant = policy.kind is PolicyKind.WORK_CONSERVING
+    round_robin = policy.kind is PolicyKind.ROUND_ROBIN
+    access_probs = policy.access_probs
+    attempt_probs = [channel.attempt_prob(i) for i in range(n)]
+    collision = channel.kind is ChannelKind.COLLISION
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
     streams = [SourceStreams(config.seed, i) for i in range(n)]
@@ -273,9 +284,11 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     # sees; occ_slots[i][o] counts the window's slot starts that saw o.
     occ = [0] * n
     occ_from = [warmup] * n
-    occ_slots: list[dict[int, int]] = [{} for _ in range(n)]
+    occ_slots: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
     # work conserving is granted slot by slot from the backlog flags; the
-    # other policies hold one pending grant event per backlogged source
+    # other policies hold one pending grant event per backlogged source,
+    # and a round-robin source keeps its mark when no success is left
+    # before the horizon, so that it is never scheduled again
     backlogged = [False] * n
     n_backlogged = 0
     grant_pending = [False] * n
@@ -283,7 +296,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     y_sum = [0] * n
     y2_sum = [0] * n
     y_count = [0] * n
-    seq = [0] * n
     informative = [0] * n
     obsolete = [0] * n
     counts_at_warmup: list[tuple[int, int, int]] | None = None
@@ -296,7 +308,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             first = streams[i].arrival.skip_to_below(lam, horizon)
             if first < horizon:
                 events.append((first, _ARRIVAL, i))
-    heapq.heapify(events)
+    heapify(events)
 
     slot = -1
     while True:
@@ -315,57 +327,63 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
 
         granted: list[int] = []
         arrivals: list[int] = []
-        due = False
+        due = sure = False
         while events and events[0][0] == slot:
-            _, kind, i = heapq.heappop(events)
-            if kind == _ATTEMPT:
+            _, kind, i = heappop(events)
+            if kind == _ARRIVAL:
+                arrivals.append(i)
+            elif kind == _DUE:
+                due = True
+            else:
                 granted.append(i)
                 grant_pending[i] = False
-            elif kind == _ARRIVAL:
-                arrivals.append(i)
-            else:
-                due = True
+                sure = kind == _SUCCESS
         if per_slot_grant:
             granted = grant(policy, slot, backlogged, streams)
 
         # every granted source is backlogged, so each one transmits
-        received: list[tuple[int, int]] = []  # (source, gen_slot) reaching the monitor point
+        received: list[tuple[int, int]] = []  # (source, gen) reaching the monitor point
+        failed = -1  # a round-robin owner whose attempt failed
         if granted:
             for i in granted:
                 queues[i].begin_attempt()
-            for i in resolve(channel, granted, streams):
-                pkt = queues[i].on_delivery()
+            if sure:
+                delivered = granted
+            else:
+                delivered = resolve(attempt_probs, granted, streams, collision)
+                if round_robin and not delivered:
+                    failed = granted[0]
+            for i in delivered:
+                gen = queues[i].on_delivery()
                 if stage is not None:
-                    arrive = stage.inject(pkt, slot, streams[i].delay)
+                    arrive = stage.inject((i, gen), slot, streams[i].delay)
                     if arrive < horizon:
-                        heapq.heappush(events, (arrive, _DUE, -1))
+                        heappush(events, (arrive, _DUE, -1))
                 if not measure_dest:
-                    received.append((i, pkt.gen_slot))
+                    received.append((i, gen))
 
         if due:
-            for pkt, fresh in deliver_due(stage, dest, slot):
-                i = pkt.source_id
+            for (i, gen), fresh in deliver_due(stage, dest, slot):
                 if rec:
                     if fresh:
                         informative[i] += 1
                     else:
                         obsolete[i] += 1
                 if fresh and measure_dest:
-                    received.append((i, pkt.gen_slot))
+                    received.append((i, gen))
 
-        for i, gen_slot in received:
-            if gen_slot > base[i]:
+        for i, gen in received:
+            if gen > base[i]:
                 lo = age_from[i]
                 if slot > lo:
                     age_area[i] += _window_sum(lo, slot, base[i])
                     age_from[i] = slot
-                base[i] = gen_slot
+                base[i] = gen
             if rec:
-                stats[i].add(gen_slot, slot)
+                stats[i].add(gen, slot)
 
         for i in arrivals:
-            queues[i].on_arrival(Packet(i, slot, seq[i]))
-            seq[i] += 1
+            queues[i].on_arrival(slot)
             prev = last_gen[i]
             if rec and prev >= 0:
                 y = slot - prev
@@ -375,35 +393,47 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             last_gen[i] = slot
             nxt = slot + 1 + streams[i].arrival.skip_to_below(lambdas[i], horizon - slot - 1)
             if nxt < horizon:
-                heapq.heappush(events, (nxt, _ARRIVAL, i))
-
-        # classify what each delivery left behind, arrivals of this slot included
-        if rec and not measure_dest:
-            for i, _ in received:
-                if queues[i].occupancy() == 0:
-                    stats[i].mark_left_empty()
+                heappush(events, (nxt, _ARRIVAL, i))
 
         # the next slot starts: record occupancy changes and schedule grants
         # (a source both granted and arriving is visited twice; the second
         # visit changes nothing)
+        mark_empty = rec and not measure_dest
         for i in granted + arrivals if arrivals else granted:
-            o = queues[i].occupancy()
+            o = queues[i].in_system
             if o != occ[i]:
                 lo = occ_from[i]
                 if slot >= lo:
-                    hist = occ_slots[i]
-                    hist[occ[i]] = hist.get(occ[i], 0) + slot + 1 - lo
+                    occ_slots[i][occ[i]] += slot + 1 - lo
                     occ_from[i] = slot + 1
                 occ[i] = o
+                if not o and mark_empty:
+                    # only a delivery empties a queue: it left nothing
+                    # behind, arrivals of this slot included
+                    stats[i].mark_left_empty()
             if per_slot_grant:
                 if backlogged[i] != (o > 0):
                     backlogged[i] = o > 0
                     n_backlogged += 1 if o else -1
             elif o and not grant_pending[i]:
                 grant_pending[i] = True
-                nxt = next_grant(policy, i, slot + 1, horizon, n, streams)
+                kind = _ATTEMPT
+                if not round_robin:
+                    # random access: one access draw per backlogged slot
+                    nxt = slot + 1 + streams[i].access.skip_to_below(
+                        access_probs[i], horizon - slot - 1
+                    )
+                elif i == failed:
+                    # draw ahead to the next success among the owned slots
+                    # left; k == left means none, and the mark stays
+                    left = (horizon - 1 - slot) // n
+                    k = streams[i].channel.skip_to_below(attempt_probs[i], left)
+                    nxt = slot + n * (k + 1)
+                    kind = _SUCCESS
+                else:
+                    nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
                 if nxt < horizon:
-                    heapq.heappush(events, (nxt, _ATTEMPT, i))
+                    heappush(events, (nxt, kind, i))
 
     if counts_at_warmup is None:
         counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
@@ -417,7 +447,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
         dropped = q.dropped - base_dropped
         avg_aoi = (age_area[i] + _window_sum(age_from[i], horizon, base[i])) / window
         hist = occ_slots[i]
-        hist[occ[i]] = hist.get(occ[i], 0) + horizon - occ_from[i]
+        hist[occ[i]] += horizon - occ_from[i]
         rx = stats[i]
         if rx.count >= 2:
             # both estimates scale the mean age area per gap by the

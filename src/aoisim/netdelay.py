@@ -1,23 +1,24 @@
 """Network delay stage between the access point and the destination.
 
-Every packet delivered at the access point is forwarded through its own
-independent geometric delay (support {1, 2, ...}, mean 1/k), so packets can
-overtake each other.  At the destination a reception is *informative* when
-its generation slot is newer than everything delivered so far for that
-source, else *obsolete*.  Receptions landing in the same slot are processed
-freshest-first, so at most one of them is informative per source.
+Every update delivered at the access point is forwarded through its own
+independent geometric delay (support {1, 2, ...}, mean 1/k), so updates can
+overtake each other.  An update in flight is a ``(source, gen)`` pair: its
+source and its generation slot.  At the destination a reception is
+*informative* when its generation slot is newer than everything delivered so
+far for that source, else *obsolete*.  Receptions landing in the same slot
+are processed freshest-first, so at most one of them is informative per
+source.
 """
 from __future__ import annotations
 
 from .errors import DomainError
-from .queueing import Packet
 from .streams import UniformStream
 
 __all__ = ["DelayStage", "DestState", "deliver_due"]
 
 
 class DelayStage:
-    """In-flight packets keyed by their destination arrival slot."""
+    """In-flight ``(source, gen)`` pairs keyed by their destination arrival slot."""
 
     __slots__ = ("k", "_due")
 
@@ -25,17 +26,17 @@ class DelayStage:
         if not (0.0 < k <= 1.0):
             raise DomainError(f"delay parameter k must be in (0, 1], got {k}")
         self.k = k
-        self._due: dict[int, list[Packet]] = {}
+        self._due: dict[int, list[tuple[int, int]]] = {}
 
-    def inject(self, packet: Packet, ap_slot: int, stream: UniformStream) -> int:
-        """Launch a packet at the access point; returns its arrival slot."""
+    def inject(self, item: tuple[int, int], ap_slot: int, stream: UniformStream) -> int:
+        """Launch a ``(source, gen)`` pair at the access point; returns its arrival slot."""
         delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
         arrive = ap_slot + delay
-        self._due.setdefault(arrive, []).append(packet)
+        self._due.setdefault(arrive, []).append(item)
         return arrive
 
-    def due(self, slot: int) -> list[Packet]:
-        """Packets whose delay expires this slot (unordered)."""
+    def due(self, slot: int) -> list[tuple[int, int]]:
+        """``(source, gen)`` pairs whose delay expires this slot (unordered)."""
         return self._due.pop(slot, [])
 
 
@@ -47,22 +48,22 @@ class DestState:
     def __init__(self, n_sources: int):
         self.newest_gen: list[int | None] = [None] * n_sources
 
-    def classify(self, packet: Packet) -> bool:
-        """Record one reception; True when it is informative."""
-        i = packet.source_id
+    def classify(self, item: tuple[int, int]) -> bool:
+        """Record the reception of a ``(source, gen)`` pair; True when it is informative."""
+        i, gen = item
         newest = self.newest_gen[i]
-        if newest is None or packet.gen_slot > newest:
-            self.newest_gen[i] = packet.gen_slot
+        if newest is None or gen > newest:
+            self.newest_gen[i] = gen
             return True
         return False
 
 
 def deliver_due(
     stage: DelayStage, dest: DestState, slot: int
-) -> list[tuple[Packet, bool]]:
+) -> list[tuple[tuple[int, int], bool]]:
     """Process this slot's receptions, freshest generation first per source."""
-    pkts = stage.due(slot)
-    if not pkts:
+    items = stage.due(slot)
+    if not items:
         return []
-    pkts.sort(key=lambda p: (p.source_id, -p.gen_slot))
-    return [(p, dest.classify(p)) for p in pkts]
+    items.sort(key=lambda item: (item[0], -item[1]))
+    return [(item, dest.classify(item)) for item in items]

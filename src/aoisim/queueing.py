@@ -1,15 +1,16 @@
 """Per-source queue state machines.
 
 Two disciplines share one interface: an unbounded FIFO buffer, and a
-replacement buffer that keeps at most one waiting packet, overwriting it
-when a newer update arrives.
+replacement buffer that keeps at most one waiting update, overwriting it
+when a newer update arrives.  A queue belongs to one source, so an update is
+just its generation slot.
 
 Within a slot the engine calls ``begin_attempt`` for granted sources before
-any ``on_arrival``, so a packet can never be transmitted in its generation
-slot.  When a delivery completes, the successor packet (FIFO head or the
-waiting update) is moved into service immediately; an arrival later in the
-same slot therefore queues behind it instead of replacing it.  The packet in
-service is never preempted or replaced.
+any ``on_arrival``, so an update can never be transmitted in its generation
+slot.  When a delivery completes, the successor (FIFO head or the waiting
+update) is moved into service immediately; an arrival later in the same slot
+therefore queues behind it instead of replacing it.  The update in service
+is never preempted or replaced.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from enum import Enum
 
 from .errors import ProtocolError
 
-__all__ = ["Discipline", "Packet", "SourceQueue"]
+__all__ = ["Discipline", "SourceQueue"]
 
 
 class Discipline(Enum):
@@ -26,87 +27,69 @@ class Discipline(Enum):
     REPLACEMENT = "replacement"
 
 
-class Packet:
-    """One status update: its source, generation slot, and per-source sequence number."""
-
-    __slots__ = ("source_id", "gen_slot", "seq")
-
-    def __init__(self, source_id: int, gen_slot: int, seq: int):
-        self.source_id = source_id
-        self.gen_slot = gen_slot
-        self.seq = seq
-
-    def __repr__(self) -> str:
-        return f"Packet(source={self.source_id}, gen={self.gen_slot}, seq={self.seq})"
-
-
 class SourceQueue:
-    """Queue of one source, tracking conservation counters.
+    """Queue of one source, holding generation slots and conservation counters.
 
-    ``generated == delivered + dropped + occupancy()`` holds at every slot
-    boundary.
+    ``in_system`` is the occupancy, kept up to date by ``on_arrival`` and
+    ``on_delivery``; ``generated == delivered + dropped + in_system`` holds
+    after every call.  Waiting updates sit in ``_waiting``, oldest first;
+    under replacement it holds at most one.
     """
 
     __slots__ = (
-        "discipline",
         "source_id",
         "in_service",
-        "_fifo",
+        "in_system",
         "_waiting",
+        "_replace",
         "generated",
         "delivered",
         "dropped",
     )
 
     def __init__(self, discipline: Discipline, source_id: int = 0):
-        self.discipline = discipline
         self.source_id = source_id
-        self.in_service: Packet | None = None
-        self._fifo: deque[Packet] = deque()
-        self._waiting: Packet | None = None
+        self.in_service: int | None = None
+        self.in_system = 0
+        self._waiting: deque[int] = deque()
+        self._replace = discipline is Discipline.REPLACEMENT
         self.generated = 0
         self.delivered = 0
         self.dropped = 0
 
     def occupancy(self) -> int:
-        n = 0 if self.in_service is None else 1
-        if self.discipline is Discipline.FIFO:
-            return n + len(self._fifo)
-        return n + (0 if self._waiting is None else 1)
+        return self.in_system
 
-    def on_arrival(self, packet: Packet) -> None:
-        """Admit a fresh update; under replacement this may evict the waiting one."""
+    def on_arrival(self, gen: int) -> None:
+        """Admit the update generated in slot ``gen``; it may evict the waiting one."""
         self.generated += 1
-        if self.discipline is Discipline.FIFO:
-            self._fifo.append(packet)
-            return
-        if self._waiting is not None:
+        waiting = self._waiting
+        if waiting and self._replace:
+            waiting[0] = gen
             self.dropped += 1
-        self._waiting = packet
+        else:
+            waiting.append(gen)
+            self.in_system += 1
 
-    def begin_attempt(self) -> Packet | None:
-        """Packet to transmit in a granted slot, promoting one into service if idle."""
-        pkt = self.in_service
-        if pkt is not None:
-            return pkt
-        pkt = self._pop_next()
-        self.in_service = pkt
-        return pkt
+    def begin_attempt(self) -> int | None:
+        """Update to transmit in a granted slot, promoting one into service if idle."""
+        gen = self.in_service
+        if gen is None and self._waiting:
+            gen = self.in_service = self._waiting.popleft()
+        return gen
 
-    def on_delivery(self) -> Packet:
-        """Complete the in-service packet; its successor enters service at once."""
-        pkt = self.in_service
-        if pkt is None:
+    def on_delivery(self) -> int:
+        """Complete the update in service and return its generation slot.
+
+        Its successor enters service at once.
+        """
+        gen = self.in_service
+        if gen is None:
             raise ProtocolError(
-                f"source {self.source_id}: delivery signalled with no packet in service"
+                f"source {self.source_id}: delivery signalled with no update in service"
             )
         self.delivered += 1
-        self.in_service = self._pop_next()
-        return pkt
-
-    def _pop_next(self) -> Packet | None:
-        if self.discipline is Discipline.FIFO:
-            return self._fifo.popleft() if self._fifo else None
-        pkt = self._waiting
-        self._waiting = None
-        return pkt
+        self.in_system -= 1
+        waiting = self._waiting
+        self.in_service = waiting.popleft() if waiting else None
+        return gen

@@ -36,7 +36,7 @@ class Role:
 class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
-    __slots__ = ("_seed", "_key", "_gen", "_buf", "_idx", "_end", "_below", "_below_p")
+    __slots__ = ("_seed", "_key", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next")
 
     def __init__(self, seed: int, key: tuple[int, ...]):
         self._seed = seed
@@ -46,6 +46,9 @@ class UniformStream:
         self._idx = self._end = 0
         self._below: list[int] = []  # positions in the block of draws below _below_p
         self._below_p: float | None = None
+        # index into _below of the first position >= _idx whenever that
+        # position is >= _idx (_idx only grows within a block)
+        self._next = 0
 
     def _refill(self, first_size: int = _BLOCK) -> None:
         gen = self._gen
@@ -74,12 +77,14 @@ class UniformStream:
         to counting ``uniform() >= p`` calls, but one block at a time.
         """
         if self._below_p == p:  # fast path: the next hit is in this block
+            j = self._next
             below = self._below
-            i = self._idx
-            j = bisect_left(below, i)
-            if j < len(below) and below[j] - i < limit:
-                self._idx = below[j] + 1
-                return below[j] - i
+            if j < len(below):
+                k = below[j] - self._idx
+                if 0 <= k < limit:
+                    self._idx += k + 1
+                    self._next = j + 1
+                    return k
         skipped = 0
         while skipped < limit:
             if self._idx == self._end:
@@ -87,12 +92,14 @@ class UniformStream:
             if self._below_p != p:
                 self._below = np.flatnonzero(self._buf < p).tolist()
                 self._below_p = p
+                self._next = 0
             i = self._idx
             below = self._below
             j = bisect_left(below, i)
             stop = min(self._end, i + limit - skipped)
             if j < len(below) and below[j] < stop:
                 self._idx = below[j] + 1
+                self._next = j + 1
                 return skipped + below[j] - i
             skipped += stop - i
             self._idx = stop

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from aoisim.access import PolicyKind, grant, resolve
+from aoisim.access import ChannelKind, PolicyKind, grant, resolve
 from aoisim.engine import (
     MeasurePoint,
     MetricsReport,
@@ -21,7 +21,7 @@ from aoisim.engine import (
     _service_share,
 )
 from aoisim.netdelay import DelayStage, DestState, deliver_due
-from aoisim.queueing import Discipline, Packet, SourceQueue
+from aoisim.queueing import Discipline, SourceQueue
 from aoisim.streams import SourceStreams
 
 _NAN = float("nan")
@@ -118,7 +118,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     y_sum = [0] * n
     y2_sum = [0] * n
     y_count = [0] * n
-    seq = [0] * n
     informative = [0] * n
     obsolete = [0] * n
     base_generated = [0] * n
@@ -126,6 +125,8 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     base_dropped = [0] * n
 
     rr = policy.kind is PolicyKind.ROUND_ROBIN
+    probs = [channel.attempt_prob(i) for i in range(n)]
+    collision = channel.kind is ChannelKind.COLLISION
 
     for slot in range(horizon):
         rec = slot >= warmup
@@ -155,45 +156,43 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         for g in granted:
             if queues[g].begin_attempt() is not None:
                 transmitters.append(g)
-        successes = resolve(channel, transmitters, streams) if transmitters else []
+        successes = resolve(probs, transmitters, streams, collision) if transmitters else []
 
         delivered_now: list[int] = []
         for i in successes:
-            pkt = queues[i].on_delivery()
+            gen = queues[i].on_delivery()
             if stage is not None:
-                stage.inject(pkt, slot, streams[i].delay)
+                stage.inject((i, gen), slot, streams[i].delay)
                 if not measure_dest:
-                    trackers[i].on_update(pkt.gen_slot)
+                    trackers[i].on_update(gen)
                     if rec:
-                        logs[i].gen_slots.append(pkt.gen_slot)
+                        logs[i].gen_slots.append(gen)
                         logs[i].recv_slots.append(slot)
                         delivered_now.append(i)
             else:
-                trackers[i].on_update(pkt.gen_slot)
+                trackers[i].on_update(gen)
                 if rec:
-                    logs[i].gen_slots.append(pkt.gen_slot)
+                    logs[i].gen_slots.append(gen)
                     logs[i].recv_slots.append(slot)
                     delivered_now.append(i)
 
         if stage is not None:
-            for pkt, fresh in deliver_due(stage, dest, slot):
-                src = pkt.source_id
+            for (src, gen), fresh in deliver_due(stage, dest, slot):
                 if rec:
                     if fresh:
                         informative[src] += 1
                     else:
                         obsolete[src] += 1
                 if fresh and measure_dest:
-                    trackers[src].on_update(pkt.gen_slot)
+                    trackers[src].on_update(gen)
                     if rec:
-                        logs[src].gen_slots.append(pkt.gen_slot)
+                        logs[src].gen_slots.append(gen)
                         logs[src].recv_slots.append(slot)
 
         for i in range(n):
             lam = lambdas[i]
             if lam > 0.0 and streams[i].arrival.uniform() < lam:
-                queues[i].on_arrival(Packet(i, slot, seq[i]))
-                seq[i] += 1
+                queues[i].on_arrival(slot)
                 prev = last_gen[i]
                 if rec and prev >= 0:
                     y = slot - prev

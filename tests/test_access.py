@@ -22,6 +22,14 @@ def streams_for(n: int, seed: int = 5) -> list[SourceStreams]:
     return [SourceStreams(seed, i) for i in range(n)]
 
 
+def resolve_on(
+    channel: ChannelConfig, transmitters: list[int], ss: list[SourceStreams]
+) -> list[int]:
+    """``resolve`` with the per-run constants the engine computes from ``channel``."""
+    probs = [channel.attempt_prob(i) for i in range(len(ss))]
+    return resolve(probs, transmitters, ss, channel.kind is ChannelKind.COLLISION)
+
+
 class TestRoundRobin:
     def test_cycles_regardless_of_backlog(self) -> None:
         policy = PolicyConfig(PolicyKind.ROUND_ROBIN)
@@ -140,10 +148,10 @@ class TestCollisionChannel:
     def test_exactly_one_transmitter_succeeds(self) -> None:
         channel = ChannelConfig(ChannelKind.COLLISION)
         ss = streams_for(3)
-        assert resolve(channel, [1], ss) == [1]
-        assert resolve(channel, [0, 2], ss) == []
-        assert resolve(channel, [0, 1, 2], ss) == []
-        assert resolve(channel, [], ss) == []
+        assert resolve_on(channel, [1], ss) == [1]
+        assert resolve_on(channel, [0, 2], ss) == []
+        assert resolve_on(channel, [0, 1, 2], ss) == []
+        assert resolve_on(channel, [], ss) == []
 
     def test_certain_access_always_collides(self) -> None:
         policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(1.0, 1.0))
@@ -152,7 +160,7 @@ class TestCollisionChannel:
         for slot in range(20):
             transmitters = grant(policy, slot, [True, True], ss)
             assert transmitters == [0, 1]
-            assert resolve(channel, transmitters, ss) == []
+            assert resolve_on(channel, transmitters, ss) == []
 
     def test_thinning_applies_per_source_success(self) -> None:
         channel = ChannelConfig(
@@ -160,7 +168,7 @@ class TestCollisionChannel:
         )
         ss = streams_for(2, seed=23)
         slots = 40_000
-        wins = sum(1 for _ in range(slots) if resolve(channel, [0], ss) == [0])
+        wins = sum(1 for _ in range(slots) if resolve_on(channel, [0], ss) == [0])
         se = math.sqrt(0.4 * 0.6 / slots)
         assert abs(wins / slots - 0.4) < 3 * se
 
@@ -169,7 +177,7 @@ class TestErasureChannel:
     def test_perfect_passes_everyone(self) -> None:
         channel = ChannelConfig(ChannelKind.PERFECT)
         ss = streams_for(3)
-        assert resolve(channel, [0, 1, 2], ss) == [0, 1, 2]
+        assert resolve_on(channel, [0, 1, 2], ss) == [0, 1, 2]
 
     def test_per_source_success_rate(self) -> None:
         channel = ChannelConfig(ChannelKind.ERASURE, service_probs=(0.7, 0.2))
@@ -177,7 +185,7 @@ class TestErasureChannel:
         slots = 40_000
         wins = [0, 0]
         for _ in range(slots):
-            for i in resolve(channel, [0, 1], ss):
+            for i in resolve_on(channel, [0, 1], ss):
                 wins[i] += 1
         for i, p in enumerate((0.7, 0.2)):
             se = math.sqrt(p * (1 - p) / slots)
@@ -189,7 +197,7 @@ class TestErasureChannel:
         channel = ChannelConfig(ChannelKind.ERASURE, service_probs=(1.0,))
         ss = streams_for(1)
         before = ss[0].channel.uniform()
-        assert resolve(channel, [0], ss) == [0]
+        assert resolve_on(channel, [0], ss) == [0]
         after = ss[0].channel.uniform()
         ss2 = streams_for(1)
         assert before == ss2[0].channel.uniform()
@@ -227,5 +235,5 @@ class TestChannelValidation:
         thinned = ChannelConfig(ChannelKind.COLLISION, service_probs=(0.5,), collision_thinning=True)
         assert thinned.attempt_prob(0) == 0.5
         ss = streams_for(1)
-        assert resolve(channel, [0], ss) == [0]
+        assert resolve_on(channel, [0], ss) == [0]
         assert ss[0].channel.uniform() == streams_for(1)[0].channel.uniform()

@@ -122,10 +122,61 @@ def test_horizon_crossing_the_block_boundary(policy: PolicyConfig) -> None:
     assert_same_run(config)
 
 
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_failure_runs_cross_channel_blocks(discipline: Discipline) -> None:
+    # at mu = 0.001 a service takes about 1000 attempts, so the engine's
+    # draws ahead to the success slot cross two 16,384-draw channel blocks
+    config = SimConfig(
+        n_sources=1,
+        lambdas=(0.01,),
+        discipline=discipline,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.001,)),
+        horizon=40_000,
+        seed=17,
+    )
+    assert_same_run(config)
+
+
+def test_no_success_left_before_the_horizon() -> None:
+    # every source is still backlogged at the horizon, its last service
+    # cut short; a source whose draws hold no success before the horizon
+    # must not be scheduled again, or it would use draws of later slots
+    config = SimConfig(
+        n_sources=3,
+        lambdas=(0.05, 0.05, 0.05),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.02, 0.02, 0.02)),
+        horizon=3000,
+        seed=8,
+    )
+    assert all(m.in_system_at_end > 0 for m in engine.run(config).per_source)
+    assert_same_run(config)
+
+
+def test_round_robin_on_a_thinned_collision_channel() -> None:
+    config = SimConfig(
+        n_sources=2,
+        lambdas=(0.2, 0.35),
+        discipline=Discipline.REPLACEMENT,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(
+            ChannelKind.COLLISION, success_probs=(0.3, 0.3), collision_thinning=True
+        ),
+        horizon=6000,
+        seed=12,
+        warmup=700,
+    )
+    assert_same_run(config)
+
+
 # sha256 of repr(run(config)) and of the `simulate` CSV.  The CSV digests were
 # recorded with the slot-by-slot engine; the report digests with the event
 # engine's last version that kept full reception traces, and the slot-by-slot
-# reference gives the same.
+# reference gives the same.  Both digests of the last two docs were recorded
+# with the event engine's last version that still visited every failed
+# round-robin attempt.
 GOLDEN_DOCS = {
     "dedicated_replacement": dict(
         n_sources=1, arrival_rates=0.2, discipline="replacement", policy="round_robin",
@@ -166,6 +217,15 @@ GOLDEN_DOCS = {
         n_sources=100, arrival_rates=0.004, discipline="replacement", policy="round_robin",
         channel="perfect", horizon=3000, seed=21,
     ),
+    "rr_low_mu_fifo": dict(
+        n_sources=2, arrival_rates=0.05, discipline="fifo", policy="round_robin",
+        channel="erasure", service_probs=0.1, horizon=30000, seed=17,
+    ),
+    "rr_thinned_collision_warmup": dict(
+        n_sources=2, arrival_rates=[0.3, 0.15], discipline="replacement", policy="round_robin",
+        channel="collision", success_probs=[0.4, 0.7], collision_thinning=True,
+        horizon=12000, warmup=400, seed=19,
+    ),
 }
 
 GOLDEN_DIGESTS = {
@@ -204,6 +264,14 @@ GOLDEN_DIGESTS = {
     "rr_n100": (
         "7356345dfbe493e0daab42a3f4f9770606099199fe0d1c119af12c3df8ece538",
         "035ad9d5cba6ef102488c277b396fe4c85a488dc830b2231477fbb80bd3a8b14",
+    ),
+    "rr_low_mu_fifo": (
+        "54e8df62010f1ef901894395334610049bab6cdc2ae1a4ab59563000babc2369",
+        "7c7077ec9865d7ea36fd3e931c71a6852de150268df89ec71dfe2a1700bef08d",
+    ),
+    "rr_thinned_collision_warmup": (
+        "3e92774b4d67e179d25111630ea343e9dafb68a12944dc3ea42ec81e7403f045",
+        "6fe4a2886d6fd3fba028a3550a7c5964d49eec8d82a0282b85a0e78d69d23e89",
     ),
 }
 

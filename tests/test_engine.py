@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 import reference_engine
+from aoisim import engine
 from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.analytic import QueueParams
 from aoisim.engine import (
@@ -225,6 +226,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+class TestWork:
+    def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
+        # after a failed round-robin attempt the engine draws ahead to the
+        # success slot, so the channel rule runs once per service rather
+        # than once per attempt (about 10 times per delivery at mu = 0.1)
+        calls = 0
+        original = engine.resolve
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, "resolve", counting)
+        report = dedicated_channel_run(
+            QueueParams(0.05, 0.1), Discipline.FIFO, horizon=20_000, seed=3
+        )
+        delivered = report.per_source[0].delivered
+        assert delivered > 500
+        assert calls <= delivered + 1
 
 
 class TestStabilityWarning:

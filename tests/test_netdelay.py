@@ -5,12 +5,12 @@ import pytest
 
 from aoisim.errors import DomainError
 from aoisim.netdelay import DelayStage, DestState, deliver_due
-from aoisim.queueing import Packet
 from aoisim.streams import SourceStreams
 
 
-def pkt(gen: int, source: int = 0, seq: int = 0) -> Packet:
-    return Packet(source, gen, seq)
+def pkt(gen: int, source: int = 0) -> tuple[int, int]:
+    """The ``(source, gen)`` pair the engine hands the delay stage."""
+    return source, gen
 
 
 class TestDelayStage:
@@ -61,10 +61,10 @@ class TestDeliverDue:
         stage = DelayStage(1.0)
         dest = DestState(1)
         stream = SourceStreams(5, 0).delay
-        stage.inject(pkt(4, seq=0), 0, stream)
-        stage.inject(pkt(7, seq=1), 0, stream)
+        stage.inject(pkt(4), 0, stream)
+        stage.inject(pkt(7), 0, stream)
         results = deliver_due(stage, dest, 1)
-        assert [(p.gen_slot, fresh) for p, fresh in results] == [(7, True), (4, False)]
+        assert results == [((0, 7), True), ((0, 4), False)]
 
     def test_empty_slot_returns_nothing(self) -> None:
         stage = DelayStage(0.5)
@@ -77,7 +77,7 @@ class TestDeliverDue:
         stream = SourceStreams(6, 0).delay
         n = 5000
         for gen in range(n):
-            stage.inject(pkt(gen, seq=gen), gen, stream)
+            stage.inject(pkt(gen), gen, stream)
         fresh = []
         for slot in range(n + 200):
             fresh += [f for _, f in deliver_due(stage, dest, slot)]
@@ -89,7 +89,7 @@ class TestDeliverDue:
         dest = DestState(1)
         stream = SourceStreams(7, 0).delay
         for gen in range(500):
-            stage.inject(pkt(gen, seq=gen), gen, stream)
+            stage.inject(pkt(gen), gen, stream)
         fresh = []
         for slot in range(502):
             fresh += [f for _, f in deliver_due(stage, dest, slot)]

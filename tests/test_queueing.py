@@ -13,56 +13,49 @@ import pytest
 
 from aoisim.analytic import QueueParams, stationary_geo, stationary_replacement
 from aoisim.errors import ProtocolError
-from aoisim.queueing import Discipline, Packet, SourceQueue
+from aoisim.queueing import Discipline, SourceQueue
 
 DRIVE_SLOTS = 200_000
 OCC_TOL = 0.01  # Monte Carlo tolerance on stationary occupancy fractions
 
 
-def pkt(gen: int, seq: int = 0) -> Packet:
-    return Packet(0, gen, seq)
-
-
 class TestFifo:
     def test_serves_in_arrival_order(self) -> None:
         q = SourceQueue(Discipline.FIFO)
-        a, b, c = pkt(1, 0), pkt(2, 1), pkt(3, 2)
-        for x in (a, b, c):
-            q.on_arrival(x)
+        for gen in (1, 2, 3):
+            q.on_arrival(gen)
         assert q.dropped == 0
-        assert q.begin_attempt() is a
-        assert q.on_delivery() is a
-        assert q.begin_attempt() is b
-        assert q.on_delivery() is b
-        assert q.begin_attempt() is c
+        assert q.begin_attempt() == 1
+        assert q.on_delivery() == 1
+        assert q.begin_attempt() == 2
+        assert q.on_delivery() == 2
+        assert q.begin_attempt() == 3
 
     def test_never_drops(self) -> None:
         q = SourceQueue(Discipline.FIFO)
         for j in range(50):
-            q.on_arrival(pkt(j, j))
+            q.on_arrival(j)
         assert q.dropped == 0
         assert q.occupancy() == 50
 
     def test_successor_enters_service_on_delivery(self) -> None:
         q = SourceQueue(Discipline.FIFO)
-        a, b = pkt(1, 0), pkt(2, 1)
-        q.on_arrival(a)
-        q.on_arrival(b)
+        q.on_arrival(1)
+        q.on_arrival(2)
         q.begin_attempt()
         q.on_delivery()
-        # b is already in service, so a same-slot arrival queues behind it
-        assert q.in_service is b
-        c = pkt(3, 2)
-        q.on_arrival(c)
-        assert q.begin_attempt() is b
+        # 2 is already in service, so a same-slot arrival queues behind it
+        assert q.in_service == 2
+        q.on_arrival(3)
+        assert q.begin_attempt() == 2
         q.on_delivery()
-        assert q.in_service is c
+        assert q.in_service == 3
 
     def test_attempt_is_idempotent_within_a_slot(self) -> None:
         q = SourceQueue(Discipline.FIFO)
-        q.on_arrival(pkt(1))
-        first = q.begin_attempt()
-        assert q.begin_attempt() is first
+        q.on_arrival(1)
+        assert q.begin_attempt() == 1
+        assert q.begin_attempt() == 1
 
     def test_attempt_on_empty_returns_none(self) -> None:
         q = SourceQueue(Discipline.FIFO)
@@ -74,44 +67,42 @@ class TestFifo:
 class TestReplacement:
     def test_waiting_packet_is_replaced(self) -> None:
         q = SourceQueue(Discipline.REPLACEMENT)
-        a, b, c = pkt(1, 0), pkt(2, 1), pkt(3, 2)
-        q.on_arrival(a)
-        assert q.begin_attempt() is a
-        q.on_arrival(b)
+        q.on_arrival(1)
+        assert q.begin_attempt() == 1
+        q.on_arrival(2)
         assert q.dropped == 0
-        q.on_arrival(c)
+        q.on_arrival(3)
         assert q.dropped == 1
         assert q.occupancy() == 2
-        assert q.on_delivery() is a
-        # the surviving waiting packet is promoted at the delivery instant
-        assert q.in_service is c
+        assert q.on_delivery() == 1
+        # the surviving waiting update is promoted at the delivery instant
+        assert q.in_service == 3
 
     def test_in_service_packet_is_never_replaced(self) -> None:
         q = SourceQueue(Discipline.REPLACEMENT)
-        a, b = pkt(1, 0), pkt(2, 1)
-        q.on_arrival(a)
+        q.on_arrival(1)
         q.begin_attempt()
-        q.on_arrival(b)
-        assert q.in_service is a
+        q.on_arrival(2)
+        assert q.in_service == 1
         assert q.occupancy() == 2
 
     def test_occupancy_capped_at_two(self) -> None:
         q = SourceQueue(Discipline.REPLACEMENT)
-        q.on_arrival(pkt(1, 0))
+        q.on_arrival(1)
         q.begin_attempt()
         for j in range(2, 12):
-            q.on_arrival(pkt(j, j))
+            q.on_arrival(j)
         assert q.occupancy() == 2
         assert q.dropped == 9
 
     def test_same_slot_arrival_waits_behind_promoted(self) -> None:
         q = SourceQueue(Discipline.REPLACEMENT)
-        q.on_arrival(pkt(1, 0))
+        q.on_arrival(1)
         q.begin_attempt()
-        q.on_arrival(pkt(2, 1))
+        q.on_arrival(2)
         q.on_delivery()
-        assert q.in_service.gen_slot == 2
-        q.on_arrival(pkt(3, 2))  # same slot as the delivery: waits, replaces nothing in service
+        assert q.in_service == 2
+        q.on_arrival(3)  # same slot as the delivery: waits, replaces nothing in service
         assert q.occupancy() == 2
         assert q.dropped == 0
 
@@ -122,7 +113,7 @@ class TestProtocol:
         q = SourceQueue(discipline)
         with pytest.raises(ProtocolError):
             q.on_delivery()
-        q.on_arrival(pkt(1))
+        q.on_arrival(1)
         with pytest.raises(ProtocolError):
             q.on_delivery()  # arrived but never promoted by begin_attempt
 
@@ -130,12 +121,19 @@ class TestProtocol:
     def test_conservation_under_random_drive(self, discipline: Discipline) -> None:
         rng = random.Random(7)
         q = SourceQueue(discipline)
+
+        def conserved() -> bool:
+            return q.occupancy() == q.generated - q.delivered - q.dropped
+
         for slot in range(5000):
             p = q.begin_attempt()
+            assert conserved()
             if p is not None and rng.random() < 0.6:
                 q.on_delivery()
+                assert conserved()
             if rng.random() < 0.4:
-                q.on_arrival(pkt(slot, slot))
+                q.on_arrival(slot)
+                assert conserved()
         assert q.generated == q.delivered + q.dropped + q.occupancy()
         if discipline is Discipline.FIFO:
             assert q.dropped == 0
@@ -151,7 +149,7 @@ def drive(discipline: Discipline, lam: float, mu: float, seed: int) -> Counter:
         if q.begin_attempt() is not None and rng.random() < mu:
             q.on_delivery()
         if rng.random() < lam:
-            q.on_arrival(pkt(slot, slot))
+            q.on_arrival(slot)
     return counts
 
 
@@ -187,7 +185,7 @@ class TestStationaryOccupancy:
                 q.on_delivery()
             if rng.random() < lam:
                 seen_by_arrivals[state] += 1
-                q.on_arrival(pkt(slot, slot))
+                q.on_arrival(slot)
         arrivals = sum(seen_by_arrivals.values())
         for n in range(3):
             assert seen_by_arrivals[n] / arrivals == pytest.approx(
