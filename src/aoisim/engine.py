@@ -16,26 +16,41 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 The average age reported for a run is the per-slot mean of those samples.
 
 The engine only visits event slots: slots with an arrival, a delay-stage
-reception, or a grant to a backlogged source, except a round robin's failed
-attempts.  Under round robin only a slot's owner transmits and the channel
-draws are its own, so when an attempt fails the engine takes the owner's
-draws for its next slots up to the first success at once, and visits only
-that slot, which delivers without a further draw; the failed attempts in
-between change nothing but the draws.  Each event slot runs the six steps
-above in the same order, touching only the sources involved; nothing
-changes in the slots between them.  Steps 1 and 6 are therefore kept as
-running sums: the occupancy histogram adds the time spent in each state when
-the state changes, and the age area adds the arithmetic series
-``slot - newest_gen + 1`` between receptions.  Every random stream is drawn
-in the same order as a slot-by-slot loop would draw it, so results are the
-same at every seed.
+reception, a grant to a backlogged source under work conserving or random
+access, or a round robin's successful attempt.  Each event slot runs the six
+steps above in the same order, touching only the sources involved; nothing
+changes in the slots between them.
+
+Arrivals do not depend on the system state, and a source's arrival stream
+takes one draw per slot, so the engine takes the draws of a whole block of
+slots from every arrival stream at once and merges the arrival slots by
+(slot, source) into the arrival calendar.  The loop walks it beside a heap
+that holds only the events that depend on the state: grants, round-robin
+successes and delay-stage receptions.
+
+Under round robin only a slot's owner transmits and the channel draws are
+its own, so when an update enters service (its source becomes backlogged,
+or a delivery leaves a successor) the engine draws the owner's channel
+stream ahead over the slots it owns up to the first success, and schedules
+only that slot; the failed attempts in between change nothing but the
+draws.  An update that waits for its first owned slot enters service at the
+source's first visit at or after that slot, so that a newer arrival before
+it still replaces it under packet management.
+
+Steps 1 and 6 are kept as running sums: the occupancy histogram adds the
+time spent in each state when the state changes, and the age area adds the
+arithmetic series ``slot - newest_gen + 1`` between receptions.  Every
+random stream is drawn in the same order as a slot-by-slot loop would draw
+it, so results are the same at every seed.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+
+import numpy as np
 
 from .access import (
     ChannelConfig,
@@ -49,7 +64,7 @@ from .analytic import QueueParams
 from .errors import ConfigError
 from .netdelay import DelayStage, DestState, deliver_due
 from .queueing import Discipline, SourceQueue
-from .streams import SourceStreams
+from .streams import _BLOCK, SourceStreams
 
 __all__ = [
     "MeasurePoint",
@@ -65,9 +80,9 @@ __all__ = [
 ]
 
 _NAN = float("nan")
-# event kinds in pop order within a slot; _SUCCESS is a round-robin attempt
-# already known to succeed
-_SUCCESS, _ATTEMPT, _ARRIVAL, _DUE = 0, 1, 2, 3
+# event kinds in pop order within a slot; a round-robin grant event is an
+# attempt already known to succeed
+_GRANT, _DUE = 0, 1
 
 
 class MeasurePoint(Enum):
@@ -268,7 +283,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     collision = channel.kind is ChannelKind.COLLISION
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
-    streams = [SourceStreams(config.seed, i) for i in range(n)]
+    streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
 
     stage = DelayStage(config.network_k) if config.network_k is not None else None
     dest = DestState(n) if stage is not None else None
@@ -292,6 +307,9 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     backlogged = [False] * n
     n_backlogged = 0
     grant_pending = [False] * n
+    # a round-robin update waiting for its first owned slot: that slot,
+    # until a visit at or after it moves the update into service
+    promote_at = [horizon] * n
     last_gen = [-1] * n
     y_sum = [0] * n
     y2_sum = [0] * n
@@ -300,24 +318,52 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     obsolete = [0] * n
     counts_at_warmup: list[tuple[int, int, int]] | None = None
 
-    # events: (slot, kind, source); within a slot they pop attempts first,
-    # in ascending source order, then arrivals, then delay-stage receptions
+    # the arrival calendar covers `span` slots at a time: a block, or fewer
+    # when the rates add up to more than 1, so that it expects no more than
+    # about _BLOCK arrivals
+    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
+    span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(lambdas)))))
+
+    def calendar(start: int) -> tuple[list[int], list[int], int]:
+        """Arrival slots and sources from ``start`` on, and the slot they end at.
+
+        The arrivals are merged by (slot, source).  A calendar without one
+        is skipped unless it is the last.  Both lists end with a sentinel:
+        the end slot and source -1.
+        """
+        while True:
+            end = min(start + span, horizon)
+            hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
+            if len(hits) == 1:
+                slots = (hits[0] + start).tolist()
+                sources = [arriving[0]] * len(slots)
+            elif hits:
+                merged = np.concatenate(hits) + start
+                owners = np.repeat(arriving, [len(h) for h in hits])
+                order = np.lexsort((owners, merged))
+                slots = merged[order].tolist()
+                sources = owners[order].tolist()
+            else:
+                slots = sources = []
+            if slots or end == horizon:
+                return slots + [end], sources + [-1], end
+            start = end
+
+    # the next arrival is cal_slots[ci], or the horizon when none is left
+    cal_slots, cal_sources, cal_end = calendar(0)
+    ci = 0
+    # events: (slot, kind, source); within a slot they pop grants first, in
+    # ascending source order, then delay-stage receptions
     events: list[tuple[int, int, int]] = []
-    for i, lam in enumerate(lambdas):
-        if lam > 0.0:
-            first = streams[i].arrival.skip_to_below(lam, horizon)
-            if first < horizon:
-                events.append((first, _ARRIVAL, i))
-    heapify(events)
 
     slot = -1
     while True:
         if per_slot_grant and n_backlogged:
             slot += 1
-        elif events:
-            slot = events[0][0]
         else:
-            break
+            slot = cal_slots[ci]
+            if events and events[0][0] < slot:
+                slot = events[0][0]
         if slot >= horizon:
             break
         rec = slot >= warmup
@@ -326,33 +372,28 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
 
         granted: list[int] = []
-        arrivals: list[int] = []
-        due = sure = False
+        due = False
         while events and events[0][0] == slot:
             _, kind, i = heappop(events)
-            if kind == _ARRIVAL:
-                arrivals.append(i)
-            elif kind == _DUE:
+            if kind == _DUE:
                 due = True
             else:
                 granted.append(i)
                 grant_pending[i] = False
-                sure = kind == _SUCCESS
         if per_slot_grant:
             granted = grant(policy, slot, backlogged, streams)
 
         # every granted source is backlogged, so each one transmits
         received: list[tuple[int, int]] = []  # (source, gen) reaching the monitor point
-        failed = -1  # a round-robin owner whose attempt failed
         if granted:
             for i in granted:
                 queues[i].begin_attempt()
-            if sure:
+                promote_at[i] = horizon
+            if round_robin:
+                # the owner's success, drawn when its update entered service
                 delivered = granted
             else:
                 delivered = resolve(attempt_probs, granted, streams, collision)
-                if round_robin and not delivered:
-                    failed = granted[0]
             for i in delivered:
                 gen = queues[i].on_delivery()
                 if stage is not None:
@@ -382,8 +423,15 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             if rec:
                 stats[i].add(gen, slot)
 
-        for i in arrivals:
-            queues[i].on_arrival(slot)
+        first = ci
+        while cal_slots[ci] == slot:
+            i = cal_sources[ci]
+            ci += 1
+            q = queues[i]
+            if slot >= promote_at[i]:
+                q.begin_attempt()
+                promote_at[i] = horizon
+            q.on_arrival(slot)
             prev = last_gen[i]
             if rec and prev >= 0:
                 y = slot - prev
@@ -391,15 +439,19 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
                 y2_sum[i] += y * y
                 y_count[i] += 1
             last_gen[i] = slot
-            nxt = slot + 1 + streams[i].arrival.skip_to_below(lambdas[i], horizon - slot - 1)
-            if nxt < horizon:
-                heappush(events, (nxt, _ARRIVAL, i))
+        if ci > first:
+            visits = granted + cal_sources[first:ci]
+            if cal_slots[ci] == cal_end and cal_end < horizon:
+                cal_slots, cal_sources, cal_end = calendar(cal_end)
+                ci = 0
+        else:
+            visits = granted
 
         # the next slot starts: record occupancy changes and schedule grants
         # (a source both granted and arriving is visited twice; the second
         # visit changes nothing)
         mark_empty = rec and not measure_dest
-        for i in granted + arrivals if arrivals else granted:
+        for i in visits:
             o = queues[i].in_system
             if o != occ[i]:
                 lo = occ_from[i]
@@ -417,23 +469,25 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
                     n_backlogged += 1 if o else -1
             elif o and not grant_pending[i]:
                 grant_pending[i] = True
-                kind = _ATTEMPT
-                if not round_robin:
+                if round_robin:
+                    # an update enters service: draw ahead over the slots
+                    # the owner has left, from the next one, to the first
+                    # success; with none left nxt passes the horizon, and
+                    # the mark stays
+                    nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
+                    if queues[i].in_service is None:
+                        promote_at[i] = nxt  # the update waits for that slot
+                    p = attempt_probs[i]
+                    if p < 1.0:
+                        left = (horizon - 1 - nxt) // n + 1
+                        nxt += n * streams[i].channel.skip_to_below(p, left)
+                else:
                     # random access: one access draw per backlogged slot
                     nxt = slot + 1 + streams[i].access.skip_to_below(
                         access_probs[i], horizon - slot - 1
                     )
-                elif i == failed:
-                    # draw ahead to the next success among the owned slots
-                    # left; k == left means none, and the mark stays
-                    left = (horizon - 1 - slot) // n
-                    k = streams[i].channel.skip_to_below(attempt_probs[i], left)
-                    nxt = slot + n * (k + 1)
-                    kind = _SUCCESS
-                else:
-                    nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
                 if nxt < horizon:
-                    heappush(events, (nxt, kind, i))
+                    heappush(events, (nxt, _GRANT, i))
 
     if counts_at_warmup is None:
         counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]

@@ -7,9 +7,11 @@ of existing streams, and the same key always reproduces the same sequence.
 
 A stream builds its generator and draws its first block of uniforms on first
 use, so a source's unused roles cost nothing; a first use that says how many
-draws it may take (``skip_to_below``) draws no more than that.  Later blocks
-hold ``_BLOCK`` values.  Block sizes never change which values are drawn,
-only when.
+draws it may take (``skip_to_below``, ``take_below``) draws no more than
+that.  Later blocks hold ``_BLOCK`` values, or fewer when the streams are
+made for a run of known horizon: no stream takes more than one draw per
+slot, so a block never needs more values than the run has slots.  Block
+sizes never change which values are drawn, only when.
 """
 from __future__ import annotations
 
@@ -36,11 +38,14 @@ class Role:
 class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
-    __slots__ = ("_seed", "_key", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next")
+    __slots__ = (
+        "_seed", "_key", "_block", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next"
+    )
 
-    def __init__(self, seed: int, key: tuple[int, ...]):
+    def __init__(self, seed: int, key: tuple[int, ...], block: int = _BLOCK):
         self._seed = seed
         self._key = key
+        self._block = block
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
@@ -52,11 +57,11 @@ class UniformStream:
 
     def _refill(self, first_size: int = _BLOCK) -> None:
         gen = self._gen
-        size = _BLOCK
+        size = self._block
         if gen is None:
             ss = np.random.SeedSequence(entropy=self._seed & _U64, spawn_key=self._key)
             gen = self._gen = np.random.Generator(np.random.PCG64(ss))
-            size = min(first_size, _BLOCK)
+            size = min(first_size, size)
         self._buf = gen.random(size)
         self._idx = 0
         self._end = size
@@ -105,6 +110,27 @@ class UniformStream:
             self._idx = stop
         return limit
 
+    def take_below(self, p: float, count: int) -> np.ndarray:
+        """Take the next ``count`` draws; return the positions of those below ``p``.
+
+        Positions count from 0 at the first draw taken, in ascending order.
+        Equivalent to ``count`` calls of ``uniform() < p``, but one block at
+        a time.
+        """
+        parts = []
+        taken = 0
+        while taken < count:
+            if self._idx == self._end:
+                self._refill(count - taken)
+            i = self._idx
+            stop = min(self._end, i + count - taken)
+            parts.append(np.flatnonzero(self._buf[i:stop] < p) + taken)
+            taken += stop - i
+            self._idx = stop
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, np.intp)
+
     def geometric(self, p: float) -> int:
         """Number of Bernoulli(p) trials up to the first success; support {1, 2, ...}."""
         if p >= 1.0:
@@ -114,12 +140,16 @@ class UniformStream:
 
 
 class SourceStreams:
-    """The independent streams one source consumes during a run."""
+    """The independent streams one source consumes during a run.
+
+    Given the run's ``horizon``, every block holds at most ``horizon`` values.
+    """
 
     __slots__ = ("arrival", "channel", "access", "delay")
 
-    def __init__(self, seed: int, source_id: int):
-        self.arrival = UniformStream(seed, (source_id, Role.ARRIVAL))
-        self.channel = UniformStream(seed, (source_id, Role.CHANNEL))
-        self.access = UniformStream(seed, (source_id, Role.ACCESS))
-        self.delay = UniformStream(seed, (source_id, Role.DELAY))
+    def __init__(self, seed: int, source_id: int, horizon: int | None = None):
+        block = _BLOCK if horizon is None else min(_BLOCK, horizon)
+        self.arrival = UniformStream(seed, (source_id, Role.ARRIVAL), block)
+        self.channel = UniformStream(seed, (source_id, Role.CHANNEL), block)
+        self.access = UniformStream(seed, (source_id, Role.ACCESS), block)
+        self.delay = UniformStream(seed, (source_id, Role.DELAY), block)

@@ -123,6 +123,29 @@ def test_horizon_crossing_the_block_boundary(policy: PolicyConfig) -> None:
 
 
 @pytest.mark.parametrize("discipline", list(Discipline))
+def test_arrival_calendar_with_mixed_sources(discipline: Discipline, stream_draws) -> None:
+    # a silent source, a saturated one and two in between share each
+    # calendar, which covers fewer slots than a block and so changes
+    # several times before the horizon; under packet management the
+    # saturated source replaces its waiting update in nearly every slot
+    # before that update's first owned slot
+    config = SimConfig(
+        n_sources=4,
+        lambdas=(0.0, 1.0, 0.3, 0.45),
+        discipline=discipline,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.9, 0.7, 0.5, 0.8)),
+        horizon=2 * _BLOCK + 500,
+        seed=23,
+        warmup=250,
+    )
+    engine.run(config)
+    assert stream_draws
+    assert not [key for key in stream_draws if key[0] == 0]
+    assert_same_run(config)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
 def test_failure_runs_cross_channel_blocks(discipline: Discipline) -> None:
     # at mu = 0.001 a service takes about 1000 attempts, so the engine's
     # draws ahead to the success slot cross two 16,384-draw channel blocks

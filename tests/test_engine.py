@@ -22,6 +22,7 @@ from aoisim.engine import (
 )
 from aoisim.errors import ConfigError
 from aoisim.queueing import Discipline
+from aoisim.streams import Role, UniformStream
 
 RR = PolicyConfig(PolicyKind.ROUND_ROBIN)
 PERFECT = ChannelConfig(ChannelKind.PERFECT)
@@ -230,24 +231,54 @@ class TestMemory:
 
 class TestWork:
     def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
-        # after a failed round-robin attempt the engine draws ahead to the
-        # success slot, so the channel rule runs once per service rather
-        # than once per attempt (about 10 times per delivery at mu = 0.1)
-        calls = 0
-        original = engine.resolve
+        # when an update enters service the engine draws the owner's channel
+        # stream ahead to the success slot in one step, so round robin never
+        # runs the channel rule and skips once per service rather than once
+        # per attempt (about 10 attempts per delivery at mu = 0.1)
+        resolves = skips = 0
+        original_resolve = engine.resolve
+        original_skip = UniformStream.skip_to_below
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return original(*args)
+        def counting_resolve(*args):
+            nonlocal resolves
+            resolves += 1
+            return original_resolve(*args)
 
-        monkeypatch.setattr(engine, "resolve", counting)
+        def counting_skip(self, *args):
+            nonlocal skips
+            if self._key[1] == Role.CHANNEL:
+                skips += 1
+            return original_skip(self, *args)
+
+        monkeypatch.setattr(engine, "resolve", counting_resolve)
+        monkeypatch.setattr(UniformStream, "skip_to_below", counting_skip)
         report = dedicated_channel_run(
             QueueParams(0.05, 0.1), Discipline.FIFO, horizon=20_000, seed=3
         )
         delivered = report.per_source[0].delivered
         assert delivered > 500
-        assert calls <= delivered + 1
+        assert resolves == 0
+        assert skips <= delivered + 1
+
+    def test_no_stream_draws_more_than_the_horizon(self, stream_draws) -> None:
+        # no stream takes more than one draw per slot, so blocks are sized
+        # by the horizon: without the cap the first delay draw alone fills
+        # a 16,384-value block
+        h = 2000
+        c = config(
+            n_sources=3,
+            lambdas=(0.3, 0.2, 0.1),
+            discipline=Discipline.FIFO,
+            policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.5, 0.5, 0.5)),
+            channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.8, 0.8, 0.8)),
+            network_k=0.3,
+            horizon=h,
+        )
+        assert run(c).per_source[0].delivered > 100
+        assert {role for _, role in stream_draws} == {
+            Role.ARRIVAL, Role.CHANNEL, Role.ACCESS, Role.DELAY
+        }
+        assert max(stream_draws.values()) <= h
 
 
 class TestStabilityWarning:

@@ -54,6 +54,41 @@ def test_skip_to_below_equals_counting_draws(p: float, steps: list[int | None]) 
     assert fast.uniform() == slow.uniform()
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.001, 0.999)),
+    block=st.sampled_from([_BLOCK, 1000, 7]),
+    steps=st.lists(
+        st.one_of(
+            st.none(),
+            st.tuples(st.booleans(), st.integers(0, 3 * _BLOCK)),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_take_below_equals_counting_draws(
+    p: float, block: int, steps: list[tuple[bool, int] | None]
+) -> None:
+    """Block-wise takes interleaved with skips and single draws, on any block size."""
+    fast = UniformStream(5, (3, 0), block)
+    slow = UniformStream(5, (3, 0))
+    for step in steps:
+        if step is None:
+            assert fast.uniform() == slow.uniform()
+            continue
+        take, count = step
+        if take:
+            expected = [k for k in range(count) if slow.uniform() < p]
+            assert fast.take_below(p, count).tolist() == expected
+        else:
+            taken = 0
+            while taken < count and not slow.uniform() < p:
+                taken += 1
+            assert fast.skip_to_below(p, count) == taken
+    assert fast.uniform() == slow.uniform()
+
+
 @pytest.mark.parametrize("p", [0.01, 0.5])
 def test_skip_across_blocks_matches_positions(p: float) -> None:
     s = UniformStream(6, (0, 0))
