@@ -5,10 +5,11 @@ allowed to transmit; a channel turns the set of actual transmitters into the
 set of successful deliveries.  Both are stateless given the configuration,
 the slot index, and the per-source random streams.
 
-Round robin and random access grant each source on its own, so
-``next_grant`` can say when a backlogged source next transmits without
-visiting the slots in between.  Work conserving depends on the whole
-backlog and is decided slot by slot by ``grant``.
+Round robin and random access grant each source on its own, so the engine
+computes when a backlogged source next transmits without visiting the slots
+in between: the next slot the source owns, or its first access draw below
+its access probability.  Work conserving depends on the whole backlog and
+is decided slot by slot by ``grant``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError
 from .streams import SourceStreams
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "ChannelKind",
     "ChannelConfig",
     "grant",
-    "next_grant",
     "resolve",
 ]
 
@@ -121,57 +121,21 @@ class ChannelConfig:
         return p
 
 
-def next_grant(
-    policy: PolicyConfig,
-    source: int,
-    slot: int,
-    limit: int,
-    n_sources: int,
-    streams: Sequence[SourceStreams],
-) -> int:
-    """First slot in ``[slot, limit)`` that grants ``source``, backlogged from ``slot`` on.
+def grant(slot: int, backlogged: Sequence[bool]) -> list[int]:
+    """Work conserving: the first backlogged source from ``slot mod n`` on, cyclically.
 
-    Returns ``limit`` when there is none.  Round robin grants ``source`` in
-    the slots it owns (``slot mod n``).  Random access takes one access draw
-    for every backlogged slot and grants the first slot whose draw is below
-    the source's access probability.  Work conserving has no per-source
-    answer; use ``grant``.
+    Returns that one source in a list, or an empty list when no source is
+    backlogged.
     """
-    kind = policy.kind
-    if kind is PolicyKind.ROUND_ROBIN:
-        return min(slot + (source - slot) % n_sources, limit)
-    if kind is PolicyKind.RANDOM_ACCESS:
-        qs = policy.access_probs
-        assert qs is not None
-        return slot + streams[source].access.skip_to_below(qs[source], limit - slot)
-    raise ProtocolError(f"{kind.value} grants depend on every source; use grant")
-
-
-def grant(
-    policy: PolicyConfig,
-    slot: int,
-    nonempty: Sequence[bool],
-    streams: Sequence[SourceStreams],
-) -> list[int]:
-    """Sources granted the slot, in ascending source order."""
-    n = len(nonempty)
-    kind = policy.kind
-    if kind is PolicyKind.WORK_CONSERVING:
-        start = slot % n
-        for j in range(n):
-            i = start + j
-            if i >= n:
-                i -= n
-            if nonempty[i]:
-                return [i]
-        return []
-    # round robin grants the owner whether or not it is backlogged
-    return [
-        i
-        for i in range(n)
-        if (nonempty[i] or kind is PolicyKind.ROUND_ROBIN)
-        and next_grant(policy, i, slot, slot + 1, n, streams) == slot
-    ]
+    n = len(backlogged)
+    start = slot % n
+    for j in range(n):
+        i = start + j
+        if i >= n:
+            i -= n
+        if backlogged[i]:
+            return [i]
+    return []
 
 
 def resolve(

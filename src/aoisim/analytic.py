@@ -36,7 +36,6 @@ __all__ = [
     "geo_wait_cross_moment",
     "system_time_pmf_geo",
     "optimal_arrival_rate",
-    "optimal_rate_residual",
     "stationary_replacement",
     "replacement_moments",
     "conditional_pmf",
@@ -127,17 +126,6 @@ def system_time_pmf_geo(params: QueueParams, t: int) -> float:
 def _aoi_geo_derivative(lam: float, mu: float) -> float:
     # d/dlam of aoi_geo_geo_1 at fixed mu
     return -1.0 / lam**2 + (1.0 - mu) / (mu - lam) ** 2 - 1.0 / mu**2 + 1.0 / mu
-
-
-def optimal_rate_residual(lam: float, mu: float) -> float:
-    """Stationarity polynomial whose root in (0, mu) is the age-optimal rate."""
-    return (
-        lam**4 * (mu - 1.0)
-        - 2.0 * lam**3 * (mu - 1.0) * mu
-        - lam**2 * mu**2
-        + 2.0 * lam * mu**3
-        - mu**4
-    )
 
 
 _BISECTION_STEPS = 200

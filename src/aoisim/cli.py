@@ -30,7 +30,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -114,15 +114,13 @@ def _is_int(v: Any) -> bool:
 
 
 def _broadcast(doc: dict, name: str, n: int) -> tuple[float, ...] | None:
-    """A scalar becomes one value per source; a list must match n_sources."""
+    """A scalar becomes one value per source; a list is taken as it is."""
     if name not in doc:
         return None
     v = doc[name]
     if _is_number(v):
         return (float(v),) * n
     if isinstance(v, list):
-        if len(v) != n:
-            raise ConfigError(f"{name} has {len(v)} entries for {n} sources")
         out = []
         for j, item in enumerate(v):
             if not _is_number(item):
@@ -171,14 +169,9 @@ def build_sim_config(doc: dict) -> SimConfig:
     if not _is_int(doc["n_sources"]):
         raise ConfigError(f"n_sources must be an integer, got {doc['n_sources']!r}")
     n = doc["n_sources"]
-    if n < 1:
-        raise ConfigError(f"n_sources must be >= 1, got {n}")
 
     lambdas = _broadcast(doc, "arrival_rates", n)
     assert lambdas is not None
-    for i, lam in enumerate(lambdas):
-        if not (0.0 <= lam <= 1.0):
-            raise ConfigError(f"arrival_rates[{i}] must be in [0, 1], got {lam}")
     discipline = _enum_field(doc, "discipline", {d.value: d for d in Discipline})
     policy_kind = _enum_field(doc, "policy", {p.value: p for p in PolicyKind})
     channel_kind = _enum_field(doc, "channel", {c.value: c for c in ChannelKind})
@@ -227,7 +220,14 @@ def build_sim_config(doc: dict) -> SimConfig:
         measure_at=measure_at,
         warmup=warmup,
     )
-    config.validate()
+    try:
+        config.validate()
+    except ConfigError as exc:
+        # SimConfig names every field as the JSON document does but one
+        msg = str(exc)
+        if msg.startswith("lambdas"):
+            msg = "arrival_rates" + msg[len("lambdas"):]
+        raise ConfigError(msg) from None
     return config
 
 
@@ -239,10 +239,6 @@ def _load_doc(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-
-
-def load_config(path: str) -> SimConfig:
-    return build_sim_config(_load_doc(path))
 
 
 def _fmt(v: Any) -> str:
@@ -300,28 +296,22 @@ def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
     return rows
 
 
-def _write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> None:
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
-
-
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+def _write_csv(path: str | None, columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> None:
+    """Write the ``columns`` of ``rows`` to ``path``, or to stdout without one."""
+    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+    try:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row[c]) for c in columns])
+    finally:
+        if path is not None:
+            out.close()
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    config = load_config(ns.config)
-    rows = simulate_rows(config)
-    out, close = _open_out(ns.out)
-    try:
-        _write_csv(out, SIMULATE_COLUMNS, rows)
-    finally:
-        if close:
-            out.close()
+    config = build_sim_config(_load_doc(ns.config))
+    _write_csv(ns.out, SIMULATE_COLUMNS, simulate_rows(config))
     return 0
 
 
@@ -435,21 +425,8 @@ def _apply_axis(doc: dict, axis: str, value: float) -> dict:
     return new
 
 
-def _sweep_job(config: SimConfig) -> list[tuple[int, float, float, float, float | None, bool]]:
-    report = run(config)
-    rows = []
-    for m in report.per_source:
-        rows.append(
-            (
-                m.source_id,
-                m.avg_aoi,
-                m.empirical_drop_prob,
-                m.empirical_effective_rate,
-                _obsolete_frac(config, m),
-                m.stability_warning,
-            )
-        )
-    return rows
+def _sweep_job(config: SimConfig) -> list[dict[str, Any]]:
+    return simulate_rows(config)
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
@@ -458,15 +435,14 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     values = _axis_values(ns)
     seeds = _parse_seeds(ns.seeds, base.seed)
 
-    points: list[tuple[float, int, SimConfig]] = []
+    configs: list[SimConfig] = []
     for v in values:
         point_doc = _apply_axis(doc, ns.axis, v)
         for seed in seeds:
             point_doc = dict(point_doc)
             point_doc["seed"] = seed
-            points.append((v, seed, build_sim_config(point_doc)))
+            configs.append(build_sim_config(point_doc))
 
-    configs = [cfg for _, _, cfg in points]
     # the pool starts every worker up front, so never ask for idle ones
     workers = min(ns.workers, len(configs), os.cpu_count() or 1)
     if workers > 1:
@@ -477,19 +453,23 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
     # per-point aggregate: mean over seeds of the per-seed source average
     n_seeds = len(seeds)
-    aggregates: list[tuple[float, float | None]] = []
-    for j in range(len(values)):
-        per_seed = []
-        for s in range(n_seeds):
-            rows = results[j * n_seeds + s]
-            per_seed.append(sum(r[1] for r in rows) / len(rows))
+    rows = []
+    for j, v in enumerate(values):
+        jobs = results[j * n_seeds:(j + 1) * n_seeds]
+        per_seed = [sum(r["avg_aoi"] for r in job) / len(job) for job in jobs]
         mean = sum(per_seed) / n_seeds
         if n_seeds > 1:
             var = sum((x - mean) ** 2 for x in per_seed) / (n_seeds - 1)
             se = math.sqrt(var / n_seeds)
         else:
             se = None
-        aggregates.append((mean, se))
+        # the axis column holds the swept value: under axis p the sweep sets
+        # service_probs, while simulate's p column is success_probs
+        rows += [
+            dict(r, **{ns.axis: v, "mean_avg_aoi": mean, "se_avg_aoi": se})
+            for job in jobs
+            for r in job
+        ]
 
     columns = (
         ns.axis,
@@ -503,30 +483,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         "mean_avg_aoi",
         "se_avg_aoi",
     )
-    out, close = _open_out(ns.out)
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for idx, ((v, seed, _), rows) in enumerate(zip(points, results)):
-            mean, se = aggregates[idx // n_seeds]
-            for sid, aoi, drop, eff, obs, warn in rows:
-                writer.writerow(
-                    [
-                        _fmt(v),
-                        seed,
-                        sid,
-                        _fmt(aoi),
-                        _fmt(drop),
-                        _fmt(eff),
-                        _fmt(obs),
-                        _fmt(warn),
-                        _fmt(mean),
-                        _fmt(se),
-                    ]
-                )
-    finally:
-        if close:
-            out.close()
+    _write_csv(ns.out, columns, rows)
     return 0
 
 
@@ -560,7 +517,8 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     """Simulate ``config`` and pair each statistic with its closed form.
 
     Requires a dedicated-channel scenario: a single source, a scheduled
-    policy, and no network delay stage.
+    policy, and no network delay stage.  The closed forms are computed
+    before the run, so parameters they reject fail without simulating.
     """
     if config.n_sources != 1:
         raise ConfigError("validate requires n_sources = 1 (dedicated channel)")
@@ -572,6 +530,14 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     tol_aoi = tolerances["aoi"]
     tol_occ = tolerances["occupancy"]
     tol_mom = tolerances["moments"]
+    fifo = config.discipline is Discipline.FIFO
+    if fifo:
+        geo = stationary_geo(params)
+        ref_aoi = aoi_geo_geo_1(params)
+    else:
+        st = stationary_replacement(params)
+        mom = replacement_moments(params)
+        ref_aoi = aoi_replacement(params)
 
     report, stats = run_with_logs(config)
     m = report.per_source[0]
@@ -588,11 +554,10 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     def info(name: str, sim: float, ref: float) -> None:
         rows.append(CheckRow(False, name, sim, ref, None, True))
 
-    if config.discipline is Discipline.FIFO:
-        st = stationary_geo(params)
-        hard_rel("avg_aoi", m.avg_aoi, aoi_geo_geo_1(params), tol_aoi)
+    if fifo:
+        hard_rel("avg_aoi", m.avg_aoi, ref_aoi, tol_aoi)
         for n in range(3):
-            hard_abs(f"occupancy_pi{n}", hist.get(n, 0.0), st.pi(n), tol_occ)
+            hard_abs(f"occupancy_pi{n}", hist.get(n, 0.0), geo.pi(n), tol_occ)
         hard_rel(
             "mean_system_time",
             m.mean_system_time,
@@ -611,9 +576,7 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
         info("effective_rate", m.empirical_effective_rate, params.lam)
         return rows
 
-    st = stationary_replacement(params)
-    mom = replacement_moments(params)
-    hard_rel("avg_aoi", m.avg_aoi, aoi_replacement(params), tol_aoi)
+    hard_rel("avg_aoi", m.avg_aoi, ref_aoi, tol_aoi)
     hard_abs("occupancy_pi0", hist.get(0, 0.0), st.pi0, tol_occ)
     hard_abs("occupancy_pi1", hist.get(1, 0.0), st.pi1, tol_occ)
     hard_abs("occupancy_pi2", hist.get(2, 0.0), st.pi2, tol_occ)

@@ -381,7 +381,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
                 granted.append(i)
                 grant_pending[i] = False
         if per_slot_grant:
-            granted = grant(policy, slot, backlogged, streams)
+            granted = grant(slot, backlogged)
 
         # every granted source is backlogged, so each one transmits
         received: list[tuple[int, int]] = []  # (source, gen) reaching the monitor point

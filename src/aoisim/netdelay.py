@@ -11,20 +11,21 @@ source.
 """
 from __future__ import annotations
 
-from .errors import DomainError
 from .streams import UniformStream
 
 __all__ = ["DelayStage", "DestState", "deliver_due"]
 
 
 class DelayStage:
-    """In-flight ``(source, gen)`` pairs keyed by their destination arrival slot."""
+    """In-flight ``(source, gen)`` pairs keyed by their destination arrival slot.
+
+    ``k`` is the per-slot forwarding probability, in (0, 1]; ``SimConfig``
+    checks it as ``network_k``.
+    """
 
     __slots__ = ("k", "_due")
 
     def __init__(self, k: float):
-        if not (0.0 < k <= 1.0):
-            raise DomainError(f"delay parameter k must be in (0, 1], got {k}")
         self.k = k
         self._due: dict[int, list[tuple[int, int]]] = {}
 

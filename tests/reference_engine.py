@@ -4,13 +4,15 @@
 following the six steps of ``aoisim.engine`` literally.  It is kept here,
 outside the package, as the oracle for the differential tests of the
 event-driven engine, together with ``AoiTracker``, the per-slot age
-accumulator it needs, and ``DeliveryLog`` and ``sample_path_estimators``,
-which keep every reception and compute the two area-decomposition estimates
-from the whole trace.  Only the tests import it.
+accumulator it needs, ``random_access_grant``, the slot-wise random-access
+rule, and ``DeliveryLog`` and ``sample_path_estimators``, which keep every
+reception and compute the two area-decomposition estimates from the whole
+trace.  Only the tests import it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from aoisim.access import ChannelKind, PolicyKind, grant, resolve
 from aoisim.engine import (
@@ -25,6 +27,23 @@ from aoisim.queueing import Discipline, SourceQueue
 from aoisim.streams import SourceStreams
 
 _NAN = float("nan")
+
+
+def random_access_grant(
+    access_probs: Sequence[float],
+    backlogged: Sequence[bool],
+    streams: Sequence[SourceStreams],
+) -> list[int]:
+    """Backlogged sources that attempt this slot, in ascending order.
+
+    Each backlogged source takes one access draw and attempts when it is
+    below its access probability.
+    """
+    return [
+        i
+        for i, b in enumerate(backlogged)
+        if b and streams[i].access.uniform() < access_probs[i]
+    ]
 
 
 @dataclass
@@ -125,6 +144,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     base_dropped = [0] * n
 
     rr = policy.kind is PolicyKind.ROUND_ROBIN
+    wc = policy.kind is PolicyKind.WORK_CONSERVING
     probs = [channel.attempt_prob(i) for i in range(n)]
     collision = channel.kind is ChannelKind.COLLISION
 
@@ -150,7 +170,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
             granted = [slot % n]
         else:
             nonempty = [queues[i].occupancy() > 0 for i in range(n)]
-            granted = grant(policy, slot, nonempty, streams)
+            if wc:
+                granted = grant(slot, nonempty)
+            else:
+                granted = random_access_grant(policy.access_probs, nonempty, streams)
 
         transmitters = []
         for g in granted:

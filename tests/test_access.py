@@ -11,11 +11,11 @@ from aoisim.access import (
     PolicyConfig,
     PolicyKind,
     grant,
-    next_grant,
     resolve,
 )
-from aoisim.errors import ConfigError, ProtocolError
+from aoisim.errors import ConfigError
 from aoisim.streams import SourceStreams
+from reference_engine import random_access_grant
 
 
 def streams_for(n: int, seed: int = 5) -> list[SourceStreams]:
@@ -30,98 +30,41 @@ def resolve_on(
     return resolve(probs, transmitters, ss, channel.kind is ChannelKind.COLLISION)
 
 
-class TestRoundRobin:
-    def test_cycles_regardless_of_backlog(self) -> None:
-        policy = PolicyConfig(PolicyKind.ROUND_ROBIN)
-        ss = streams_for(3)
-        empty = [False, False, False]
-        full = [True, True, True]
-        for slot in range(9):
-            assert grant(policy, slot, full, ss) == [slot % 3]
-            assert grant(policy, slot, empty, ss) == [slot % 3]
-
-
-class TestNextGrant:
-    def test_round_robin_jumps_to_the_next_owned_slot(self) -> None:
-        policy = PolicyConfig(PolicyKind.ROUND_ROBIN)
-        ss = streams_for(3)
-        assert next_grant(policy, 2, 0, 100, 3, ss) == 2
-        assert next_grant(policy, 2, 3, 100, 3, ss) == 5
-        assert next_grant(policy, 0, 3, 100, 3, ss) == 3
-        assert next_grant(policy, 1, 3, 4, 3, ss) == 4  # owned slot 4 is the limit
-
-    def test_random_access_counts_one_draw_per_slot(self) -> None:
-        q = 0.2
-        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(q,))
-        fast, slow = streams_for(1, seed=31), streams_for(1, seed=31)
-        slot = 0
-        for _ in range(300):
-            expect = slot
-            while slow[0].access.uniform() >= q:
-                expect += 1
-            slot = next_grant(policy, 0, slot, 10_000, 1, fast)
-            assert slot == expect
-            slot += 1
-
-    def test_random_access_agrees_with_grant(self) -> None:
-        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.3,))
-        a, b = streams_for(1, seed=37), streams_for(1, seed=37)
-        granted = [s for s in range(2000) if grant(policy, s, [True], a) == [0]]
-        slots, s = [], 0
-        while (s := next_grant(policy, 0, s, 2000, 1, b)) < 2000:
-            slots.append(s)
-            s += 1
-        assert slots == granted
-
-    def test_work_conserving_has_no_per_source_grant(self) -> None:
-        with pytest.raises(ProtocolError):
-            next_grant(PolicyConfig(PolicyKind.WORK_CONSERVING), 0, 0, 10, 2, streams_for(2))
-
-
 class TestWorkConserving:
     def test_skips_to_first_backlogged(self) -> None:
-        policy = PolicyConfig(PolicyKind.WORK_CONSERVING)
-        ss = streams_for(4)
-        assert grant(policy, 0, [False, False, True, False], ss) == [2]
-        assert grant(policy, 1, [False, False, True, False], ss) == [2]
-        assert grant(policy, 3, [True, False, True, False], ss) == [0]  # wraps past 3
+        assert grant(0, [False, False, True, False]) == [2]
+        assert grant(1, [False, False, True, False]) == [2]
+        assert grant(3, [True, False, True, False]) == [0]  # wraps past 3
 
     def test_idles_only_when_everything_is_empty(self) -> None:
-        policy = PolicyConfig(PolicyKind.WORK_CONSERVING)
-        ss = streams_for(3)
-        assert grant(policy, 4, [False, False, False], ss) == []
+        assert grant(4, [False, False, False]) == []
 
     def test_equals_round_robin_under_full_backlog(self) -> None:
-        wc = PolicyConfig(PolicyKind.WORK_CONSERVING)
-        rr = PolicyConfig(PolicyKind.ROUND_ROBIN)
-        ss = streams_for(5)
         full = [True] * 5
         for slot in range(25):
-            assert grant(wc, slot, full, ss) == grant(rr, slot, full, ss)
+            assert grant(slot, full) == [slot % 5]
 
     def test_never_grants_an_empty_source(self) -> None:
-        policy = PolicyConfig(PolicyKind.WORK_CONSERVING)
-        ss = streams_for(4)
         backlog = [False, True, False, True]
         for slot in range(40):
-            granted = grant(policy, slot, backlog, ss)
+            granted = grant(slot, backlog)
             assert len(granted) == 1 and backlog[granted[0]]
 
 
 class TestRandomAccess:
+    """The reference loop's slot-wise rule; the engine's rule is checked against it."""
+
     def test_only_backlogged_sources_transmit(self) -> None:
-        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(1.0, 1.0, 1.0))
         ss = streams_for(3)
-        assert grant(policy, 0, [True, False, True], ss) == [0, 2]
+        assert random_access_grant((1.0, 1.0, 1.0), [True, False, True], ss) == [0, 2]
 
     def test_single_transmitter_frequency(self) -> None:
         # two backlogged sources, q each: P{exactly one transmits} = 2q(1-q)
         q = 0.3
-        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(q, q))
         ss = streams_for(2, seed=17)
         slots = 60_000
         singles = sum(
-            1 for slot in range(slots) if len(grant(policy, slot, [True, True], ss)) == 1
+            1 for _ in range(slots) if len(random_access_grant((q, q), [True, True], ss)) == 1
         )
         expect = 2 * q * (1 - q)
         se = math.sqrt(expect * (1 - expect) / slots)
@@ -154,13 +97,11 @@ class TestCollisionChannel:
         assert resolve_on(channel, [], ss) == []
 
     def test_certain_access_always_collides(self) -> None:
-        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(1.0, 1.0))
+        # with access probability 1 every backlogged source transmits
         channel = ChannelConfig(ChannelKind.COLLISION)
         ss = streams_for(2)
-        for slot in range(20):
-            transmitters = grant(policy, slot, [True, True], ss)
-            assert transmitters == [0, 1]
-            assert resolve_on(channel, transmitters, ss) == []
+        for _ in range(20):
+            assert resolve_on(channel, [0, 1], ss) == []
 
     def test_thinning_applies_per_source_success(self) -> None:
         channel = ChannelConfig(

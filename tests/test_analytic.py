@@ -20,7 +20,6 @@ from aoisim.analytic import (
     conditional_pmf,
     geo_wait_cross_moment,
     optimal_arrival_rate,
-    optimal_rate_residual,
     replacement_moments,
     stationary_geo,
     stationary_replacement,
@@ -36,6 +35,18 @@ from aoisim.errors import (
 FROZEN_REL = 1e-12   # module float vs exact fraction
 GRID_REL = 1e-9      # agreement between two float evaluation routes
 PMF_TERMS = 4000     # truncation horizon for pmf sums (tails < 1e-12 here)
+
+
+def optimal_rate_residual(lam: float, mu: float) -> float:
+    """Stationarity polynomial whose root in (0, mu) is the age-optimal rate."""
+    return (
+        lam**4 * (mu - 1.0)
+        - 2.0 * lam**3 * (mu - 1.0) * mu
+        - lam**2 * mu**2
+        + 2.0 * lam * mu**3
+        - mu**4
+    )
+
 
 # stable FIFO pairs (lam < mu) and unrestricted replacement pairs
 STABLE_PAIRS = [(0.05, 0.3), (0.1, 0.2), (0.2, 0.5), (0.35, 0.8), (0.6, 0.9), (0.5, 1.0)]

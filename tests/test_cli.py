@@ -314,6 +314,19 @@ class TestSweepCommand:
         assert requested == [2]  # three jobs, two CPUs
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_axis_p_column_holds_the_swept_value(self, tmp_path) -> None:
+        # the sweep sets service_probs, while simulate's p column is
+        # success_probs, which this config leaves unset
+        cfg = write_config(tmp_path, dedicated_doc(horizon=2000))
+        out = tmp_path / "p.csv"
+        assert main(
+            ["sweep", "--config", cfg, "--axis", "p",
+             "--from", "0.5", "--to", "0.9", "--steps", "3", "--out", str(out)]
+        ) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["p"] for r in rows] == ["0.5", "0.7", "0.9"]
+
     def test_axis_q_requires_random_access(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, dedicated_doc())
         rc = main(
@@ -378,6 +391,25 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, dedicated_doc(network_k=0.5))
         assert main(["validate", "--config", cfg]) == 2
         assert "network_k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "discipline, lam, message",
+        [
+            ("fifo", 0.6, "FIFO queue requires lam < mu, got lam=0.6, mu=0.5"),
+            ("fifo", 0.5, "FIFO queue requires lam < mu, got lam=0.5, mu=0.5"),
+            ("replacement", 0.5, "lam == mu == 0.5: conditional gap distribution is singular"),
+        ],
+    )
+    def test_rejected_parameters_fail_before_the_run(
+        self, tmp_path, capsys, monkeypatch, discipline, lam, message
+    ) -> None:
+        def no_run(config):
+            raise AssertionError("validate simulated a config the closed forms reject")
+
+        monkeypatch.setattr(cli, "run_with_logs", no_run)
+        cfg = write_config(tmp_path, dedicated_doc(discipline=discipline, arrival_rates=lam))
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_perfect_channel_replacement_runs_to_an_exit_code(self, tmp_path, capsys) -> None:
         # at mu = 1 nothing is ever dropped, so the drop_prob reference is 0

@@ -22,7 +22,7 @@ from aoisim.engine import (
 )
 from aoisim.errors import ConfigError
 from aoisim.queueing import Discipline
-from aoisim.streams import Role, UniformStream
+from aoisim.streams import _BLOCK, Role, UniformStream
 
 RR = PolicyConfig(PolicyKind.ROUND_ROBIN)
 PERFECT = ChannelConfig(ChannelKind.PERFECT)
@@ -218,15 +218,24 @@ class TestAccounting:
 
 class TestMemory:
     def test_peak_does_not_grow_with_the_horizon(self) -> None:
-        # a run keeps running sums per source, not one entry per reception:
-        # 400k slots of a loaded dedicated FIFO queue stay under 2 MB
-        tracemalloc.start()
-        try:
-            dedicated_channel_run(QueueParams(0.4, 0.5), Discipline.FIFO, horizon=400_000, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2_000_000
+        # a run keeps running sums per source, not one entry per reception.
+        # An untraced first run makes the one-time allocations, so that they
+        # land in neither peak; both horizons are whole numbers of stream
+        # blocks, so that the two runs hold alike blocks.  A loaded dedicated
+        # FIFO queue that logged its receptions would grow by about 0.5 MB
+        # per block.
+        params = QueueParams(0.4, 0.5)
+
+        def peak(horizon: int) -> int:
+            tracemalloc.start()
+            try:
+                dedicated_channel_run(params, Discipline.FIFO, horizon=horizon, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        dedicated_channel_run(params, Discipline.FIFO, horizon=_BLOCK, seed=1)
+        assert peak(4 * _BLOCK) - peak(2 * _BLOCK) < 100_000
 
 
 class TestWork:
@@ -374,8 +383,9 @@ class TestConfigValidation:
             config(horizon=0).validate()
         with pytest.raises(ConfigError):
             config(warmup=1000).validate()  # not below horizon
-        with pytest.raises(ConfigError):
-            config(network_k=0.0).validate()
+        for k in (0.0, -0.5, 1.5):
+            with pytest.raises(ConfigError):
+                config(network_k=k).validate()
 
     def test_policy_and_channel_checks_run(self) -> None:
         with pytest.raises(ConfigError):
