@@ -1,11 +1,71 @@
-"""Random streams: lazy start, reproducibility, and block-wise skipping."""
+"""Random streams: the spawn-key derivation, lazy start, reproducibility, block-wise skipping."""
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aoisim.streams import _BLOCK, SourceStreams, UniformStream
+import aoisim
+from aoisim import engine
+from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
+from aoisim.queueing import Discipline
+from aoisim.streams import _BLOCK, Role, SourceStreams, UniformStream
+
+
+@pytest.mark.parametrize("key", [(0, 0), (7, 3), (2**32 - 1, 1), (2**32, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1])
+def test_draws_equal_the_spawn_key_generator(seed: int, key: tuple[int, ...]) -> None:
+    """A stream draws what numpy's SeedSequence with its spawn key seeds, across blocks."""
+    stream = UniformStream(seed, key, 1000)
+    ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
+    expected = np.random.Generator(np.random.PCG64(ss)).random(2500)
+    assert [stream.uniform() for _ in range(2500)] == expected.tolist()
+
+
+def test_round_robin_on_a_perfect_channel_builds_only_arrival_streams(monkeypatch) -> None:
+    built: Counter[int] = Counter()
+    init = UniformStream.__init__
+
+    def counting(self, seed, key, *args) -> None:
+        built[key[1]] += 1
+        init(self, seed, key, *args)
+
+    monkeypatch.setattr(UniformStream, "__init__", counting)
+    config = engine.SimConfig(
+        n_sources=5,
+        lambdas=(0.1,) * 5,
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.PERFECT),
+        horizon=2000,
+        seed=3,
+    )
+    engine.run(config)
+    assert built == {Role.ARRIVAL: 5}
+    # an erasure channel needs the channel streams too, and gets them
+    built.clear()
+    erasure = ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5,) * 5)
+    engine.run(dataclasses.replace(config, channel=erasure))
+    assert built == {Role.ARRIVAL: 5, Role.CHANNEL: 5}
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded() -> None:
+    """``numpy.random`` loads at a stream's first draw, which keeps start-up cheap."""
+    env = dict(os.environ, PYTHONPATH=str(Path(aoisim.__file__).resolve().parents[1]))
+    code = "import sys, aoisim.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_draws_do_not_depend_on_block_sizes() -> None:
@@ -24,6 +84,8 @@ def test_unused_streams_draw_nothing() -> None:
     assert streams.channel._buf is None
     assert streams.access._buf is None
     assert streams.delay._buf is None
+    with pytest.raises(AttributeError):
+        streams.other  # noqa: B018  (only the four roles are built on demand)
 
 
 def test_skip_to_below_limit() -> None:
