@@ -121,11 +121,12 @@ class ChannelConfig:
         return p
 
 
-def grant(slot: int, backlogged: Sequence[bool]) -> list[int]:
+def grant(slot: int, backlogged: Sequence[int]) -> list[int]:
     """Work conserving: the first backlogged source from ``slot mod n`` on, cyclically.
 
-    Returns that one source in a list, or an empty list when no source is
-    backlogged.
+    ``backlogged[i]`` is source i's occupancy at the start of the slot, or
+    any value that is truthy when it is backlogged.  Returns that one source
+    in a list, or an empty list when no source is backlogged.
     """
     n = len(backlogged)
     start = slot % n

@@ -72,7 +72,11 @@ _ALLOWED_FIELDS = {
     "tolerances",
 }
 _REQUIRED_FIELDS = ("schema_version", "n_sources", "arrival_rates", "discipline", "policy", "channel")
-_TOLERANCE_FIELDS = {"aoi", "occupancy", "moments"}
+_DEFAULT_TOLERANCES = {
+    Discipline.FIFO: {"aoi": 0.01, "occupancy": 0.005, "moments": 0.01},
+    Discipline.REPLACEMENT: {"aoi": 0.02, "occupancy": 0.005, "moments": 0.02},
+}
+_TOLERANCE_FIELDS = set(_DEFAULT_TOLERANCES[Discipline.FIFO])
 
 SIMULATE_COLUMNS = (
     "source_id",
@@ -162,7 +166,7 @@ def build_sim_config(doc: dict) -> SimConfig:
     missing = [f for f in _REQUIRED_FIELDS if f not in doc]
     if missing:
         raise ConfigError(f"missing config field: {missing[0]}")
-    if doc["schema_version"] != SCHEMA_VERSION:
+    if not _is_int(doc["schema_version"]) or doc["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
             f"schema_version must be {SCHEMA_VERSION}, got {doc['schema_version']!r}"
         )
@@ -298,7 +302,10 @@ def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
 
 def _write_csv(path: str | None, columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> None:
     """Write the ``columns`` of ``rows`` to ``path``, or to stdout without one."""
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+    try:
+        out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
@@ -433,6 +440,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     doc = _load_doc(ns.config)
     base = build_sim_config(doc)  # fail fast before sweeping
     values = _axis_values(ns)
+    if ns.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {ns.workers}")
     seeds = _parse_seeds(ns.seeds, base.seed)
 
     configs: list[SimConfig] = []
@@ -603,10 +612,7 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
 
 def _config_tolerances(doc: dict, discipline: Discipline) -> dict[str, float]:
     """Hard-row tolerances: config overrides on top of per-discipline defaults."""
-    if discipline is Discipline.FIFO:
-        tols = {"aoi": 0.01, "occupancy": 0.005, "moments": 0.01}
-    else:
-        tols = {"aoi": 0.02, "occupancy": 0.005, "moments": 0.02}
+    tols = dict(_DEFAULT_TOLERANCES[discipline])
     for name, v in (doc.get("tolerances") or {}).items():
         tols[name] = float(v)
     return tols

@@ -24,9 +24,10 @@ changes in the slots between them.
 Arrivals do not depend on the system state, and a source's arrival stream
 takes one draw per slot, so the engine takes the draws of a whole block of
 slots from every arrival stream at once and merges the arrival slots by
-(slot, source) into the arrival calendar.  The loop walks it beside a heap
-that holds only the events that depend on the state: grants, round-robin
-successes and delay-stage receptions.
+(slot, source) into the arrival calendar.  Each kind of pending event has
+one owner: arrivals are on the calendar, grants on the engine's heap of
+``(slot, source)`` events, and receptions on the delay stage's heap; the
+next event slot is the earliest of the three.
 
 Under round robin only a slot's owner transmits and the channel draws are
 its own, so when an update enters service (its source becomes backlogged,
@@ -62,7 +63,7 @@ from .access import (
 )
 from .analytic import QueueParams
 from .errors import ConfigError
-from .netdelay import DelayStage, DestState, deliver_due
+from .netdelay import DelayStage, deliver_due
 from .queueing import Discipline, SourceQueue
 from .streams import _BLOCK, SourceStreams
 
@@ -80,9 +81,6 @@ __all__ = [
 ]
 
 _NAN = float("nan")
-# event kinds in pop order within a slot; a round-robin grant event is an
-# attempt already known to succeed
-_GRANT, _DUE = 0, 1
 
 
 class MeasurePoint(Enum):
@@ -285,8 +283,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
     streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
 
-    stage = DelayStage(config.network_k) if config.network_k is not None else None
-    dest = DestState(n) if stage is not None else None
+    stage = DelayStage(config.network_k, n) if config.network_k is not None else None
     measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
 
     stats = [ReceptionStats() for _ in range(n)]
@@ -300,11 +297,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     occ = [0] * n
     occ_from = [warmup] * n
     occ_slots: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    # work conserving is granted slot by slot from the backlog flags; the
+    # work conserving is granted slot by slot from the occupancies; the
     # other policies hold one pending grant event per backlogged source,
     # and a round-robin source keeps its mark when no success is left
     # before the horizon, so that it is never scheduled again
-    backlogged = [False] * n
     n_backlogged = 0
     grant_pending = [False] * n
     # a round-robin update waiting for its first owned slot: that slot,
@@ -352,18 +348,23 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     # the next arrival is cal_slots[ci], or the horizon when none is left
     cal_slots, cal_sources, cal_end = calendar(0)
     ci = 0
-    # events: (slot, kind, source); within a slot they pop grants first, in
-    # ascending source order, then delay-stage receptions
-    events: list[tuple[int, int, int]] = []
+    # grant events: (slot, source), a round robin's already known to succeed
+    grants: list[tuple[int, int]] = []
 
     slot = -1
+    due = False  # a delay-stage reception is due this slot
     while True:
         if per_slot_grant and n_backlogged:
             slot += 1
         else:
             slot = cal_slots[ci]
-            if events and events[0][0] < slot:
-                slot = events[0][0]
+            if grants and grants[0][0] < slot:
+                slot = grants[0][0]
+        if stage is not None:
+            due_at = stage.earliest
+            if due_at is not None and due_at < slot:
+                slot = due_at
+            due = due_at == slot
         if slot >= horizon:
             break
         rec = slot >= warmup
@@ -371,17 +372,14 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             # no event lies between the warm-up boundary and this slot
             counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
 
-        granted: list[int] = []
-        due = False
-        while events and events[0][0] == slot:
-            _, kind, i = heappop(events)
-            if kind == _DUE:
-                due = True
-            else:
+        if per_slot_grant:
+            granted = grant(slot, occ)
+        else:
+            granted = []
+            while grants and grants[0][0] == slot:
+                i = heappop(grants)[1]
                 granted.append(i)
                 grant_pending[i] = False
-        if per_slot_grant:
-            granted = grant(slot, backlogged)
 
         # every granted source is backlogged, so each one transmits
         received: list[tuple[int, int]] = []  # (source, gen) reaching the monitor point
@@ -397,14 +395,12 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             for i in delivered:
                 gen = queues[i].on_delivery()
                 if stage is not None:
-                    arrive = stage.inject((i, gen), slot, streams[i].delay)
-                    if arrive < horizon:
-                        heappush(events, (arrive, _DUE, -1))
+                    stage.inject((i, gen), slot, streams[i].delay)
                 if not measure_dest:
                     received.append((i, gen))
 
         if due:
-            for (i, gen), fresh in deliver_due(stage, dest, slot):
+            for (i, gen), fresh in deliver_due(stage, slot):
                 if rec:
                     if fresh:
                         informative[i] += 1
@@ -458,16 +454,14 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
                 if slot >= lo:
                     occ_slots[i][occ[i]] += slot + 1 - lo
                     occ_from[i] = slot + 1
+                if per_slot_grant and not (o and occ[i]):
+                    n_backlogged += 1 if o else -1
                 occ[i] = o
                 if not o and mark_empty:
                     # only a delivery empties a queue: it left nothing
                     # behind, arrivals of this slot included
                     stats[i].mark_left_empty()
-            if per_slot_grant:
-                if backlogged[i] != (o > 0):
-                    backlogged[i] = o > 0
-                    n_backlogged += 1 if o else -1
-            elif o and not grant_pending[i]:
+            if o and not per_slot_grant and not grant_pending[i]:
                 grant_pending[i] = True
                 if round_robin:
                     # an update enters service: draw ahead over the slots
@@ -487,7 +481,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
                         access_probs[i], horizon - slot - 1
                     )
                 if nxt < horizon:
-                    heappush(events, (nxt, _GRANT, i))
+                    heappush(grants, (nxt, i))
 
     if counts_at_warmup is None:
         counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]

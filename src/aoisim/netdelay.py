@@ -4,67 +4,63 @@ Every update delivered at the access point is forwarded through its own
 independent geometric delay (support {1, 2, ...}, mean 1/k), so updates can
 overtake each other.  An update in flight is a ``(source, gen)`` pair: its
 source and its generation slot.  At the destination a reception is
-*informative* when its generation slot is newer than everything delivered so
+*informative* when its generation slot is newer than everything received so
 far for that source, else *obsolete*.  Receptions landing in the same slot
-are processed freshest-first, so at most one of them is informative per
-source.
+are processed by source, freshest first, so at most one of them is
+informative per source; the stage's heap pops them in that order.
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 from .streams import UniformStream
 
-__all__ = ["DelayStage", "DestState", "deliver_due"]
+__all__ = ["DelayStage", "deliver_due"]
 
 
 class DelayStage:
-    """In-flight ``(source, gen)`` pairs keyed by their destination arrival slot.
+    """Updates in flight, on a heap keyed ``(arrival slot, source, -gen)``, and
+    the newest generation received per source (-1 before the first).
 
     ``k`` is the per-slot forwarding probability, in (0, 1]; ``SimConfig``
     checks it as ``network_k``.
     """
 
-    __slots__ = ("k", "_due")
+    __slots__ = ("k", "heap", "newest_gen")
 
-    def __init__(self, k: float):
+    def __init__(self, k: float, n_sources: int):
         self.k = k
-        self._due: dict[int, list[tuple[int, int]]] = {}
+        self.heap: list[tuple[int, int, int]] = []
+        self.newest_gen = [-1] * n_sources
 
     def inject(self, item: tuple[int, int], ap_slot: int, stream: UniformStream) -> int:
         """Launch a ``(source, gen)`` pair at the access point; returns its arrival slot."""
         delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
         arrive = ap_slot + delay
-        self._due.setdefault(arrive, []).append(item)
+        heappush(self.heap, (arrive, item[0], -item[1]))
         return arrive
 
-    def due(self, slot: int) -> list[tuple[int, int]]:
-        """``(source, gen)`` pairs whose delay expires this slot (unordered)."""
-        return self._due.pop(slot, [])
+    @property
+    def earliest(self) -> int | None:
+        """The earliest arrival slot in flight, or None when nothing is."""
+        return self.heap[0][0] if self.heap else None
 
 
-class DestState:
-    """Newest generation slot received so far at the destination, per source."""
+def deliver_due(stage: DelayStage, slot: int) -> list[tuple[tuple[int, int], bool]]:
+    """This slot's receptions, as ``((source, gen), informative)`` in reception order.
 
-    __slots__ = ("newest_gen",)
-
-    def __init__(self, n_sources: int):
-        self.newest_gen: list[int | None] = [None] * n_sources
-
-    def classify(self, item: tuple[int, int]) -> bool:
-        """Record the reception of a ``(source, gen)`` pair; True when it is informative."""
-        i, gen = item
-        newest = self.newest_gen[i]
-        if newest is None or gen > newest:
-            self.newest_gen[i] = gen
-            return True
-        return False
-
-
-def deliver_due(
-    stage: DelayStage, dest: DestState, slot: int
-) -> list[tuple[tuple[int, int], bool]]:
-    """Process this slot's receptions, freshest generation first per source."""
-    items = stage.due(slot)
-    if not items:
-        return []
-    items.sort(key=lambda item: (item[0], -item[1]))
-    return [(item, dest.classify(item)) for item in items]
+    The heap hands out a slot's receptions only once every earlier slot's
+    are taken, so call this for every slot in which one is due, in order,
+    as the engine does.
+    """
+    heap = stage.heap
+    newest_gen = stage.newest_gen
+    received = []
+    while heap and heap[0][0] == slot:
+        _, i, neg_gen = heappop(heap)
+        gen = -neg_gen
+        fresh = gen > newest_gen[i]
+        if fresh:
+            newest_gen[i] = gen
+        received.append(((i, gen), fresh))
+    return received

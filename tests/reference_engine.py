@@ -5,9 +5,11 @@ following the six steps of ``aoisim.engine`` literally.  It is kept here,
 outside the package, as the oracle for the differential tests of the
 event-driven engine, together with ``AoiTracker``, the per-slot age
 accumulator it needs, ``random_access_grant``, the slot-wise random-access
-rule, and ``DeliveryLog`` and ``sample_path_estimators``, which keep every
-reception and compute the two area-decomposition estimates from the whole
-trace.  Only the tests import it.
+rule, ``DelayStage``, ``DestState`` and ``deliver_due``, a slot-wise delay
+stage that sorts each slot's receptions, and ``DeliveryLog`` and
+``sample_path_estimators``, which keep every reception and compute the two
+area-decomposition estimates from the whole trace.  Only the tests import
+it.
 """
 from __future__ import annotations
 
@@ -22,9 +24,8 @@ from aoisim.engine import (
     SourceMetrics,
     _service_share,
 )
-from aoisim.netdelay import DelayStage, DestState, deliver_due
 from aoisim.queueing import Discipline, SourceQueue
-from aoisim.streams import SourceStreams
+from aoisim.streams import SourceStreams, UniformStream
 
 _NAN = float("nan")
 
@@ -44,6 +45,56 @@ def random_access_grant(
         for i, b in enumerate(backlogged)
         if b and streams[i].access.uniform() < access_probs[i]
     ]
+
+
+class DelayStage:
+    """In-flight ``(source, gen)`` pairs keyed by their destination arrival slot."""
+
+    __slots__ = ("k", "_due")
+
+    def __init__(self, k: float):
+        self.k = k
+        self._due: dict[int, list[tuple[int, int]]] = {}
+
+    def inject(self, item: tuple[int, int], ap_slot: int, stream: UniformStream) -> int:
+        """Launch a ``(source, gen)`` pair at the access point; returns its arrival slot."""
+        delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
+        arrive = ap_slot + delay
+        self._due.setdefault(arrive, []).append(item)
+        return arrive
+
+    def due(self, slot: int) -> list[tuple[int, int]]:
+        """``(source, gen)`` pairs whose delay expires this slot (unordered)."""
+        return self._due.pop(slot, [])
+
+
+class DestState:
+    """Newest generation slot received so far at the destination, per source."""
+
+    __slots__ = ("newest_gen",)
+
+    def __init__(self, n_sources: int):
+        self.newest_gen: list[int | None] = [None] * n_sources
+
+    def classify(self, item: tuple[int, int]) -> bool:
+        """Record the reception of a ``(source, gen)`` pair; True when it is informative."""
+        i, gen = item
+        newest = self.newest_gen[i]
+        if newest is None or gen > newest:
+            self.newest_gen[i] = gen
+            return True
+        return False
+
+
+def deliver_due(
+    stage: DelayStage, dest: DestState, slot: int
+) -> list[tuple[tuple[int, int], bool]]:
+    """Process this slot's receptions, freshest generation first per source."""
+    items = stage.due(slot)
+    if not items:
+        return []
+    items.sort(key=lambda item: (item[0], -item[1]))
+    return [(item, dest.classify(item)) for item in items]
 
 
 @dataclass

@@ -39,6 +39,12 @@ class TestWorkConserving:
     def test_idles_only_when_everything_is_empty(self) -> None:
         assert grant(4, [False, False, False]) == []
 
+    def test_reads_occupancies_as_backlog(self) -> None:
+        # the engine passes the slot-start occupancies
+        assert grant(0, [0, 0, 3, 0]) == [2]
+        assert grant(3, [1, 0, 2, 0]) == [0]
+        assert grant(2, [0, 0, 0]) == []
+
     def test_equals_round_robin_under_full_backlog(self) -> None:
         full = [True] * 5
         for slot in range(25):

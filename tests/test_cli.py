@@ -64,6 +64,11 @@ class TestConfigParsing:
     def test_schema_version_checked(self) -> None:
         with pytest.raises(ConfigError, match="schema_version"):
             build_sim_config(minimal_doc(schema_version=2))
+        # True == 1.0 == 1, but only the integer 1 is the schema version
+        with pytest.raises(ConfigError, match="schema_version must be 1, got True"):
+            build_sim_config(minimal_doc(schema_version=True))
+        with pytest.raises(ConfigError, match="schema_version must be 1, got 1.0"):
+            build_sim_config(minimal_doc(schema_version=1.0))
 
     def test_out_of_range_rate_names_the_field(self) -> None:
         with pytest.raises(ConfigError, match=r"arrival_rates\[0\]"):
@@ -142,6 +147,12 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, minimal_doc(arrival_rates=1.5))
         assert main(["simulate", "--config", cfg]) == 2
         assert "arrival_rates[0]" in capsys.readouterr().err
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys) -> None:
+        cfg = write_config(tmp_path, minimal_doc(horizon=200))
+        out = tmp_path / "no" / "such" / "x.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
 
 
 def analytic_lines(capsys) -> dict[str, str]:
@@ -326,6 +337,27 @@ class TestSweepCommand:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["p"] for r in rows] == ["0.5", "0.7", "0.9"]
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys) -> None:
+        cfg = write_config(tmp_path, dedicated_doc(horizon=200))
+        out = tmp_path / "no" / "such" / "x.csv"
+        rc = main(
+            ["sweep", "--config", cfg, "--axis", "lambda",
+             "--from", "0.1", "--to", "0.4", "--steps", "2", "--out", str(out)]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_two(self, tmp_path, capsys, monkeypatch, workers) -> None:
+        monkeypatch.setattr(cli, "_sweep_job", lambda config: pytest.fail("a job ran"))
+        cfg = write_config(tmp_path, dedicated_doc(horizon=200))
+        rc = main(
+            ["sweep", "--config", cfg, "--axis", "lambda",
+             "--from", "0.1", "--to", "0.4", "--steps", "2", "--workers", workers]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: --workers must be >= 1, got {workers}\n"
 
     def test_axis_q_requires_random_access(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, dedicated_doc())

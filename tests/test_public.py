@@ -1,10 +1,17 @@
-"""The ``aoisim`` namespace: every exported name exists and the README's import works."""
+"""The ``aoisim`` namespace: every exported name exists, the README's import
+works, and the names the benchmark in ``perfbench/`` reaches into are there."""
 from __future__ import annotations
 
+import importlib
+import importlib.util
 from pathlib import Path
 
 import aoisim
-from aoisim import access
+from aoisim import access, cli, netdelay
+from aoisim.queueing import SourceQueue
+from aoisim.streams import SourceStreams
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves() -> None:
@@ -13,7 +20,7 @@ def test_every_exported_name_resolves() -> None:
 
 
 def test_readme_quick_start_import_executes() -> None:
-    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = ROOT / "README.md"
     imports = [
         line for line in readme.read_text(encoding="utf-8").splitlines()
         if line.startswith("from aoisim import ")
@@ -25,3 +32,31 @@ def test_readme_quick_start_import_executes() -> None:
 
 def test_grant_is_the_access_rule() -> None:
     assert aoisim.grant is access.grant
+
+
+def test_every_traced_layer_imports() -> None:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"aoisim.{layer}")
+
+
+def test_names_the_benchmark_wraps_exist() -> None:
+    # the benchmark patches module attributes and class-dict entries by name
+    assert callable(cli.run_with_logs)
+    assert callable(cli._sweep_job)
+    assert callable(netdelay.deliver_due)
+    assert callable(vars(SourceQueue)["occupancy"])
+    assert callable(vars(SourceStreams)["__init__"])
+    assert callable(vars(netdelay.DelayStage)["inject"])
+
+
+def test_deliver_due_returns_source_gen_and_informative_flag() -> None:
+    stage = netdelay.DelayStage(1.0, 2)
+    stream = SourceStreams(0, 0).delay
+    for source, gen in ((1, 3), (0, 2), (1, 1)):
+        stage.inject((source, gen), 4, stream)
+    result = netdelay.deliver_due(stage, 5)
+    assert result == [((0, 2), True), ((1, 3), True), ((1, 1), False)]
+    assert all(type(fresh) is bool for _, fresh in result)
