@@ -17,20 +17,21 @@ Four subcommands:
     printed for inspection but never fail.
 
 Exit codes: 0 on success, 2 for configuration or domain errors, 3 when a
-``validate`` hard check fails.  When a config file omits ``seed``, the
-``AOISIM_SEED`` environment variable (default 0) supplies it.
+``validate`` hard check fails, 4 when a ``sweep`` worker process exits
+without sending its rows (killed, for instance).  When a config file omits
+``seed``, the ``AOISIM_SEED`` environment variable (default 0) supplies it.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -300,25 +301,32 @@ def simulate_rows(config: SimConfig) -> list[dict[str, Any]]:
     return rows
 
 
-def _write_csv(path: str | None, columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> None:
-    """Write the ``columns`` of ``rows`` to ``path``, or to stdout without one."""
+@contextlib.contextmanager
+def _csv_out(path: str | None) -> Iterator[TextIO]:
+    """``path`` opened for writing, or stdout without one."""
+    if path is None:
+        yield sys.stdout
+        return
     try:
-        out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="")
+        fh = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-    finally:
-        if path is not None:
-            out.close()
+    with fh:
+        yield fh
+
+
+def _write_csv(out: TextIO, columns: Sequence[str], rows: Iterable[dict[str, Any]]) -> None:
+    """Write the ``columns`` of ``rows`` to ``out``."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in columns])
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     config = build_sim_config(_load_doc(ns.config))
-    _write_csv(ns.out, SIMULATE_COLUMNS, simulate_rows(config))
+    with _csv_out(ns.out) as out:
+        _write_csv(out, SIMULATE_COLUMNS, simulate_rows(config))
     return 0
 
 
@@ -436,6 +444,69 @@ def _sweep_job(config: SimConfig) -> list[dict[str, Any]]:
     return simulate_rows(config)
 
 
+class _WorkerDied(RuntimeError):
+    """A sweep worker process exited without sending its rows."""
+
+
+def _run_share(conn: Any, configs: list[SimConfig]) -> None:
+    """A child's share of the jobs: send ``("rows", [...])`` or ``("error", exc)``."""
+    try:
+        msg = ("rows", [_sweep_job(cfg) for cfg in configs])
+    except Exception as exc:
+        msg = ("error", exc)
+    conn.send(msg)
+
+
+def _run_jobs(configs: list[SimConfig], workers: int) -> list[list[dict[str, Any]]]:
+    """Every job's rows, in job order, from ``workers`` processes counting this one.
+
+    Job j belongs to share ``j % workers``, so each share mixes the sweep's
+    points.  Share 0 runs here; each other share runs in one forked child
+    that sends its rows back over a pipe.  ``_sweep_job`` is looked up by
+    name at call time, here and in the children, so a wrapper bound to
+    ``cli._sweep_job`` before the fork sees every job.
+    """
+    if workers == 1:
+        return [_sweep_job(cfg) for cfg in configs]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context()
+    children = []
+    try:
+        for share in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(
+                target=_run_share, args=(send, configs[share::workers]), daemon=True
+            )
+            child.start()
+            send.close()  # the child's copy is then the only writer: its exit means EOF
+            children.append((child, recv))
+        shares = [[_sweep_job(cfg) for cfg in configs[::workers]]]
+        for child, recv in children:
+            try:
+                kind, payload = recv.recv()
+            except EOFError:
+                child.join()
+                raise _WorkerDied(
+                    f"sweep worker exited with code {child.exitcode} before sending its rows"
+                ) from None
+            if kind == "error":
+                raise payload
+            shares.append(payload)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    results: list[list[dict[str, Any]]] = [[] for _ in configs]
+    for share, rows in enumerate(shares):
+        results[share::workers] = rows
+    return results
+
+
 def cmd_sweep(ns: argparse.Namespace) -> int:
     doc = _load_doc(ns.config)
     base = build_sim_config(doc)  # fail fast before sweeping
@@ -452,47 +523,44 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             point_doc["seed"] = seed
             configs.append(build_sim_config(point_doc))
 
-    # the pool starts every worker up front, so never ask for idle ones
+    # an idle process costs a fork and a join, so never start one
     workers = min(ns.workers, len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_job, configs))
-    else:
-        results = [_sweep_job(cfg) for cfg in configs]
+    with _csv_out(ns.out) as out:  # an unwritable --out fails before any job runs
+        results = _run_jobs(configs, workers)
 
-    # per-point aggregate: mean over seeds of the per-seed source average
-    n_seeds = len(seeds)
-    rows = []
-    for j, v in enumerate(values):
-        jobs = results[j * n_seeds:(j + 1) * n_seeds]
-        per_seed = [sum(r["avg_aoi"] for r in job) / len(job) for job in jobs]
-        mean = sum(per_seed) / n_seeds
-        if n_seeds > 1:
-            var = sum((x - mean) ** 2 for x in per_seed) / (n_seeds - 1)
-            se = math.sqrt(var / n_seeds)
-        else:
-            se = None
-        # the axis column holds the swept value: under axis p the sweep sets
-        # service_probs, while simulate's p column is success_probs
-        rows += [
-            dict(r, **{ns.axis: v, "mean_avg_aoi": mean, "se_avg_aoi": se})
-            for job in jobs
-            for r in job
-        ]
+        # per-point aggregate: mean over seeds of the per-seed source average
+        n_seeds = len(seeds)
+        rows = []
+        for j, v in enumerate(values):
+            jobs = results[j * n_seeds:(j + 1) * n_seeds]
+            per_seed = [sum(r["avg_aoi"] for r in job) / len(job) for job in jobs]
+            mean = sum(per_seed) / n_seeds
+            if n_seeds > 1:
+                var = sum((x - mean) ** 2 for x in per_seed) / (n_seeds - 1)
+                se = math.sqrt(var / n_seeds)
+            else:
+                se = None
+            # the axis column holds the swept value: under axis p the sweep sets
+            # service_probs, while simulate's p column is success_probs
+            rows += [
+                dict(r, **{ns.axis: v, "mean_avg_aoi": mean, "se_avg_aoi": se})
+                for job in jobs
+                for r in job
+            ]
 
-    columns = (
-        ns.axis,
-        "seed",
-        "source_id",
-        "avg_aoi",
-        "drop_prob",
-        "effective_rate",
-        "obsolete_frac",
-        "stability_warning",
-        "mean_avg_aoi",
-        "se_avg_aoi",
-    )
-    _write_csv(ns.out, columns, rows)
+        columns = (
+            ns.axis,
+            "seed",
+            "source_id",
+            "avg_aoi",
+            "drop_prob",
+            "effective_rate",
+            "obsolete_frac",
+            "stability_warning",
+            "mean_avg_aoi",
+            "se_avg_aoi",
+        )
+        _write_csv(out, columns, rows)
     return 0
 
 
@@ -689,7 +757,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="1",
         help="seed count (consecutive from the base seed) or comma-separated list",
     )
-    p_sw.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    p_sw.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="processes to run the jobs in, counting this one (jobs are interleaved "
+        "into that many shares; the CSV is the same for any count)",
+    )
     p_sw.add_argument("--out", help="CSV output path (default stdout)")
     p_sw.set_defaults(func=cmd_sweep)
 
@@ -709,6 +783,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _WorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

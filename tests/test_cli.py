@@ -3,9 +3,11 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -300,30 +302,86 @@ class TestSweepCommand:
             "sweep", "--config", cfg, "--axis", "lambda",
             "--from", "0.1", "--to", "0.4", "--steps", "3", "--seeds", "1",
         ]
-        requested = []
+        started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class RecordingPool:
-            """Stands in for the process pool: records its size, runs in-process."""
+        def recording_start(process):
+            started.append(process)
+            start(process)
 
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        out1, out2 = tmp_path / "w1.csv", tmp_path / "w64.csv"
+        out1, out64 = tmp_path / "w1.csv", tmp_path / "w64.csv"
         assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
-        assert main(args + ["--out", str(out2), "--workers", "64"]) == 0
-        assert requested == [2]  # three jobs, two CPUs
-        assert out1.read_bytes() == out2.read_bytes()
+        assert started == []
+        assert main(args + ["--out", str(out64), "--workers", "64"]) == 0
+        assert len(started) == 1  # three jobs, two CPUs: this process and one child
+        assert out1.read_bytes() == out64.read_bytes()
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        assert main(args + ["--out", str(out64), "--workers", "64"]) == 0
+        assert len(started) == 1 + 2  # three jobs, eight CPUs: two children
+        assert out1.read_bytes() == out64.read_bytes()
+        assert multiprocessing.active_children() == []
+
+    def test_uneven_shares_do_not_change_output(self, tmp_path, monkeypatch) -> None:
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        cfg = write_config(tmp_path, dedicated_doc(horizon=2000))
+        args = [
+            "sweep", "--config", cfg, "--axis", "lambda",
+            "--from", "0.1", "--to", "0.4", "--steps", "5", "--seeds", "1",
+        ]
+        outs = []
+        for workers in ("1", "2", "3"):  # 5 jobs: shares of 3+2 and 2+2+1
+            out = tmp_path / f"w{workers}.csv"
+            assert main(args + ["--out", str(out), "--workers", workers]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        assert multiprocessing.active_children() == []
+
+    def _sweep_in_children(self, tmp_path, monkeypatch, in_child, in_parent=None) -> int:
+        """A 4-job sweep on 2 workers whose ``_sweep_job`` runs ``in_child`` in the
+        child (and ``in_parent`` in this process) before the real job."""
+        parent, job = os.getpid(), cli._sweep_job
+
+        def patched(config):
+            hook = in_child if os.getpid() != parent else in_parent
+            if hook is not None:
+                hook()
+            return job(config)
+
+        monkeypatch.setattr(cli, "_sweep_job", patched)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        cfg = write_config(tmp_path, dedicated_doc(horizon=500))
+        return main(
+            ["sweep", "--config", cfg, "--axis", "lambda", "--from", "0.1", "--to", "0.4",
+             "--steps", "2", "--seeds", "2", "--workers", "2", "--out", str(tmp_path / "x.csv")]
+        )
+
+    def test_config_error_in_a_child_exits_two(self, tmp_path, monkeypatch, capfd) -> None:
+        def fail():
+            raise ConfigError("bad point in a child")
+
+        assert self._sweep_in_children(tmp_path, monkeypatch, fail) == 2
+        assert capfd.readouterr().err == "error: bad point in a child\n"
+        assert multiprocessing.active_children() == []
+
+    def test_a_child_that_dies_names_its_exit_code(self, tmp_path, monkeypatch, capfd) -> None:
+        assert self._sweep_in_children(tmp_path, monkeypatch, lambda: os._exit(7)) == 4
+        assert capfd.readouterr().err == (
+            "error: sweep worker exited with code 7 before sending its rows\n"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_a_failure_here_stops_the_children(self, tmp_path, monkeypatch, capfd) -> None:
+        def fail():
+            raise ConfigError("bad point here")
+
+        began = time.monotonic()
+        rc = self._sweep_in_children(tmp_path, monkeypatch, lambda: time.sleep(60), fail)
+        assert rc == 2
+        assert capfd.readouterr().err == "error: bad point here\n"
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - began < 30  # terminated, not waited for
 
     def test_axis_p_column_holds_the_swept_value(self, tmp_path) -> None:
         # the sweep sets service_probs, while simulate's p column is
@@ -338,7 +396,10 @@ class TestSweepCommand:
             rows = list(csv.DictReader(fh))
         assert [r["p"] for r in rows] == ["0.5", "0.7", "0.9"]
 
-    def test_unwritable_out_exits_two(self, tmp_path, capsys) -> None:
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch) -> None:
+        calls = []
+        job = cli._sweep_job
+        monkeypatch.setattr(cli, "_sweep_job", lambda config: calls.append(config) or job(config))
         cfg = write_config(tmp_path, dedicated_doc(horizon=200))
         out = tmp_path / "no" / "such" / "x.csv"
         rc = main(
@@ -347,6 +408,7 @@ class TestSweepCommand:
         )
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
+        assert calls == []  # the output is opened before the first job
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, monkeypatch, workers) -> None:

@@ -1,6 +1,7 @@
 """Random streams: the spawn-key derivation, lazy start, reproducibility, block-wise skipping."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -57,15 +58,25 @@ def test_round_robin_on_a_perfect_channel_builds_only_arrival_streams(monkeypatc
     assert built == {Role.ARRIVAL: 5, Role.CHANNEL: 5}
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded() -> None:
-    """``numpy.random`` loads at a stream's first draw, which keeps start-up cheap."""
+def _loaded_by_importing_the_cli(modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``import aoisim.cli``."""
     env = dict(os.environ, PYTHONPATH=str(Path(aoisim.__file__).resolve().parents[1]))
-    code = "import sys, aoisim.cli; print('numpy.random' in sys.modules)"
+    code = f"import sys, aoisim.cli; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded() -> None:
+    """``numpy.random`` loads at a stream's first draw, which keeps start-up cheap."""
+    assert _loaded_by_importing_the_cli(("numpy.random",)) == []
+
+
+def test_importing_the_cli_leaves_process_machinery_unloaded() -> None:
+    """A sweep imports ``multiprocessing`` only when it starts a child."""
+    assert _loaded_by_importing_the_cli(("multiprocessing", "concurrent.futures")) == []
 
 
 def test_draws_do_not_depend_on_block_sizes() -> None:
