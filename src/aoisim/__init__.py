@@ -26,7 +26,6 @@ from .analytic import (
 from .engine import MeasurePoint, SimConfig, dedicated_channel_run, run
 from .errors import (
     ConfigError,
-    DegenerateParamsError,
     DomainError,
     InvalidParamsError,
     UnstableError,
@@ -59,7 +58,6 @@ __all__ = [
     # errors
     "InvalidParamsError",
     "UnstableError",
-    "DegenerateParamsError",
     "DomainError",
     "ConfigError",
 ]

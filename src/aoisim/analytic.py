@@ -11,34 +11,27 @@ Model conventions, used consistently everywhere:
 
 Two queue disciplines are covered: an infinite FIFO buffer (Geo/Geo/1) and a
 single-buffer variant where a waiting packet is replaced by a newer arrival.
+The FIFO forms need a stable queue (``lam < mu``).  The replacement chain is
+finite, so its forms hold on the whole (``lam``, ``mu``) range, ``lam == mu``
+included; its average age is assembled from the per-delivery moments.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import (
-    DegenerateParamsError,
-    DomainError,
-    InvalidParamsError,
-    UnstableError,
-)
+from .errors import DomainError, InvalidParamsError, UnstableError
 
 __all__ = [
     "QueueParams",
     "GeoStationary",
     "ReplacementStationary",
     "ReplacementMoments",
-    "ConditionalKind",
     "stationary_geo",
     "aoi_geo_geo_1",
     "geo_wait_cross_moment",
-    "system_time_pmf_geo",
     "optimal_arrival_rate",
     "stationary_replacement",
     "replacement_moments",
-    "conditional_pmf",
     "aoi_replacement",
 ]
 
@@ -113,16 +106,6 @@ def geo_wait_cross_moment(params: QueueParams) -> float:
     return lam * (1.0 - mu) / ((mu - lam) * mu**2)
 
 
-def system_time_pmf_geo(params: QueueParams, t: int) -> float:
-    """P{T = t} for the FIFO system time; geometric with rate mu*(1-rho)."""
-    _require_stable(params)
-    if t < 1:
-        raise DomainError(f"system time support starts at 1, got {t}")
-    mu = params.mu
-    rho = params.rho
-    return mu * (1.0 - rho) * (1.0 - mu + mu * rho) ** (t - 1)
-
-
 def _aoi_geo_derivative(lam: float, mu: float) -> float:
     # d/dlam of aoi_geo_geo_1 at fixed mu
     return -1.0 / lam**2 + (1.0 - mu) / (mu - lam) ** 2 - 1.0 / mu**2 + 1.0 / mu
@@ -168,9 +151,6 @@ class ReplacementStationary:
     pi1: float
     pi2: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.pi0, self.pi1, self.pi2)
-
 
 def stationary_replacement(params: QueueParams) -> ReplacementStationary:
     """Stationary occupancy distribution of the replacement queue.
@@ -208,7 +188,6 @@ class ReplacementMoments:
     ez2: float
     es_empty: float
     es_busy: float
-    p_tx_given_busy: float
     ew_tx: float
     et_empty: float
     et_busy: float
@@ -217,16 +196,8 @@ class ReplacementMoments:
     lambda_e: float
 
 
-def _require_nondegenerate(params: QueueParams) -> None:
-    if params.lam == params.mu:
-        raise DegenerateParamsError(
-            f"lam == mu == {params.lam}: conditional gap distribution is singular"
-        )
-
-
 def replacement_moments(params: QueueParams) -> ReplacementMoments:
     """All per-delivery moments of the replacement queue in one pass."""
-    _require_nondegenerate(params)
     lam, mu = params.lam, params.mu
     p = lam + mu - lam * mu  # P{arrival or service completion in a slot}
     d_wait = lam**2 * (mu - 1.0) ** 2 + lam * mu * (1.0 - 2.0 * mu) + mu**2
@@ -251,7 +222,6 @@ def replacement_moments(params: QueueParams) -> ReplacementMoments:
     es_empty = 1.0 / p
     es_busy = 1.0 / p + 1.0 / mu - 1.0
 
-    p_tx_given_busy = mu * (1.0 - lam) / p
     ew_tx = (
         (1.0 - lam) * lam * (1.0 - mu) * (mu + lam - 2.0 * lam * mu)
         / (d_wait * p)
@@ -283,7 +253,6 @@ def replacement_moments(params: QueueParams) -> ReplacementMoments:
         ez2=ez2,
         es_empty=es_empty,
         es_busy=es_busy,
-        p_tx_given_busy=p_tx_given_busy,
         ew_tx=ew_tx,
         et_empty=et_empty,
         et_busy=et_busy,
@@ -293,90 +262,11 @@ def replacement_moments(params: QueueParams) -> ReplacementMoments:
     )
 
 
-class ConditionalKind(Enum):
-    """Which conditional law of the replacement queue to evaluate."""
-
-    Z_GIVEN_EMPTY = "z_given_empty"
-    Z_GIVEN_BUSY = "z_given_busy"
-    S_GIVEN_EMPTY = "s_given_empty"
-    S_GIVEN_BUSY = "s_given_busy"
-    W_GIVEN_TX = "w_given_tx"
-
-
-def conditional_pmf(params: QueueParams, kind: ConditionalKind, n: int) -> float:
-    """Point mass of one conditional law of the replacement queue at n >= 1.
-
-    Z laws condition on the previous departure leaving the system empty/busy;
-    S laws are the service time under the same conditioning; W_GIVEN_TX is the
-    waiting time of a packet that is eventually transmitted, counted from the
-    first slot after its arrival.
-    """
-    if n < 1:
-        raise DomainError(f"support starts at 1, got {n}")
-    lam, mu = params.lam, params.mu
-    p = lam + mu - lam * mu
-    if kind is ConditionalKind.Z_GIVEN_EMPTY:
-        _require_nondegenerate(params)
-        return (
-            lam * mu / (mu - lam)
-            * ((1.0 - lam) ** (n - 1) - (1.0 - mu) ** (n - 1))
-        )
-    if kind is ConditionalKind.Z_GIVEN_BUSY:
-        return mu * (1.0 - mu) ** (n - 1)
-    if kind is ConditionalKind.S_GIVEN_EMPTY:
-        return ((1.0 - lam) * (1.0 - mu)) ** (n - 1) * p
-    if kind is ConditionalKind.S_GIVEN_BUSY:
-        return (
-            (1.0 - (1.0 - lam) ** n)
-            * mu * (1.0 - mu) ** (n - 1) * p / lam
-        )
-    if kind is ConditionalKind.W_GIVEN_TX:
-        return (1.0 - p) ** (n - 1) * p
-    raise DomainError(f"unknown conditional kind: {kind!r}")
-
-
-_EQUIV_RTOL = 1e-9
-
-
 def aoi_replacement(params: QueueParams) -> float:
     """Average age of information of the replacement queue (slots).
 
-    Evaluated twice: once from the single closed-form expression and once by
-    assembling lambda_e * (E[T_prev*Z] + E[Z^2]/2 + E[Z]/2) from the
-    per-delivery moments.  The two routes must agree to 1e-9 relative; a
-    mismatch means a transcription bug, not a caller error.
+    Assembled from the per-delivery moments as
+    lambda_e * (E[T_prev*Z] + E[Z^2]/2 + E[Z]/2).
     """
-    _require_nondegenerate(params)
-    lam, mu = params.lam, params.mu
-    p = lam + mu - lam * mu
-    d_eff = lam**2 * (1.0 - mu) + lam * (1.0 - mu) * mu + mu**2
-    d_wait = lam**2 * (mu - 1.0) ** 2 + lam * mu * (1.0 - 2.0 * mu) + mu**2
-
-    direct = (
-        lam * mu * p / d_eff
-        * (
-            d_eff / (2.0 * lam * mu * p)
-            + lam * (lam * (3.0 * mu - 2.0) - 2.0 * mu + 1.0) / d_wait
-            + (
-                lam**3 * (mu - 2.0) * (mu - 1.0)
-                + lam**2 * (mu - 2.0) * (mu - 1.0) * mu
-                + lam * mu**2 * (2.0 - 3.0 * mu)
-                + 2.0 * mu**3
-            )
-            / (2.0 * lam**2 * mu**2 * p)
-            + (1.0 - lam) / (lam * mu)
-            + (2.0 * lam + 1.0) / p
-            - (lam + 1.0) / p**2
-            + 1.0 / mu**2
-        )
-    )
-
     m = replacement_moments(params)
-    assembled = m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
-
-    if not math.isclose(direct, assembled, rel_tol=_EQUIV_RTOL, abs_tol=0.0):
-        raise RuntimeError(
-            "internal inconsistency: closed form and moment assembly disagree "
-            f"({direct!r} vs {assembled!r}) at lam={lam}, mu={mu}"
-        )
-    return direct
+    return m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)

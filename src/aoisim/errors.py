@@ -10,10 +10,6 @@ class UnstableError(ValueError):
     """The requested closed form only exists for a stable queue (lambda < mu)."""
 
 
-class DegenerateParamsError(ValueError):
-    """lambda == mu: the two geometric phases coincide and the closed form is singular."""
-
-
 class DomainError(ValueError):
     """An argument is outside the domain of the requested quantity."""
 

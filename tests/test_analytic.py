@@ -10,31 +10,27 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from paper_age import paper_replacement_age
 
 from aoisim.analytic import (
-    ConditionalKind,
     QueueParams,
     aoi_geo_geo_1,
     aoi_replacement,
-    conditional_pmf,
     geo_wait_cross_moment,
     optimal_arrival_rate,
     replacement_moments,
     stationary_geo,
     stationary_replacement,
-    system_time_pmf_geo,
 )
-from aoisim.errors import (
-    DegenerateParamsError,
-    DomainError,
-    InvalidParamsError,
-    UnstableError,
-)
+from aoisim.errors import DomainError, InvalidParamsError, UnstableError
 
 FROZEN_REL = 1e-12   # module float vs exact fraction
 GRID_REL = 1e-9      # agreement between two float evaluation routes
 PMF_TERMS = 4000     # truncation horizon for pmf sums (tails < 1e-12 here)
+EQUAL_RATES = [0.1, 0.3, 0.5, 0.9]
+RATE_STEP = 1e-6     # lam = mu +- this step brackets the equal-rate point
 
 
 def optimal_rate_residual(lam: float, mu: float) -> float:
@@ -142,25 +138,6 @@ class TestWaitCrossMoment:
         assert geo_wait_cross_moment(QueueParams(0.3, 1.0)) == 0.0
 
 
-class TestSystemTimePmf:
-    def test_frozen_points(self) -> None:
-        p = QueueParams(0.2, 0.5)
-        assert system_time_pmf_geo(p, 1) == pytest.approx(0.375, rel=FROZEN_REL)
-        assert system_time_pmf_geo(p, 2) == pytest.approx(float(Fraction(15, 64)), rel=FROZEN_REL)
-
-    @pytest.mark.parametrize("lam,mu", STABLE_PAIRS[:-1])
-    def test_normalization_and_mean(self, lam: float, mu: float) -> None:
-        p = QueueParams(lam, mu)
-        pmf = [system_time_pmf_geo(p, t) for t in range(1, PMF_TERMS)]
-        assert sum(pmf) == pytest.approx(1.0, abs=1e-10)
-        mean = sum(t * v for t, v in enumerate(pmf, start=1))
-        assert mean == pytest.approx(1.0 / (mu * (1.0 - p.rho)), rel=1e-9)
-
-    def test_support_starts_at_one(self) -> None:
-        with pytest.raises(DomainError):
-            system_time_pmf_geo(QueueParams(0.2, 0.5), 0)
-
-
 class TestOptimalRate:
     def test_mu_one_boundary(self) -> None:
         assert optimal_arrival_rate(1.0) == 1.0
@@ -195,7 +172,7 @@ class TestOptimalRate:
 class TestStationaryReplacement:
     def test_frozen_point(self) -> None:
         st = stationary_replacement(QueueParams(0.2, 0.5))
-        assert st.as_tuple() == pytest.approx(
+        assert (st.pi0, st.pi1, st.pi2) == pytest.approx(
             (float(Fraction(8, 13)), float(Fraction(4, 13)), float(Fraction(1, 13))),
             rel=FROZEN_REL,
         )
@@ -203,7 +180,7 @@ class TestStationaryReplacement:
     @pytest.mark.parametrize("lam,mu", REPLACEMENT_PAIRS)
     def test_normalized_and_balanced(self, lam: float, mu: float) -> None:
         st = stationary_replacement(QueueParams(lam, mu))
-        assert sum(st.as_tuple()) == pytest.approx(1.0, rel=GRID_REL)
+        assert st.pi0 + st.pi1 + st.pi2 == pytest.approx(1.0, rel=GRID_REL)
         # one-step balance of the three-state occupancy chain:
         # 0->1 on arrival; 1->0 on service-no-arrival; 2->1 on service-no-arrival
         assert st.pi0 * lam == pytest.approx(st.pi1 * mu * (1.0 - lam), rel=GRID_REL)
@@ -214,8 +191,8 @@ class TestStationaryReplacement:
     def test_equal_rates_stay_finite(self) -> None:
         # the textbook ratio form is 0/0 at lam == mu; the normalized form is not
         st = stationary_replacement(QueueParams(0.4, 0.4))
-        assert sum(st.as_tuple()) == pytest.approx(1.0, rel=GRID_REL)
-        assert all(v > 0.0 for v in st.as_tuple())
+        assert st.pi0 + st.pi1 + st.pi2 == pytest.approx(1.0, rel=GRID_REL)
+        assert min(st.pi0, st.pi1, st.pi2) > 0.0
 
 
 # exact fractions for (lam, mu) = (1/5, 1/2), derived by hand
@@ -230,7 +207,6 @@ REPL_FROZEN = {
     "ez2": Fraction(148, 3),
     "es_empty": Fraction(5, 3),
     "es_busy": Fraction(8, 3),
-    "p_tx_given_busy": Fraction(2, 3),
     "ew_tx": Fraction(10, 39),
     "et_empty": Fraction(25, 13),
     "et_busy": Fraction(38, 13),
@@ -265,73 +241,62 @@ class TestReplacementMoments:
         d_eff = lam**2 * (1 - mu) + lam * mu * (1 - mu) + mu**2
         assert m.p_drop == pytest.approx(lam**2 * (1 - mu) / d_eff, rel=GRID_REL)
 
-    def test_equal_rates_degenerate(self) -> None:
-        with pytest.raises(DegenerateParamsError):
-            replacement_moments(QueueParams(0.3, 0.3))
+    @pytest.mark.parametrize("rate", EQUAL_RATES)
+    def test_continuous_through_equal_rates(self, rate: float) -> None:
+        # no moment is singular at lam == mu: each equals the mean of its
+        # neighbours on either side
+        at = replacement_moments(QueueParams(rate, rate))
+        below = replacement_moments(QueueParams(rate - RATE_STEP, rate))
+        above = replacement_moments(QueueParams(rate + RATE_STEP, rate))
+        for name in ("p_drop", "ez_empty", "etz"):
+            mean = 0.5 * (getattr(below, name) + getattr(above, name))
+            assert getattr(at, name) == pytest.approx(mean, rel=GRID_REL), name
 
 
-class TestConditionalPmf:
-    def test_frozen_points(self) -> None:
-        p25 = QueueParams(0.2, 0.5)
-        assert conditional_pmf(p25, ConditionalKind.W_GIVEN_TX, 1) == pytest.approx(
-            0.6, rel=FROZEN_REL
-        )
-        # two ways to see the same convolution: lam*mu/(mu-lam) * ((1-lam)-(1-mu))
-        assert conditional_pmf(p25, ConditionalKind.Z_GIVEN_EMPTY, 2) == pytest.approx(
-            0.1, rel=FROZEN_REL
-        )
-        assert conditional_pmf(
-            QueueParams(0.1, 0.5), ConditionalKind.Z_GIVEN_EMPTY, 2
-        ) == pytest.approx(0.05, rel=FROZEN_REL)
+def geometric(rate: float, n: np.ndarray) -> np.ndarray:
+    return rate * (1.0 - rate) ** (n - 1)
 
-    @pytest.mark.parametrize("lam,mu", [(0.2, 0.5), (0.5, 0.2), (0.35, 0.8), (0.9, 0.3)])
-    @pytest.mark.parametrize("n", [2, 3, 5, 9])
-    def test_gap_after_empty_is_geometric_convolution(self, lam: float, mu: float, n: int) -> None:
-        # Z | empty = interarrival + service, both geometric and independent
-        p = QueueParams(lam, mu)
-        oracle = sum(
-            lam * (1 - lam) ** (k - 1) * mu * (1 - mu) ** (n - k - 1)
-            for k in range(1, n)
-        )
-        assert conditional_pmf(p, ConditionalKind.Z_GIVEN_EMPTY, n) == pytest.approx(
-            oracle, rel=1e-10
-        )
 
-    @pytest.mark.parametrize("lam,mu", [(0.2, 0.5), (0.5, 0.2), (0.35, 0.8)])
+def conditional_laws(lam: float, mu: float) -> dict[str, np.ndarray]:
+    """Point masses at n = 1 .. PMF_TERMS-1 of the laws the moments summarize.
+
+    The gaps Z condition on the previous departure leaving the system
+    empty/busy; S is the service time under the same conditioning.
+    """
+    n = np.arange(1, PMF_TERMS)
+    p = lam + mu - lam * mu
+    # Z | empty = interarrival + service, independent Geo(lam) and Geo(mu)
+    conv = np.convolve(geometric(lam, n), geometric(mu, n))
+    return {
+        "z_empty": np.concatenate(([0.0], conv[: n.size - 1])),
+        "z_busy": geometric(mu, n),
+        "s_empty": geometric(p, n),
+        "s_busy": (1.0 - (1.0 - lam) ** n) * mu * (1.0 - mu) ** (n - 1) * p / lam,
+    }
+
+
+class TestConditionalMoments:
+    @pytest.mark.parametrize("lam,mu", [(0.2, 0.5), (0.5, 0.2), (0.35, 0.8), (0.9, 0.3), (0.3, 0.3)])
     @pytest.mark.parametrize(
-        "kind,moment",
+        "law,mean_name,square_name",
         [
-            (ConditionalKind.Z_GIVEN_EMPTY, "ez_empty"),
-            (ConditionalKind.Z_GIVEN_BUSY, "ez_busy"),
-            (ConditionalKind.S_GIVEN_EMPTY, "es_empty"),
-            (ConditionalKind.S_GIVEN_BUSY, "es_busy"),
+            ("z_empty", "ez_empty", "ez2_empty"),
+            ("z_busy", "ez_busy", "ez2_busy"),
+            ("s_empty", "es_empty", None),
+            ("s_busy", "es_busy", None),
         ],
     )
-    def test_pmf_normalization_and_mean(
-        self, lam: float, mu: float, kind: ConditionalKind, moment: str
+    def test_moments_match_the_law(
+        self, lam: float, mu: float, law: str, mean_name: str, square_name: str | None
     ) -> None:
-        p = QueueParams(lam, mu)
-        pmf = [conditional_pmf(p, kind, n) for n in range(1, PMF_TERMS)]
-        assert all(v >= 0.0 for v in pmf)
-        assert sum(pmf) == pytest.approx(1.0, abs=1e-10)
-        mean = sum(n * v for n, v in enumerate(pmf, start=1))
-        assert mean == pytest.approx(getattr(replacement_moments(p), moment), rel=1e-9)
-
-    def test_wait_is_geometric(self) -> None:
-        lam, mu = 0.2, 0.5
-        p = QueueParams(lam, mu)
-        rate = lam + mu - lam * mu
-        for n in range(1, 8):
-            assert conditional_pmf(p, ConditionalKind.W_GIVEN_TX, n) == pytest.approx(
-                rate * (1 - rate) ** (n - 1), rel=1e-12
-            )
-
-    def test_support_and_degeneracy(self) -> None:
-        p = QueueParams(0.2, 0.5)
-        with pytest.raises(DomainError):
-            conditional_pmf(p, ConditionalKind.Z_GIVEN_EMPTY, 0)
-        with pytest.raises(DegenerateParamsError):
-            conditional_pmf(QueueParams(0.3, 0.3), ConditionalKind.Z_GIVEN_EMPTY, 2)
+        pmf = conditional_laws(lam, mu)[law]
+        n = np.arange(1, PMF_TERMS)
+        assert pmf.min() >= 0.0
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+        m = replacement_moments(QueueParams(lam, mu))
+        assert float(n @ pmf) == pytest.approx(getattr(m, mean_name), rel=1e-9)
+        if square_name is not None:
+            assert float((n * n) @ pmf) == pytest.approx(getattr(m, square_name), rel=1e-9)
 
 
 class TestAoiReplacement:
@@ -346,27 +311,35 @@ class TestAoiReplacement:
 
     @pytest.mark.parametrize("lam,mu", REPLACEMENT_PAIRS)
     def test_moment_assembly_agrees(self, lam: float, mu: float) -> None:
-        # the function itself asserts the equivalence; recheck it externally
+        # the age is the moment assembly, bit for bit: there is one route
         m = replacement_moments(QueueParams(lam, mu))
         assembled = m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
-        assert aoi_replacement(QueueParams(lam, mu)) == pytest.approx(assembled, rel=GRID_REL)
+        assert aoi_replacement(QueueParams(lam, mu)) == assembled
 
     def test_grid_equivalence_is_fast(self) -> None:
-        # 20x20 grid, direct form vs moment assembly, in well under a second
+        # 20x20 grid plus the equal-rate diagonal, assembly vs the paper's
+        # expression, in well under a second
         start = time.perf_counter()
-        for i in range(1, 21):
-            lam = i / 21.0
-            for j in range(1, 21):
-                mu = j / 20.0
-                if lam == mu:
-                    continue
-                m = replacement_moments(QueueParams(lam, mu))
-                assembled = m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
-                assert aoi_replacement(QueueParams(lam, mu)) == pytest.approx(
-                    assembled, rel=GRID_REL
-                )
+        grid = [(i / 21.0, j / 20.0) for i in range(1, 21) for j in range(1, 21)]
+        grid += [(j / 20.0, j / 20.0) for j in range(1, 20)]
+        for lam, mu in grid:
+            assert aoi_replacement(QueueParams(lam, mu)) == pytest.approx(
+                paper_replacement_age(lam, mu), rel=GRID_REL
+            )
         assert time.perf_counter() - start < 1.0
 
-    def test_equal_rates_degenerate(self) -> None:
-        with pytest.raises(DegenerateParamsError):
-            aoi_replacement(QueueParams(0.5, 0.5))
+    @pytest.mark.parametrize("rate", EQUAL_RATES)
+    def test_continuous_through_equal_rates(self, rate: float) -> None:
+        below = aoi_replacement(QueueParams(rate - RATE_STEP, rate))
+        above = aoi_replacement(QueueParams(rate + RATE_STEP, rate))
+        assert aoi_replacement(QueueParams(rate, rate)) == pytest.approx(
+            0.5 * (below + above), rel=GRID_REL
+        )
+
+    def test_equal_rates_anchor(self) -> None:
+        # at lam == mu == 1/2: age 23/5, drop fraction 1/4, E[Z | empty] = 4
+        p = QueueParams(0.5, 0.5)
+        m = replacement_moments(p)
+        assert aoi_replacement(p) == pytest.approx(float(Fraction(23, 5)), rel=FROZEN_REL)
+        assert m.p_drop == pytest.approx(0.25, rel=FROZEN_REL)
+        assert m.ez_empty == pytest.approx(4.0, rel=FROZEN_REL)

@@ -67,3 +67,12 @@ def test_a_failed_check_or_a_missing_result_fails_the_comparison() -> None:
     assert not ok
     assert "failed checks change  0/0, 1 run(s) without a result" in lines
     assert row(lines, "run_s.p50") == ["run_s.p50", "no", "complete", "pair"]
+
+
+def test_fewer_than_one_pair_exits_two_before_the_export(monkeypatch, capsys) -> None:
+    def no_export(rev, dest):
+        raise AssertionError("exported the base tree for zero pairs")
+
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+    assert bench_pairs.main(["--base", "HEAD", "--workload", "rr_n100", "--pairs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --pairs must be >= 1, got 0\n"

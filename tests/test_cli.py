@@ -15,7 +15,7 @@ import pytest
 
 import aoisim
 from aoisim import cli
-from aoisim.analytic import QueueParams, aoi_geo_geo_1, optimal_arrival_rate
+from aoisim.analytic import QueueParams, aoi_geo_geo_1, aoi_replacement, optimal_arrival_rate
 from aoisim.cli import SIMULATE_COLUMNS, build_sim_config, main
 from aoisim.engine import MeasurePoint
 from aoisim.errors import ConfigError
@@ -194,6 +194,8 @@ class TestAnalyticCommand:
         assert blocks["geo"]["optimal_rate"] == pytest.approx(
             optimal_arrival_rate(0.5), rel=1e-12
         )
+        assert blocks["geo"]["mean_system_time"] == pytest.approx(8 / 3, rel=1e-12)
+        assert blocks["geo"]["wait_cross_moment"] == pytest.approx(4 / 3, rel=1e-12)
         assert blocks["replacement"]["avg_aoi"] == pytest.approx(
             float(Fraction(373, 52)), rel=1e-12
         )
@@ -491,7 +493,6 @@ class TestValidateCommand:
         [
             ("fifo", 0.6, "FIFO queue requires lam < mu, got lam=0.6, mu=0.5"),
             ("fifo", 0.5, "FIFO queue requires lam < mu, got lam=0.5, mu=0.5"),
-            ("replacement", 0.5, "lam == mu == 0.5: conditional gap distribution is singular"),
         ],
     )
     def test_rejected_parameters_fail_before_the_run(
@@ -504,6 +505,15 @@ class TestValidateCommand:
         cfg = write_config(tmp_path, dedicated_doc(discipline=discipline, arrival_rates=lam))
         assert main(["validate", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_equal_rates_replacement_reaches_the_run(self, tmp_path, capsys) -> None:
+        # the replacement closed forms hold at lam == mu; whether the rows
+        # pass is the slot-convention question, not a parameter error
+        cfg = write_config(tmp_path, dedicated_doc(arrival_rates=0.5))
+        assert main(["validate", "--config", cfg, "--json"]) in (0, 3)
+        rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+        assert rows["avg_aoi"]["sim"] is not None
+        assert rows["avg_aoi"]["ref"] == aoi_replacement(QueueParams(0.5, 0.5))
 
     def test_perfect_channel_replacement_runs_to_an_exit_code(self, tmp_path, capsys) -> None:
         # at mu = 1 nothing is ever dropped, so the drop_prob reference is 0

@@ -328,7 +328,7 @@ GOLDEN_VALIDATE = {
             channel="erasure", service_probs=0.5, horizon=20000, seed=3,
         ),
         3,
-        "c5534673c9d0ef4d8bac7069d02dcc452fa8d08f4ead3a8809e68ab8813b61a9",
+        "892af342393c69cfa0aa931901329303cb262f40cfced70066292ca1028c9ac1",
     ),
 }
 

@@ -1,9 +1,12 @@
-"""The ``aoisim`` namespace: every exported name exists, the README's import
-works, and the names the benchmark in ``perfbench/`` reaches into are there."""
+"""The ``aoisim`` namespace: every exported name exists and has a caller, the
+README's import works, and the names the benchmark in ``perfbench/`` reaches
+into are there."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import aoisim
@@ -17,6 +20,45 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_every_exported_name_resolves() -> None:
     missing = [name for name in aoisim.__all__ if not hasattr(aoisim, name)]
     assert missing == []
+
+
+def _exported(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [name for name in ast.literal_eval(node.value) if not name.startswith("__")]
+    return []
+
+
+def test_every_public_name_has_a_caller() -> None:
+    # a use is a name or attribute in the package or the benchmark, or a word
+    # in the README's code; a def/class line, an import and an ``__all__``
+    # entry are not uses, so the package's re-exports do not count
+    def parse(path: Path) -> ast.Module:
+        return ast.parse(path.read_text(encoding="utf-8"))
+
+    trees = {path: parse(path) for path in (ROOT / "src" / "aoisim").glob("*.py")}
+    bench = [
+        parse(p) for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.relative_to(ROOT).parts
+    ]
+    used: set[str] = set()
+    for tree in [*trees.values(), *bench]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"```[^\n]*\n(.*?)```", readme, re.S):
+        used.update(re.findall(r"\w+", block))
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in sorted(trees.items())
+        for name in _exported(tree)
+        if name not in used
+    ]
+    assert unused == []
 
 
 def test_readme_quick_start_import_executes() -> None:

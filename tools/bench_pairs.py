@@ -1,6 +1,6 @@
 """Alternating base/change pairs of the benchmark, summarised per end-to-end metric.
 
-    python3 tools/bench_pairs.py --base <rev> --workload rr_n100 --pairs 6 --seconds 30
+    python3 tools/bench_pairs.py --base <rev> --workload rr_n100 --pairs 10 --seconds 30
 
 Exports the base revision with ``git archive`` into a temporary directory.
 For pair j it runs ``python3 perfbench/run.py --workload W --seed S+j
@@ -114,10 +114,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 1; 10 before claiming a gain")
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=1, help="pair j runs seed SEED + j")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        print(f"error: --pairs must be >= 1, got {args.pairs}", file=sys.stderr)
+        return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
