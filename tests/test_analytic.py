@@ -44,9 +44,12 @@ def optimal_rate_residual(lam: float, mu: float) -> float:
     )
 
 
-# stable FIFO pairs (lam < mu) and unrestricted replacement pairs
+# stable FIFO pairs (lam < mu) and unrestricted replacement pairs, which
+# include the equal-rate diagonal
 STABLE_PAIRS = [(0.05, 0.3), (0.1, 0.2), (0.2, 0.5), (0.35, 0.8), (0.6, 0.9), (0.5, 1.0)]
-REPLACEMENT_PAIRS = STABLE_PAIRS + [(0.5, 0.2), (0.9, 0.3), (0.8, 1.0), (0.95, 0.05)]
+REPLACEMENT_PAIRS = STABLE_PAIRS + [(0.5, 0.2), (0.9, 0.3), (0.8, 1.0), (0.95, 0.05)] + [
+    (rate, rate) for rate in EQUAL_RATES
+]
 
 
 def frac_params(lam: Fraction, mu: Fraction) -> QueueParams:

@@ -15,7 +15,13 @@ import pytest
 
 import aoisim
 from aoisim import cli
-from aoisim.analytic import QueueParams, aoi_geo_geo_1, aoi_replacement, optimal_arrival_rate
+from aoisim.analytic import (
+    QueueParams,
+    aoi_geo_geo_1,
+    aoi_replacement,
+    optimal_arrival_rate,
+    stationary_geo,
+)
 from aoisim.cli import SIMULATE_COLUMNS, build_sim_config, main
 from aoisim.engine import MeasurePoint
 from aoisim.errors import ConfigError
@@ -201,6 +207,19 @@ class TestAnalyticCommand:
         )
         assert blocks["replacement"]["drop_prob"] == pytest.approx(1 / 16, rel=1e-12)
         assert blocks["replacement"]["effective_rate"] == pytest.approx(3 / 16, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "lam,mu", [(0.05, 0.3), (0.1, 0.2), (0.2, 0.5), (0.35, 0.8), (0.6, 0.9), (0.5, 1.0)]
+    )
+    def test_mean_system_time_obeys_littles_law(self, capsys, lam: float, mu: float) -> None:
+        # lam * E[T] is the mean occupancy of the stationary FIFO chain
+        assert main(
+            ["analytic", "--lambda", str(lam), "--mu", str(mu), "--model", "geo", "--json"]
+        ) == 0
+        mean_t = json.loads(capsys.readouterr().out)["geo"]["mean_system_time"]
+        st = stationary_geo(QueueParams(lam, mu))
+        occupancy = sum(n * st.pi(n) for n in range(1, 4000))
+        assert lam * mean_t == pytest.approx(occupancy, rel=1e-9)
 
     def test_unstable_pair_exits_two(self, capsys) -> None:
         assert main(["analytic", "--lambda", "0.9", "--mu", "0.5", "--model", "geo"]) == 2
