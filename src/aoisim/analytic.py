@@ -33,6 +33,8 @@ __all__ = [
     "stationary_replacement",
     "replacement_moments",
     "aoi_replacement",
+    "geo_values",
+    "replacement_values",
 ]
 
 
@@ -270,3 +272,42 @@ def aoi_replacement(params: QueueParams) -> float:
     """
     m = replacement_moments(params)
     return m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
+
+
+def geo_values(params: QueueParams) -> dict[str, float]:
+    """The FIFO queue's closed forms by name, in ``aoisim analytic``'s order
+    (less the age-optimal rate, a bisection that depends on ``mu`` alone)."""
+    st = stationary_geo(params)
+    return {
+        "avg_aoi": aoi_geo_geo_1(params),
+        "utilization": params.rho,
+        "pi0": st.pi0,
+        "pi1": st.pi1,
+        "pi2": st.pi(2),
+        "mean_system_time": 1.0 / (params.mu * (1.0 - params.rho)),
+        "wait_cross_moment": geo_wait_cross_moment(params),
+    }
+
+
+def replacement_values(params: QueueParams) -> dict[str, float]:
+    """The replacement queue's closed forms by name, in ``aoisim analytic``'s order."""
+    st = stationary_replacement(params)
+    m = replacement_moments(params)
+    return {
+        "avg_aoi": aoi_replacement(params),
+        "pi0": st.pi0,
+        "pi1": st.pi1,
+        "pi2": st.pi2,
+        "leave_empty_prob": m.p_leave_empty,
+        "gap_mean_after_empty": m.ez_empty,
+        "gap_mean_after_busy": m.ez_busy,
+        "gap_sq_after_empty": m.ez2_empty,
+        "gap_sq_after_busy": m.ez2_busy,
+        "gap_mean": m.ez,
+        "gap_sq": m.ez2,
+        "system_time_after_empty": m.et_empty,
+        "system_time_after_busy": m.et_busy,
+        "system_time_gap_cross": m.etz,
+        "drop_prob": m.p_drop,
+        "effective_rate": m.lambda_e,
+    }

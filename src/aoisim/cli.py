@@ -12,14 +12,15 @@ Four subcommands:
     Repeat a base configuration along one axis, across seeds, to CSV.
 ``validate``
     Run a dedicated-channel configuration and check the simulated
-    statistics against the closed forms, row by row.  Hard rows are judged
-    against tolerances (overridable in the config); informational rows are
-    printed for inspection but never fail.
+    statistics against the closed forms, one row per ``_ROWS`` entry.  Hard
+    rows are judged against tolerances (overridable in the config);
+    informational rows are printed for inspection but never fail.
 
-Exit codes: 0 on success, 2 for configuration or domain errors, 3 when a
-``validate`` hard check fails, 4 when a ``sweep`` worker process exits
-without sending its rows (killed, for instance).  When a config file omits
-``seed``, the ``AOISIM_SEED`` environment variable (default 0) supplies it.
+Exit codes: 0 on success, 1 when stdout is closed early (``| head``), 2 for
+configuration or domain errors, 3 when a ``validate`` hard check fails, 4
+when a ``sweep`` worker process exits without sending its rows (killed, for
+instance).  When a config file omits ``seed``, the ``AOISIM_SEED``
+environment variable (default 0) supplies it.
 """
 from __future__ import annotations
 
@@ -39,12 +40,9 @@ from .access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from .analytic import (
     QueueParams,
     aoi_geo_geo_1,
-    aoi_replacement,
-    geo_wait_cross_moment,
+    geo_values,
     optimal_arrival_rate,
-    replacement_moments,
-    stationary_geo,
-    stationary_replacement,
+    replacement_values,
 )
 from .engine import MeasurePoint, SimConfig, SourceMetrics, mean_or_nan, run, run_with_logs
 from .errors import ConfigError
@@ -330,58 +328,20 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _geo_values(params: QueueParams) -> dict[str, float]:
-    st = stationary_geo(params)
-    values = {
-        "avg_aoi": aoi_geo_geo_1(params),
-        "utilization": params.rho,
-        "pi0": st.pi0,
-        "pi1": st.pi1,
-        "pi2": st.pi(2),
-        "mean_system_time": 1.0 / (params.mu * (1.0 - params.rho)),
-        "wait_cross_moment": geo_wait_cross_moment(params),
-        "optimal_rate": optimal_arrival_rate(params.mu),
-    }
-    values["optimal_aoi"] = (
-        2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(values["optimal_rate"], params.mu))
-    )
-    return values
-
-
-def _replacement_values(params: QueueParams) -> dict[str, float]:
-    st = stationary_replacement(params)
-    m = replacement_moments(params)
-    return {
-        "avg_aoi": aoi_replacement(params),
-        "pi0": st.pi0,
-        "pi1": st.pi1,
-        "pi2": st.pi2,
-        "leave_empty_prob": m.p_leave_empty,
-        "gap_mean_after_empty": m.ez_empty,
-        "gap_mean_after_busy": m.ez_busy,
-        "gap_sq_after_empty": m.ez2_empty,
-        "gap_sq_after_busy": m.ez2_busy,
-        "gap_mean": m.ez,
-        "gap_sq": m.ez2,
-        "system_time_after_empty": m.et_empty,
-        "system_time_after_busy": m.et_busy,
-        "system_time_gap_cross": m.etz,
-        "drop_prob": m.p_drop,
-        "effective_rate": m.lambda_e,
-    }
-
-
 def cmd_analytic(ns: argparse.Namespace) -> int:
     params = QueueParams(ns.lam, ns.mu)
     blocks: dict[str, dict[str, float]] = {}
     if ns.model in ("geo", "all"):
-        blocks["geo"] = _geo_values(params)
+        geo = blocks["geo"] = geo_values(params)
+        geo["optimal_rate"] = optimal_arrival_rate(params.mu)
+        geo["optimal_aoi"] = (
+            2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(geo["optimal_rate"], params.mu))
+        )
     if ns.model in ("replacement", "all"):
-        blocks["replacement"] = _replacement_values(params)
+        blocks["replacement"] = replacement_values(params)
 
     if ns.json:
-        json.dump(blocks, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        print(json.dumps(blocks, indent=2))
         return 0
     width = max(len(f"{model}.{k}") for model, vals in blocks.items() for k in vals)
     for model, vals in blocks.items():
@@ -566,12 +526,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 @dataclass(frozen=True)
 class CheckRow:
-    hard: bool
     name: str
     sim: float
     ref: float
     tol: float | None  # None on informational rows
     relative: bool
+
+    @property
+    def hard(self) -> bool:
+        return self.tol is not None
 
     @property
     def err(self) -> float:
@@ -590,6 +553,26 @@ def _json_number(v: float) -> float | None:
     return v if math.isfinite(v) else None
 
 
+# Each discipline's rows in print order, with a hard row's tolerance key or
+# None for an informational row.  Occupancy rows judge an absolute error, the
+# others a relative one; row ``occupancy_piN`` reads the closed form ``piN``.
+_ROWS: dict[Discipline, dict[str, str | None]] = {
+    Discipline.FIFO: dict(
+        avg_aoi="aoi", occupancy_pi0="occupancy", occupancy_pi1="occupancy", occupancy_pi2="occupancy",
+        mean_system_time="moments", mean_interarrival="moments", mean_interarrival_sq="moments",
+        estimator_yt=None, estimator_zt=None, effective_rate=None,
+    ),
+    Discipline.REPLACEMENT: dict(
+        avg_aoi="aoi", occupancy_pi0="occupancy", occupancy_pi1="occupancy", occupancy_pi2="occupancy",
+        gap_mean_after_empty="moments", gap_mean_after_busy="moments",
+        gap_sq_after_empty="moments", gap_sq_after_busy="moments",
+        gap_mean=None, gap_sq=None, system_time_after_empty=None, system_time_after_busy=None,
+        system_time_gap_cross=None, drop_prob=None, effective_rate=None, leave_empty_prob=None,
+        estimator_yt=None, estimator_zt=None,
+    ),
+}
+
+
 def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[CheckRow]:
     """Simulate ``config`` and pair each statistic with its closed form.
 
@@ -604,77 +587,48 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     if config.network_k is not None:
         raise ConfigError("validate requires network_k to be absent (closed forms hold at the access point)")
     params = QueueParams(config.lambdas[0], config.channel.attempt_prob(0))
-    tol_aoi = tolerances["aoi"]
-    tol_occ = tolerances["occupancy"]
-    tol_mom = tolerances["moments"]
-    fifo = config.discipline is Discipline.FIFO
-    if fifo:
-        geo = stationary_geo(params)
-        ref_aoi = aoi_geo_geo_1(params)
+    if config.discipline is Discipline.FIFO:
+        # the Bernoulli source's interarrival moments; a FIFO queue drops nothing
+        refs = geo_values(params) | {
+            "mean_interarrival": 1.0 / params.lam,
+            "mean_interarrival_sq": (2.0 - params.lam) / (params.lam * params.lam),
+            "effective_rate": params.lam,
+        }
     else:
-        st = stationary_replacement(params)
-        mom = replacement_moments(params)
-        ref_aoi = aoi_replacement(params)
+        refs = replacement_values(params)
 
-    report, stats = run_with_logs(config)
+    report, (rx,) = run_with_logs(config)
     m = report.per_source[0]
-    rx = stats[0]
-    hist = m.occupancy_hist
-    rows: list[CheckRow] = []
-
-    def hard_rel(name: str, sim: float, ref: float, tol: float) -> None:
-        rows.append(CheckRow(True, name, sim, ref, tol, True))
-
-    def hard_abs(name: str, sim: float, ref: float, tol: float) -> None:
-        rows.append(CheckRow(True, name, sim, ref, tol, False))
-
-    def info(name: str, sim: float, ref: float) -> None:
-        rows.append(CheckRow(False, name, sim, ref, None, True))
-
-    if fifo:
-        hard_rel("avg_aoi", m.avg_aoi, ref_aoi, tol_aoi)
-        for n in range(3):
-            hard_abs(f"occupancy_pi{n}", hist.get(n, 0.0), geo.pi(n), tol_occ)
-        hard_rel(
-            "mean_system_time",
-            m.mean_system_time,
-            1.0 / (params.mu * (1.0 - params.rho)),
-            tol_mom,
-        )
-        hard_rel("mean_interarrival", m.mean_interarrival, 1.0 / params.lam, tol_mom)
-        hard_rel(
-            "mean_interarrival_sq",
-            m.mean_interarrival_sq,
-            (2.0 - params.lam) / (params.lam * params.lam),
-            tol_mom,
-        )
-        info("estimator_yt", m.estimator_yt, m.avg_aoi)
-        info("estimator_zt", m.estimator_zt, m.avg_aoi)
-        info("effective_rate", m.empirical_effective_rate, params.lam)
-        return rows
-
-    hard_rel("avg_aoi", m.avg_aoi, ref_aoi, tol_aoi)
-    hard_abs("occupancy_pi0", hist.get(0, 0.0), st.pi0, tol_occ)
-    hard_abs("occupancy_pi1", hist.get(1, 0.0), st.pi1, tol_occ)
-    hard_abs("occupancy_pi2", hist.get(2, 0.0), st.pi2, tol_occ)
-
     e, b = rx.after_empty, rx.after_busy
-    hard_rel("gap_mean_after_empty", mean_or_nan(e.z_sum, e.count), mom.ez_empty, tol_mom)
-    hard_rel("gap_mean_after_busy", mean_or_nan(b.z_sum, b.count), mom.ez_busy, tol_mom)
-    hard_rel("gap_sq_after_empty", mean_or_nan(e.z2_sum, e.count), mom.ez2_empty, tol_mom)
-    hard_rel("gap_sq_after_busy", mean_or_nan(b.z2_sum, b.count), mom.ez2_busy, tol_mom)
-
     gaps = e.count + b.count
-    info("gap_mean", mean_or_nan(e.z_sum + b.z_sum, gaps), mom.ez)
-    info("gap_sq", mean_or_nan(e.z2_sum + b.z2_sum, gaps), mom.ez2)
-    info("system_time_after_empty", mean_or_nan(e.t_sum, e.count), mom.et_empty)
-    info("system_time_after_busy", mean_or_nan(b.t_sum, b.count), mom.et_busy)
-    info("system_time_gap_cross", mean_or_nan(rx.tz_sum, gaps), mom.etz)
-    info("drop_prob", m.empirical_drop_prob, mom.p_drop)
-    info("effective_rate", m.empirical_effective_rate, mom.lambda_e)
-    info("leave_empty_prob", mean_or_nan(rx.left_empty, rx.count), mom.p_leave_empty)
-    info("estimator_yt", m.estimator_yt, m.avg_aoi)
-    info("estimator_zt", m.estimator_zt, m.avg_aoi)
+    sims = {
+        "avg_aoi": m.avg_aoi,
+        **{f"occupancy_pi{n}": m.occupancy_hist.get(n, 0.0) for n in range(3)},
+        "mean_system_time": m.mean_system_time,
+        "mean_interarrival": m.mean_interarrival,
+        "mean_interarrival_sq": m.mean_interarrival_sq,
+        "gap_mean_after_empty": mean_or_nan(e.z_sum, e.count),
+        "gap_mean_after_busy": mean_or_nan(b.z_sum, b.count),
+        "gap_sq_after_empty": mean_or_nan(e.z2_sum, e.count),
+        "gap_sq_after_busy": mean_or_nan(b.z2_sum, b.count),
+        "gap_mean": mean_or_nan(e.z_sum + b.z_sum, gaps),
+        "gap_sq": mean_or_nan(e.z2_sum + b.z2_sum, gaps),
+        "system_time_after_empty": mean_or_nan(e.t_sum, e.count),
+        "system_time_after_busy": mean_or_nan(b.t_sum, b.count),
+        "system_time_gap_cross": mean_or_nan(rx.tz_sum, gaps),
+        "drop_prob": m.empirical_drop_prob,
+        "effective_rate": m.empirical_effective_rate,
+        "leave_empty_prob": mean_or_nan(rx.left_empty, rx.count),
+        "estimator_yt": m.estimator_yt,
+        "estimator_zt": m.estimator_zt,
+    }
+    # the two sample-path estimators are held to the run's own age
+    refs["estimator_yt"] = refs["estimator_zt"] = m.avg_aoi
+    rows = []
+    for name, key in _ROWS[config.discipline].items():
+        tol = None if key is None else tolerances[key]
+        ref = refs[name.removeprefix("occupancy_")]
+        rows.append(CheckRow(name, sims[name], ref, tol, key != "occupancy"))
     return rows
 
 
@@ -709,8 +663,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
                 for r in rows
             ],
         }
-        json.dump(out, sys.stdout, indent=2, allow_nan=False)
-        sys.stdout.write("\n")
+        print(json.dumps(out, indent=2, allow_nan=False))
     else:
         name_w = max(len(r.name) for r in rows)
         for r in rows:
@@ -722,8 +675,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
             if r.hard:
                 line += f" tol={r.tol:g}  {'PASS' if r.passed else 'FAIL'}"
             print(line)
-        hard_total = sum(1 for r in rows if r.hard)
-        print(f"validate: {hard_total} checks, {failures} failed")
+        print(f"validate: {sum(r.hard for r in rows)} checks, {failures} failed")
     return 3 if failures else 0
 
 
@@ -789,7 +741,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # short output meets a closed pipe only here
+    except BrokenPipeError:  # the reader has gone; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -18,9 +18,11 @@ from aoisim.analytic import (
     QueueParams,
     aoi_geo_geo_1,
     aoi_replacement,
+    geo_values,
     geo_wait_cross_moment,
     optimal_arrival_rate,
     replacement_moments,
+    replacement_values,
     stationary_geo,
     stationary_replacement,
 )
@@ -346,3 +348,65 @@ class TestAoiReplacement:
         assert aoi_replacement(p) == pytest.approx(float(Fraction(23, 5)), rel=FROZEN_REL)
         assert m.p_drop == pytest.approx(0.25, rel=FROZEN_REL)
         assert m.ez_empty == pytest.approx(4.0, rel=FROZEN_REL)
+
+
+# every named closed form at (lam, mu) = (0.2, 0.5), in ``analytic --json``'s order
+GEO_VALUES_FROZEN = {
+    "avg_aoi": Fraction(109, 15),
+    "utilization": Fraction(1, 4),
+    "pi0": Fraction(3, 5),
+    "pi1": Fraction(3, 10),
+    "pi2": Fraction(3, 40),
+    "mean_system_time": Fraction(8, 3),
+    "wait_cross_moment": Fraction(4, 3),
+}
+REPLACEMENT_VALUES_FROZEN = {
+    "avg_aoi": Fraction(373, 52),
+    "pi0": Fraction(8, 13),
+    "pi1": Fraction(4, 13),
+    "pi2": Fraction(1, 13),
+    "leave_empty_prob": Fraction(2, 3),
+    "gap_mean_after_empty": Fraction(7),
+    "gap_mean_after_busy": Fraction(2),
+    "gap_sq_after_empty": Fraction(71),
+    "gap_sq_after_busy": Fraction(6),
+    "gap_mean": Fraction(16, 3),
+    "gap_sq": Fraction(148, 3),
+    "system_time_after_empty": Fraction(25, 13),
+    "system_time_after_busy": Fraction(38, 13),
+    "system_time_gap_cross": Fraction(142, 13),
+    "drop_prob": Fraction(1, 16),
+    "effective_rate": Fraction(3, 16),
+}
+
+
+class TestNamedValues:
+    @pytest.mark.parametrize(
+        "values, frozen",
+        [(geo_values, GEO_VALUES_FROZEN), (replacement_values, REPLACEMENT_VALUES_FROZEN)],
+        ids=["geo", "replacement"],
+    )
+    def test_every_name_at_the_reference_point(self, values, frozen) -> None:
+        got = values(QueueParams(0.2, 0.5))
+        assert list(got) == list(frozen)
+        for name, exact in frozen.items():
+            assert got[name] == pytest.approx(float(exact), rel=FROZEN_REL), name
+
+    def test_values_are_the_module_functions(self) -> None:
+        # each mapping reads the discipline's closed forms, not copies of them
+        for lam, mu in STABLE_PAIRS:
+            p = QueueParams(lam, mu)
+            geo = geo_values(p)
+            assert geo["avg_aoi"] == aoi_geo_geo_1(p)
+            assert geo["wait_cross_moment"] == geo_wait_cross_moment(p)
+            assert geo["pi2"] == stationary_geo(p).pi(2)
+        for lam, mu in REPLACEMENT_PAIRS:
+            p = QueueParams(lam, mu)
+            rep = replacement_values(p)
+            assert rep["avg_aoi"] == aoi_replacement(p)
+            assert rep["drop_prob"] == replacement_moments(p).p_drop
+            assert rep["pi2"] == stationary_replacement(p).pi2
+
+    def test_geo_values_reject_an_unstable_pair(self) -> None:
+        with pytest.raises(UnstableError, match="lam < mu"):
+            geo_values(QueueParams(0.5, 0.5))

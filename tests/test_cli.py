@@ -19,7 +19,9 @@ from aoisim.analytic import (
     QueueParams,
     aoi_geo_geo_1,
     aoi_replacement,
+    geo_values,
     optimal_arrival_rate,
+    replacement_values,
     stationary_geo,
 )
 from aoisim.cli import SIMULATE_COLUMNS, build_sim_config, main
@@ -220,6 +222,20 @@ class TestAnalyticCommand:
         st = stationary_geo(QueueParams(lam, mu))
         occupancy = sum(n * st.pi(n) for n in range(1, 4000))
         assert lam * mean_t == pytest.approx(occupancy, rel=1e-9)
+
+    def test_json_blocks_are_the_library_mappings(self, capsys) -> None:
+        assert main(["analytic", "--lambda", "0.2", "--mu", "0.5", "--json"]) == 0
+        blocks = json.loads(capsys.readouterr().out)
+        params = QueueParams(0.2, 0.5)
+        lam_star = optimal_arrival_rate(0.5)
+        geo = {
+            **geo_values(params),
+            "optimal_rate": lam_star,
+            "optimal_aoi": aoi_geo_geo_1(QueueParams(lam_star, 0.5)),
+        }
+        # items, not dicts, so that the key order is compared too
+        assert list(blocks["geo"].items()) == list(geo.items())
+        assert list(blocks["replacement"].items()) == list(replacement_values(params).items())
 
     def test_unstable_pair_exits_two(self, capsys) -> None:
         assert main(["analytic", "--lambda", "0.9", "--mu", "0.5", "--model", "geo"]) == 2
@@ -548,6 +564,36 @@ class TestValidateCommand:
         drop_row = next(line for line in captured.out.splitlines() if " drop_prob " in line)
         assert "ref=0 " in drop_row and "err=0.00e+00" in drop_row
 
+    def test_no_optimisation_work(self, tmp_path, capsys, monkeypatch) -> None:
+        # the age-optimal rate is a bisection that depends on mu alone, so
+        # only `analytic` computes it
+        class Bisected(Exception):
+            pass
+
+        def bisection(mu):
+            raise Bisected
+
+        monkeypatch.setattr(cli, "optimal_arrival_rate", bisection)
+        monkeypatch.setattr(aoisim.analytic, "optimal_arrival_rate", bisection)
+        cfg = write_config(tmp_path, dedicated_doc(discipline="fifo", horizon=4000))
+        assert main(["validate", "--config", cfg]) in (0, 3)
+        assert capsys.readouterr().out.splitlines()[-1].startswith("validate:")
+        with pytest.raises(Bisected):
+            main(["analytic", "--lambda", "0.2", "--mu", "0.5", "--model", "geo"])
+
+    @pytest.mark.parametrize("discipline", list(aoisim.Discipline))
+    def test_rows_follow_the_discipline_table(self, tmp_path, capsys, discipline) -> None:
+        cfg = write_config(tmp_path, dedicated_doc(discipline=discipline.value, horizon=4000))
+        main(["validate", "--config", cfg, "--json"])
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        table = cli._ROWS[discipline]
+        tols = cli._DEFAULT_TOLERANCES[discipline]
+        assert [r["name"] for r in rows] == list(table)
+        for r in rows:
+            key = table[r["name"]]
+            assert r["kind"] == ("info" if key is None else "hard")
+            assert r["tol"] == (None if key is None else tols[key])
+
     def test_json_output_is_strict_json(self, tmp_path, capsys) -> None:
         # 30 slots leave some statistics without samples
         cfg = write_config(tmp_path, dedicated_doc(horizon=30, seed=1))
@@ -569,3 +615,27 @@ def test_python_dash_m_runs_the_cli() -> None:
     assert proc.returncode == 0, proc.stderr
     assert "geo.avg_aoi" in proc.stdout and "7.26667" in proc.stdout
     assert "replacement.avg_aoi" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["analytic", "validate", "simulate"])
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, command: str) -> None:
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails: at the final flush for short output, mid-command for long
+    if command == "analytic":
+        args = ["analytic", "--lambda", "0.2", "--mu", "0.5", "--json"]
+    elif command == "validate":
+        args = ["validate", "--config", write_config(tmp_path, dedicated_doc(horizon=2000))]
+    else:  # 2,000 CSV rows overflow the stdout buffer, so the write fails mid-command
+        args = ["simulate", "--config", write_config(tmp_path, minimal_doc(n_sources=2000, horizon=50))]
+    env = dict(os.environ, PYTHONPATH=str(Path(aoisim.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aoisim", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1

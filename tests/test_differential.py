@@ -330,6 +330,39 @@ GOLDEN_VALIDATE = {
         3,
         "892af342393c69cfa0aa931901329303cb262f40cfced70066292ca1028c9ac1",
     ),
+    "replacement_lam_above_mu": (
+        dict(
+            n_sources=1, arrival_rates=0.7, discipline="replacement", policy="round_robin",
+            channel="erasure", service_probs=0.3, horizon=20000, seed=11,
+        ),
+        3,
+        "6d5012560479f0a3a58adf76796851d5a99346c55bce7a1f33349cc969ea201f",
+    ),
+    "replacement_equal_rates": (
+        dict(
+            n_sources=1, arrival_rates=0.5, discipline="replacement", policy="round_robin",
+            channel="erasure", service_probs=0.5, horizon=20000, seed=6,
+        ),
+        3,
+        "884cc68520f35bbf10a163ba8d1754558741d5291da7bb21110852c1087df404",
+    ),
+    "replacement_perfect": (
+        dict(
+            n_sources=1, arrival_rates=0.3, discipline="replacement", policy="round_robin",
+            channel="perfect", horizon=20000, seed=8,
+        ),
+        0,
+        "ed8afb98794582d094228dab7618ca3cfce909249d2ce5816567883a9af23e98",
+    ),
+    "fifo_wc_thinned_collision": (
+        dict(
+            n_sources=1, arrival_rates=0.35, discipline="fifo", policy="work_conserving",
+            channel="collision", service_probs=0.8, success_probs=0.9, collision_thinning=True,
+            horizon=20000, warmup=300, seed=14,
+        ),
+        3,
+        "d92ccd35266b40a8764a592646ec3b9c04183c985b8a91c2dc6325d15568439b",
+    ),
 }
 
 
@@ -341,3 +374,44 @@ def test_golden_validate_digests(name: str, tmp_path, capsys) -> None:
     capsys.readouterr()
     assert main(["validate", "--config", str(cfg_path), "--json"]) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of `validate`'s text table, for two of the configs above
+GOLDEN_VALIDATE_TEXT = {
+    "dedicated_fifo": "d2c8ffeb916a729cab3437a16c99a28ea5f5a9779279f670185dc983c9b4dfea",
+    "dedicated_replacement": "2ab99fbe3fd3436a6a9daee944bf647d6f3646a242f50f7a61a8ee3eb714baa6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE_TEXT))
+def test_golden_validate_text_digests(name: str, tmp_path, capsys) -> None:
+    doc, code, _ = GOLDEN_VALIDATE[name]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(schema_version=1, **doc)))
+    capsys.readouterr()
+    assert main(["validate", "--config", str(cfg_path)]) == code
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_VALIDATE_TEXT[name]
+
+
+# sha256 of `analytic --model all` output, as a table and as JSON, at (lambda, mu)
+GOLDEN_ANALYTIC = {
+    ("0.2", "0.5"): (
+        "abed7a2f5fe91e7f02089eaf9005bd82da1d86736422f1142344542c581557ba",
+        "da87215d8abfbf87eb0e9a59e02989ae2bed2b755c4a9fa66ef764d420b305ec",
+    ),
+    ("0.5", "1.0"): (
+        "45d9c7fa7440a4c5791d89005faf5195efb6d7f62e73fb1b66c225b031d3fd95",
+        "552c355a8fb43a671c709abff12630d100239310bb431e870010539c85a318a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("lam, mu", sorted(GOLDEN_ANALYTIC))
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_golden_analytic_digests(lam: str, mu: str, as_json: bool, capsys) -> None:
+    argv = ["analytic", "--lambda", lam, "--mu", mu, "--model", "all"]
+    capsys.readouterr()
+    assert main(argv + ["--json"] * as_json) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_ANALYTIC[lam, mu][as_json]
