@@ -19,9 +19,6 @@ from .analytic import (
     aoi_geo_geo_1,
     aoi_replacement,
     optimal_arrival_rate,
-    replacement_moments,
-    stationary_geo,
-    stationary_replacement,
 )
 from .engine import MeasurePoint, SimConfig, dedicated_channel_run, run
 from .errors import (
@@ -38,11 +35,8 @@ __all__ = [
     "__version__",
     # closed forms
     "QueueParams",
-    "stationary_geo",
-    "stationary_replacement",
     "aoi_geo_geo_1",
     "aoi_replacement",
-    "replacement_moments",
     "optimal_arrival_rate",
     # simulation
     "SimConfig",

@@ -1,19 +1,31 @@
 """Closed-form age and queue statistics for a slotted Bernoulli/geometric source.
 
-Model conventions, used consistently everywhere:
+Each queue discipline has one mapping from a quantity's name to its closed
+form, in the order ``aoisim analytic`` prints them; ``validate`` reads the
+same names:
+
+* ``geo_values``: an infinite FIFO buffer (Geo/Geo/1).  It needs a stable
+  queue, ``lam < mu``.  Occupancy is geometric above one,
+  pi(n) = rho**(n-1) * pi1 for n >= 1, with rho the ``utilization``.
+* ``replacement_values``: a single buffer whose waiting packet is replaced
+  by a newer arrival.  The chain is finite, so the forms hold on the whole
+  (``lam``, ``mu``) range, ``lam == mu`` included.  The average age is
+  assembled from the per-delivery moments.
+
+``aoi_geo_geo_1`` and ``aoi_replacement`` give the two ages alone.
+
+Slot conventions:
 
 * time is slotted; one packet may arrive per slot (Bernoulli, rate ``lam``)
   and one transmission attempt per slot succeeds with probability ``mu``;
 * geometric variables (interarrival, service, delay) live on support
   {1, 2, ...} with mean ``1/p``;
 * "empty"/"busy" tag a departure by what it leaves behind: an empty system,
-  or a packet already waiting for service.
-
-Two queue disciplines are covered: an infinite FIFO buffer (Geo/Geo/1) and a
-single-buffer variant where a waiting packet is replaced by a newer arrival.
-The FIFO forms need a stable queue (``lam < mu``).  The replacement chain is
-finite, so its forms hold on the whole (``lam``, ``mu``) range, ``lam == mu``
-included; its average age is assembled from the per-delivery moments.
+  or a packet already waiting for service;
+* the replacement occupancy follows the simulator, which moves the waiting
+  packet into service in the slot of a delivery; the drop fraction, the
+  leave-empty probability and the system times assume instead that it stays
+  replaceable through the arrival phase of that slot.
 """
 from __future__ import annotations
 
@@ -23,15 +35,8 @@ from .errors import DomainError, InvalidParamsError, UnstableError
 
 __all__ = [
     "QueueParams",
-    "GeoStationary",
-    "ReplacementStationary",
-    "ReplacementMoments",
-    "stationary_geo",
     "aoi_geo_geo_1",
-    "geo_wait_cross_moment",
     "optimal_arrival_rate",
-    "stationary_replacement",
-    "replacement_moments",
     "aoi_replacement",
     "geo_values",
     "replacement_values",
@@ -64,48 +69,11 @@ def _require_stable(params: QueueParams) -> None:
         )
 
 
-@dataclass(frozen=True)
-class GeoStationary:
-    """Stationary occupancy of the infinite-buffer queue.
-
-    pi(n) = rho**(n-1) * pi1 for n >= 1; the chain is positive recurrent
-    only for lam < mu.
-    """
-
-    rho: float
-    pi0: float
-    pi1: float
-
-    def pi(self, n: int) -> float:
-        if n < 0:
-            raise DomainError(f"occupancy must be >= 0, got {n}")
-        if n == 0:
-            return self.pi0
-        return self.rho ** (n - 1) * self.pi1
-
-
-def stationary_geo(params: QueueParams) -> GeoStationary:
-    """Stationary occupancy distribution of the FIFO queue."""
-    _require_stable(params)
-    lam, mu = params.lam, params.mu
-    rho = params.rho
-    pi1 = lam * (1.0 - rho) / mu
-    pi0 = mu * (1.0 - lam) / lam * pi1
-    return GeoStationary(rho=rho, pi0=pi0, pi1=pi1)
-
-
 def aoi_geo_geo_1(params: QueueParams) -> float:
     """Average age of information of the FIFO queue (slots)."""
     _require_stable(params)
     lam, mu = params.lam, params.mu
     return 1.0 / lam + (1.0 - lam) / (mu - lam) - lam / mu**2 + lam / mu
-
-
-def geo_wait_cross_moment(params: QueueParams) -> float:
-    """E[W*Y]: waiting time of a packet times the interarrival gap before it."""
-    _require_stable(params)
-    lam, mu = params.lam, params.mu
-    return lam * (1.0 - mu) / ((mu - lam) * mu**2)
 
 
 def _aoi_geo_derivative(lam: float, mu: float) -> float:
@@ -145,169 +113,95 @@ def optimal_arrival_rate(mu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ReplacementStationary:
-    """Stationary occupancy of the replacement queue (three states)."""
-
-    pi0: float
-    pi1: float
-    pi2: float
 
 
-def stationary_replacement(params: QueueParams) -> ReplacementStationary:
-    """Stationary occupancy distribution of the replacement queue.
+def geo_values(params: QueueParams) -> dict[str, float]:
+    """The FIFO queue's closed forms by name, in ``aoisim analytic``'s order
+    (less the age-optimal rate, a bisection that depends on ``mu`` alone)."""
+    _require_stable(params)
+    lam, mu = params.lam, params.mu
+    rho = params.rho
+    pi1 = lam * (1.0 - rho) / mu
+    return {
+        "avg_aoi": aoi_geo_geo_1(params),
+        "utilization": rho,
+        "pi0": mu * (1.0 - lam) / lam * pi1,
+        "pi1": pi1,
+        "pi2": rho * pi1,
+        "mean_system_time": 1.0 / (mu * (1.0 - rho)),
+        # E[W*Y]: waiting time of a packet times the interarrival gap before it
+        "wait_cross_moment": lam * (1.0 - mu) / ((mu - lam) * mu**2),
+    }
 
-    The chain is finite, so no stability condition is needed.  Computed by
-    normalizing the balance ratios pi1/pi0 and pi2/pi0, which stays finite
-    at lam == mu where the textbook ratio form (lam-mu)/(lam*rho^2-mu) is
-    0/0.
+
+def replacement_values(params: QueueParams) -> dict[str, float]:
+    """The replacement queue's closed forms by name, in ``aoisim analytic``'s order.
+
+    ``*_after_empty`` and ``*_after_busy`` condition on the previous delivery
+    leaving the system empty or leaving an update waiting.  The gap Z runs
+    from one delivery to the next, and ``system_time_gap_cross`` is
+    E[T_prev * Z].  The age is assembled from the per-delivery moments as
+    effective_rate * (E[T_prev*Z] + E[Z^2]/2 + E[Z]/2).
     """
     lam, mu = params.lam, params.mu
+    # occupancy from the balance ratios pi1/pi0 and pi2/pi0, normalized; this
+    # stays finite at lam == mu, where the ratio form (lam-mu)/(lam*rho^2-mu) is 0/0
     r1 = lam / (mu * (1.0 - lam))
     r2 = lam**2 * (1.0 - mu) / (mu**2 * (1.0 - lam) ** 2)
     pi0 = 1.0 / (1.0 + r1 + r2)
-    return ReplacementStationary(pi0=pi0, pi1=r1 * pi0, pi2=r2 * pi0)
 
-
-@dataclass(frozen=True)
-class ReplacementMoments:
-    """Per-delivery statistics of the replacement queue.
-
-    ``*_empty`` quantities condition on the previous departure leaving the
-    system empty; ``*_busy`` on it leaving a packet waiting.  ``ez``/``ez2``
-    are the first two moments of the inter-departure gap Z, ``es_*`` the
-    conditional mean service times, ``et_*`` the conditional mean system
-    times, and ``etz`` the cross moment E[T_prev * Z].
-    """
-
-    p_leave_empty: float
-    p_leave_busy: float
-    ez_empty: float
-    ez2_empty: float
-    ez_busy: float
-    ez2_busy: float
-    ez: float
-    ez2: float
-    es_empty: float
-    es_busy: float
-    ew_tx: float
-    et_empty: float
-    et_busy: float
-    etz: float
-    p_drop: float
-    lambda_e: float
-
-
-def replacement_moments(params: QueueParams) -> ReplacementMoments:
-    """All per-delivery moments of the replacement queue in one pass."""
-    lam, mu = params.lam, params.mu
     p = lam + mu - lam * mu  # P{arrival or service completion in a slot}
-    d_wait = lam**2 * (mu - 1.0) ** 2 + lam * mu * (1.0 - 2.0 * mu) + mu**2
-
-    p_leave_empty = mu * (1.0 - lam) / p
-    p_leave_busy = lam / p
-
-    ez_empty = (lam + mu) / (lam * mu)
-    ez2_empty = (
+    leave_empty = mu * (1.0 - lam) / p
+    leave_busy = lam / p
+    gap_mean_empty = (lam + mu) / (lam * mu)
+    gap_sq_empty = (
         2.0 * lam**2
         + 2.0 * lam * mu
         - lam**2 * mu
         + 2.0 * mu**2
         - lam * mu**2
     ) / (lam**2 * mu**2)
-    ez_busy = 1.0 / mu
-    ez2_busy = (2.0 - mu) / mu**2
+    gap_mean_busy = 1.0 / mu
+    gap_sq_busy = (2.0 - mu) / mu**2
 
-    ez = p_leave_empty * ez_empty + p_leave_busy * ez_busy
-    ez2 = p_leave_empty * ez2_empty + p_leave_busy * ez2_busy
+    # system time = wait of a transmitted update + its conditional service time
+    d_wait = lam**2 * (mu - 1.0) ** 2 + lam * mu * (1.0 - 2.0 * mu) + mu**2
+    wait = (1.0 - lam) * lam * (1.0 - mu) * (mu + lam - 2.0 * lam * mu) / (d_wait * p)
+    service_empty = 1.0 / p
+    service_busy = 1.0 / p + 1.0 / mu - 1.0
+    time_empty = wait + service_empty
+    time_busy = wait + service_busy
 
-    es_empty = 1.0 / p
-    es_busy = 1.0 / p + 1.0 / mu - 1.0
-
-    ew_tx = (
-        (1.0 - lam) * lam * (1.0 - mu) * (mu + lam - 2.0 * lam * mu)
-        / (d_wait * p)
-    )
-
-    et_empty = ew_tx + es_empty
-    et_busy = ew_tx + es_busy
-
-    etz = (
-        p_leave_empty * ez_empty * et_empty
-        + p_leave_busy * ez_busy * et_busy
-    )
+    gap_mean = leave_empty * gap_mean_empty + leave_busy * gap_mean_busy
+    gap_sq = leave_empty * gap_sq_empty + leave_busy * gap_sq_busy
+    cross = leave_empty * gap_mean_empty * time_empty + leave_busy * gap_mean_busy * time_busy
 
     # drop probability of the two-deep chain whose waiting packet stays
     # replaceable through the arrival phase of its promotion slot
-    drop_num = lam**2 * (1.0 - mu) / (mu**2 * (1.0 - lam))
-    drop_den = 1.0 + lam / (mu * (1.0 - lam)) + drop_num
-    p_drop = drop_num / drop_den
-    lambda_e = lam * (1.0 - p_drop)
+    drop_ratio = lam**2 * (1.0 - mu) / (mu**2 * (1.0 - lam))
+    drop_prob = drop_ratio / (1.0 + r1 + drop_ratio)
+    rate = lam * (1.0 - drop_prob)
 
-    return ReplacementMoments(
-        p_leave_empty=p_leave_empty,
-        p_leave_busy=p_leave_busy,
-        ez_empty=ez_empty,
-        ez2_empty=ez2_empty,
-        ez_busy=ez_busy,
-        ez2_busy=ez2_busy,
-        ez=ez,
-        ez2=ez2,
-        es_empty=es_empty,
-        es_busy=es_busy,
-        ew_tx=ew_tx,
-        et_empty=et_empty,
-        et_busy=et_busy,
-        etz=etz,
-        p_drop=p_drop,
-        lambda_e=lambda_e,
-    )
+    return {
+        "avg_aoi": rate * (cross + 0.5 * gap_sq + 0.5 * gap_mean),
+        "pi0": pi0,
+        "pi1": r1 * pi0,
+        "pi2": r2 * pi0,
+        "leave_empty_prob": leave_empty,
+        "gap_mean_after_empty": gap_mean_empty,
+        "gap_mean_after_busy": gap_mean_busy,
+        "gap_sq_after_empty": gap_sq_empty,
+        "gap_sq_after_busy": gap_sq_busy,
+        "gap_mean": gap_mean,
+        "gap_sq": gap_sq,
+        "system_time_after_empty": time_empty,
+        "system_time_after_busy": time_busy,
+        "system_time_gap_cross": cross,
+        "drop_prob": drop_prob,
+        "effective_rate": rate,
+    }
 
 
 def aoi_replacement(params: QueueParams) -> float:
-    """Average age of information of the replacement queue (slots).
-
-    Assembled from the per-delivery moments as
-    lambda_e * (E[T_prev*Z] + E[Z^2]/2 + E[Z]/2).
-    """
-    m = replacement_moments(params)
-    return m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
-
-
-def geo_values(params: QueueParams) -> dict[str, float]:
-    """The FIFO queue's closed forms by name, in ``aoisim analytic``'s order
-    (less the age-optimal rate, a bisection that depends on ``mu`` alone)."""
-    st = stationary_geo(params)
-    return {
-        "avg_aoi": aoi_geo_geo_1(params),
-        "utilization": params.rho,
-        "pi0": st.pi0,
-        "pi1": st.pi1,
-        "pi2": st.pi(2),
-        "mean_system_time": 1.0 / (params.mu * (1.0 - params.rho)),
-        "wait_cross_moment": geo_wait_cross_moment(params),
-    }
-
-
-def replacement_values(params: QueueParams) -> dict[str, float]:
-    """The replacement queue's closed forms by name, in ``aoisim analytic``'s order."""
-    st = stationary_replacement(params)
-    m = replacement_moments(params)
-    return {
-        "avg_aoi": aoi_replacement(params),
-        "pi0": st.pi0,
-        "pi1": st.pi1,
-        "pi2": st.pi2,
-        "leave_empty_prob": m.p_leave_empty,
-        "gap_mean_after_empty": m.ez_empty,
-        "gap_mean_after_busy": m.ez_busy,
-        "gap_sq_after_empty": m.ez2_empty,
-        "gap_sq_after_busy": m.ez2_busy,
-        "gap_mean": m.ez,
-        "gap_sq": m.ez2,
-        "system_time_after_empty": m.et_empty,
-        "system_time_after_busy": m.et_busy,
-        "system_time_gap_cross": m.etz,
-        "drop_prob": m.p_drop,
-        "effective_rate": m.lambda_e,
-    }
+    """Average age of information of the replacement queue (slots)."""
+    return replacement_values(params)["avg_aoi"]

@@ -7,7 +7,8 @@ Four subcommands:
 ``analytic``
     Print every closed-form quantity for a single source on a dedicated
     channel, for the unbounded-buffer model (``geo``), the replacement
-    model, or both.
+    model, or both.  Where the FIFO queue is unstable (``lam >= mu``), both
+    means the replacement block alone, with a note on stderr.
 ``sweep``
     Repeat a base configuration along one axis, across seeds, to CSV.
 ``validate``
@@ -45,7 +46,7 @@ from .analytic import (
     replacement_values,
 )
 from .engine import MeasurePoint, SimConfig, SourceMetrics, mean_or_nan, run, run_with_logs
-from .errors import ConfigError
+from .errors import ConfigError, UnstableError
 from .queueing import Discipline
 
 __all__ = ["main", "entry"]
@@ -332,11 +333,18 @@ def cmd_analytic(ns: argparse.Namespace) -> int:
     params = QueueParams(ns.lam, ns.mu)
     blocks: dict[str, dict[str, float]] = {}
     if ns.model in ("geo", "all"):
-        geo = blocks["geo"] = geo_values(params)
-        geo["optimal_rate"] = optimal_arrival_rate(params.mu)
-        geo["optimal_aoi"] = (
-            2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(geo["optimal_rate"], params.mu))
-        )
+        try:
+            geo = blocks["geo"] = geo_values(params)
+        except UnstableError as exc:
+            if ns.model == "geo":
+                raise
+            # the replacement forms hold at lam >= mu, so they are printed alone
+            print(f"note: geo block left out: {exc}", file=sys.stderr)
+        else:
+            geo["optimal_rate"] = optimal_arrival_rate(params.mu)
+            geo["optimal_aoi"] = (
+                2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(geo["optimal_rate"], params.mu))
+            )
     if ns.model in ("replacement", "all"):
         blocks["replacement"] = replacement_values(params)
 

@@ -35,8 +35,7 @@ class DelayStage:
 
     def inject(self, item: tuple[int, int], ap_slot: int, stream: UniformStream) -> int:
         """Launch a ``(source, gen)`` pair at the access point; returns its arrival slot."""
-        delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
-        arrive = ap_slot + delay
+        arrive = ap_slot + stream.geometric(self.k)
         heappush(self.heap, (arrive, item[0], -item[1]))
         return arrive
 

@@ -24,11 +24,9 @@ from aoisim.analytic import (
     QueueParams,
     aoi_geo_geo_1,
     aoi_replacement,
-    geo_wait_cross_moment,
+    geo_values,
     optimal_arrival_rate,
-    replacement_moments,
-    stationary_geo,
-    stationary_replacement,
+    replacement_values,
 )
 from aoisim.cli import main
 from aoisim.engine import MetricsReport, SimConfig, dedicated_channel_run, run, run_with_logs
@@ -253,46 +251,42 @@ def figure_runs():
 
 def test_criterion_1_closed_form_anchors(capsys) -> None:
     p2 = QueueParams(0.1, 0.2)
-    st = stationary_geo(REFERENCE)
-    st2 = stationary_geo(p2)
-    rst = stationary_replacement(REFERENCE)
-    mom = replacement_moments(REFERENCE)
+    geo = geo_values(REFERENCE)
+    geo2 = geo_values(p2)
+    rep = replacement_values(REFERENCE)
 
     anchors: list[tuple[str, float, Fraction]] = [
-        ("utilization", REFERENCE.rho, Fraction(1, 4)),
-        ("idle probability", st.pi0, Fraction(3, 5)),
-        ("single-occupancy probability", st.pi1, Fraction(3, 10)),
-        ("utilization (slow pair)", p2.rho, Fraction(4, 9)),
-        ("idle probability (slow pair)", st2.pi0, Fraction(1, 2)),
-        ("single-occupancy probability (slow pair)", st2.pi1, Fraction(5, 18)),
+        ("utilization", geo["utilization"], Fraction(1, 4)),
+        ("idle probability", geo["pi0"], Fraction(3, 5)),
+        ("single-occupancy probability", geo["pi1"], Fraction(3, 10)),
+        ("utilization (slow pair)", geo2["utilization"], Fraction(4, 9)),
+        ("idle probability (slow pair)", geo2["pi0"], Fraction(1, 2)),
+        ("single-occupancy probability (slow pair)", geo2["pi1"], Fraction(5, 18)),
         ("fifo average age", aoi_geo_geo_1(REFERENCE), Fraction(109, 15)),
         ("fifo average age, certain service", aoi_geo_geo_1(QueueParams(0.5, 1.0)), Fraction(3)),
-        ("wait-interarrival cross moment", geo_wait_cross_moment(REFERENCE), Fraction(4, 3)),
-        ("wait-interarrival cross moment (slow pair)", geo_wait_cross_moment(p2), Fraction(20)),
-        ("replacement idle probability", rst.pi0, Fraction(8, 13)),
-        ("replacement single-occupancy", rst.pi1, Fraction(4, 13)),
-        ("replacement double-occupancy", rst.pi2, Fraction(1, 13)),
-        ("leave-empty probability", mom.p_leave_empty, Fraction(2, 3)),
-        ("leave-busy probability", mom.p_leave_busy, Fraction(1, 3)),
-        ("gap mean after empty", mom.ez_empty, Fraction(7)),
-        ("gap mean after busy", mom.ez_busy, Fraction(2)),
-        ("gap mean", mom.ez, Fraction(16, 3)),
-        ("gap second moment after empty", mom.ez2_empty, Fraction(71)),
-        ("gap second moment after busy", mom.ez2_busy, Fraction(6)),
-        ("gap second moment", mom.ez2, Fraction(148, 3)),
-        ("service mean after empty", mom.es_empty, Fraction(5, 3)),
-        ("service mean after busy", mom.es_busy, Fraction(8, 3)),
-        ("wait mean of transmitted packets", mom.ew_tx, Fraction(10, 39)),
-        ("system time after empty", mom.et_empty, Fraction(25, 13)),
-        ("system time after busy", mom.et_busy, Fraction(38, 13)),
-        ("system-time gap cross moment", mom.etz, Fraction(142, 13)),
-        ("drop probability", mom.p_drop, Fraction(1, 16)),
-        ("effective rate", mom.lambda_e, Fraction(3, 16)),
+        ("wait-interarrival cross moment", geo["wait_cross_moment"], Fraction(4, 3)),
+        ("wait-interarrival cross moment (slow pair)", geo2["wait_cross_moment"], Fraction(20)),
+        ("replacement idle probability", rep["pi0"], Fraction(8, 13)),
+        ("replacement single-occupancy", rep["pi1"], Fraction(4, 13)),
+        ("replacement double-occupancy", rep["pi2"], Fraction(1, 13)),
+        ("leave-empty probability", rep["leave_empty_prob"], Fraction(2, 3)),
+        ("gap mean after empty", rep["gap_mean_after_empty"], Fraction(7)),
+        ("gap mean after busy", rep["gap_mean_after_busy"], Fraction(2)),
+        ("gap mean", rep["gap_mean"], Fraction(16, 3)),
+        ("gap second moment after empty", rep["gap_sq_after_empty"], Fraction(71)),
+        ("gap second moment after busy", rep["gap_sq_after_busy"], Fraction(6)),
+        ("gap second moment", rep["gap_sq"], Fraction(148, 3)),
+        ("system time after empty", rep["system_time_after_empty"], Fraction(25, 13)),
+        ("system time after busy", rep["system_time_after_busy"], Fraction(38, 13)),
+        ("system-time gap cross moment", rep["system_time_gap_cross"], Fraction(142, 13)),
+        ("drop probability", rep["drop_prob"], Fraction(1, 16)),
+        ("effective rate", rep["effective_rate"], Fraction(3, 16)),
         ("replacement average age", aoi_replacement(REFERENCE), Fraction(373, 52)),
         ("replacement average age, certain service",
          aoi_replacement(QueueParams(0.5, 1.0)), Fraction(3)),
         ("replacement age assembled from moments",
-         mom.lambda_e * (mom.etz + mom.ez2 / 2 + mom.ez / 2), Fraction(373, 52)),
+         rep["effective_rate"] * (rep["system_time_gap_cross"] + rep["gap_sq"] / 2 + rep["gap_mean"] / 2),
+         Fraction(373, 52)),
     ]
 
     failures = [
@@ -301,8 +295,9 @@ def test_criterion_1_closed_form_anchors(capsys) -> None:
         if _rel(got, float(ref)) > 1e-9
     ]
 
-    if abs(mom.lambda_e * mom.ez - 1.0) > 1e-12:
-        failures.append(f"rate-gap reciprocal identity off by {abs(mom.lambda_e * mom.ez - 1.0):.2e}")
+    gap_identity = abs(rep["effective_rate"] * rep["gap_mean"] - 1.0)
+    if gap_identity > 1e-12:
+        failures.append(f"rate-gap reciprocal identity off by {gap_identity:.2e}")
 
     # the optimal arrival rate must agree with an independent grid minimization
     lams = np.linspace(1e-6, 0.5 - 1e-6, 400_001)

@@ -19,12 +19,8 @@ from aoisim.analytic import (
     aoi_geo_geo_1,
     aoi_replacement,
     geo_values,
-    geo_wait_cross_moment,
     optimal_arrival_rate,
-    replacement_moments,
     replacement_values,
-    stationary_geo,
-    stationary_replacement,
 )
 from aoisim.errors import DomainError, InvalidParamsError, UnstableError
 
@@ -71,43 +67,46 @@ class TestQueueParams:
 
 class TestStationaryGeo:
     def test_frozen_point(self) -> None:
-        st = stationary_geo(QueueParams(0.2, 0.5))
-        assert st.rho == pytest.approx(0.25, rel=FROZEN_REL)
-        assert st.pi0 == pytest.approx(0.6, rel=FROZEN_REL)
-        assert st.pi1 == pytest.approx(0.3, rel=FROZEN_REL)
+        st = geo_values(QueueParams(0.2, 0.5))
+        assert st["utilization"] == pytest.approx(0.25, rel=FROZEN_REL)
+        assert st["pi0"] == pytest.approx(0.6, rel=FROZEN_REL)
+        assert st["pi1"] == pytest.approx(0.3, rel=FROZEN_REL)
 
     def test_frozen_point_low_service(self) -> None:
-        st = stationary_geo(QueueParams(0.1, 0.2))
-        assert st.rho == pytest.approx(float(Fraction(4, 9)), rel=FROZEN_REL)
-        assert st.pi0 == pytest.approx(0.5, rel=FROZEN_REL)
-        assert st.pi1 == pytest.approx(float(Fraction(5, 18)), rel=FROZEN_REL)
+        st = geo_values(QueueParams(0.1, 0.2))
+        assert st["utilization"] == pytest.approx(float(Fraction(4, 9)), rel=FROZEN_REL)
+        assert st["pi0"] == pytest.approx(0.5, rel=FROZEN_REL)
+        assert st["pi1"] == pytest.approx(float(Fraction(5, 18)), rel=FROZEN_REL)
 
     @pytest.mark.parametrize("lam,mu", STABLE_PAIRS[:-1])
     def test_normalization_and_identities(self, lam: float, mu: float) -> None:
-        st = stationary_geo(QueueParams(lam, mu))
+        st = geo_values(QueueParams(lam, mu))
         # geometric tail sums to 1 and pi0 matches the idle fraction 1 - lam/mu
-        total = st.pi0 + st.pi1 / (1.0 - st.rho)
+        total = st["pi0"] + st["pi1"] / (1.0 - st["utilization"])
         assert total == pytest.approx(1.0, rel=GRID_REL)
-        assert st.pi0 == pytest.approx(1.0 - lam / mu, rel=GRID_REL)
-        assert st.pi(3) == pytest.approx(st.rho**2 * st.pi1, rel=GRID_REL)
+        assert st["pi0"] == pytest.approx(1.0 - lam / mu, rel=GRID_REL)
+        assert st["pi2"] == pytest.approx(st["utilization"] * st["pi1"], rel=GRID_REL)
 
     def test_balance_equations(self) -> None:
         # birth-death cuts of the occupancy chain: up-flow equals down-flow.
         # From 0 the queue grows on any arrival; from n >= 1 it grows on
         # arrival-without-service and shrinks on service-without-arrival.
         lam, mu = 0.35, 0.8
-        st = stationary_geo(QueueParams(lam, mu))
+        st = geo_values(QueueParams(lam, mu))
+        # pi(n) = rho**(n-1) * pi1 beyond the mapping's pi2
+        pi = [st["pi0"], st["pi1"], st["pi2"]]
+        pi += [st["utilization"] ** (n - 1) * st["pi1"] for n in range(3, 7)]
         up = lam * (1.0 - mu)
         down = mu * (1.0 - lam)
-        assert st.pi0 * lam == pytest.approx(st.pi1 * down, rel=GRID_REL)
+        assert pi[0] * lam == pytest.approx(pi[1] * down, rel=GRID_REL)
         for n in range(1, 6):
-            assert st.pi(n) * up == pytest.approx(st.pi(n + 1) * down, rel=GRID_REL)
+            assert pi[n] * up == pytest.approx(pi[n + 1] * down, rel=GRID_REL)
 
     def test_unstable_raises(self) -> None:
         with pytest.raises(UnstableError):
-            stationary_geo(QueueParams(0.5, 0.5))
+            geo_values(QueueParams(0.5, 0.5))
         with pytest.raises(UnstableError):
-            stationary_geo(QueueParams(0.6, 0.5))
+            geo_values(QueueParams(0.6, 0.5))
 
 
 class TestAoiGeo:
@@ -134,13 +133,15 @@ class TestAoiGeo:
 
 class TestWaitCrossMoment:
     def test_frozen_points(self) -> None:
-        assert geo_wait_cross_moment(QueueParams(0.2, 0.5)) == pytest.approx(
+        assert geo_values(QueueParams(0.2, 0.5))["wait_cross_moment"] == pytest.approx(
             float(Fraction(4, 3)), rel=FROZEN_REL
         )
-        assert geo_wait_cross_moment(QueueParams(0.1, 0.2)) == pytest.approx(20.0, rel=FROZEN_REL)
+        assert geo_values(QueueParams(0.1, 0.2))["wait_cross_moment"] == pytest.approx(
+            20.0, rel=FROZEN_REL
+        )
 
     def test_vanishes_at_mu_one(self) -> None:
-        assert geo_wait_cross_moment(QueueParams(0.3, 1.0)) == 0.0
+        assert geo_values(QueueParams(0.3, 1.0))["wait_cross_moment"] == 0.0
 
 
 class TestOptimalRate:
@@ -176,86 +177,80 @@ class TestOptimalRate:
 
 class TestStationaryReplacement:
     def test_frozen_point(self) -> None:
-        st = stationary_replacement(QueueParams(0.2, 0.5))
-        assert (st.pi0, st.pi1, st.pi2) == pytest.approx(
+        v = replacement_values(QueueParams(0.2, 0.5))
+        assert (v["pi0"], v["pi1"], v["pi2"]) == pytest.approx(
             (float(Fraction(8, 13)), float(Fraction(4, 13)), float(Fraction(1, 13))),
             rel=FROZEN_REL,
         )
 
     @pytest.mark.parametrize("lam,mu", REPLACEMENT_PAIRS)
     def test_normalized_and_balanced(self, lam: float, mu: float) -> None:
-        st = stationary_replacement(QueueParams(lam, mu))
-        assert st.pi0 + st.pi1 + st.pi2 == pytest.approx(1.0, rel=GRID_REL)
+        v = replacement_values(QueueParams(lam, mu))
+        pi0, pi1, pi2 = v["pi0"], v["pi1"], v["pi2"]
+        assert pi0 + pi1 + pi2 == pytest.approx(1.0, rel=GRID_REL)
         # one-step balance of the three-state occupancy chain:
         # 0->1 on arrival; 1->0 on service-no-arrival; 2->1 on service-no-arrival
-        assert st.pi0 * lam == pytest.approx(st.pi1 * mu * (1.0 - lam), rel=GRID_REL)
-        assert st.pi1 * lam * (1.0 - mu) == pytest.approx(
-            st.pi2 * mu * (1.0 - lam), rel=GRID_REL
-        )
+        assert pi0 * lam == pytest.approx(pi1 * mu * (1.0 - lam), rel=GRID_REL)
+        assert pi1 * lam * (1.0 - mu) == pytest.approx(pi2 * mu * (1.0 - lam), rel=GRID_REL)
 
     def test_equal_rates_stay_finite(self) -> None:
         # the textbook ratio form is 0/0 at lam == mu; the normalized form is not
-        st = stationary_replacement(QueueParams(0.4, 0.4))
-        assert st.pi0 + st.pi1 + st.pi2 == pytest.approx(1.0, rel=GRID_REL)
-        assert min(st.pi0, st.pi1, st.pi2) > 0.0
+        v = replacement_values(QueueParams(0.4, 0.4))
+        assert v["pi0"] + v["pi1"] + v["pi2"] == pytest.approx(1.0, rel=GRID_REL)
+        assert min(v["pi0"], v["pi1"], v["pi2"]) > 0.0
 
 
-# exact fractions for (lam, mu) = (1/5, 1/2), derived by hand
+# the per-delivery moments as exact fractions for (lam, mu) = (1/5, 1/2),
+# derived by hand, in ``analytic --json``'s order
 REPL_FROZEN = {
-    "p_leave_empty": Fraction(2, 3),
-    "p_leave_busy": Fraction(1, 3),
-    "ez_empty": Fraction(7),
-    "ez2_empty": Fraction(71),
-    "ez_busy": Fraction(2),
-    "ez2_busy": Fraction(6),
-    "ez": Fraction(16, 3),
-    "ez2": Fraction(148, 3),
-    "es_empty": Fraction(5, 3),
-    "es_busy": Fraction(8, 3),
-    "ew_tx": Fraction(10, 39),
-    "et_empty": Fraction(25, 13),
-    "et_busy": Fraction(38, 13),
-    "etz": Fraction(142, 13),
-    "p_drop": Fraction(1, 16),
-    "lambda_e": Fraction(3, 16),
+    "leave_empty_prob": Fraction(2, 3),
+    "gap_mean_after_empty": Fraction(7),
+    "gap_mean_after_busy": Fraction(2),
+    "gap_sq_after_empty": Fraction(71),
+    "gap_sq_after_busy": Fraction(6),
+    "gap_mean": Fraction(16, 3),
+    "gap_sq": Fraction(148, 3),
+    "system_time_after_empty": Fraction(25, 13),
+    "system_time_after_busy": Fraction(38, 13),
+    "system_time_gap_cross": Fraction(142, 13),
+    "drop_prob": Fraction(1, 16),
+    "effective_rate": Fraction(3, 16),
 }
 
 
 class TestReplacementMoments:
     def test_frozen_point(self) -> None:
-        m = replacement_moments(QueueParams(0.2, 0.5))
+        v = replacement_values(QueueParams(0.2, 0.5))
         for name, exact in REPL_FROZEN.items():
-            assert getattr(m, name) == pytest.approx(float(exact), rel=FROZEN_REL), name
+            assert v[name] == pytest.approx(float(exact), rel=FROZEN_REL), name
 
     @pytest.mark.parametrize("lam,mu", REPLACEMENT_PAIRS)
     def test_identities(self, lam: float, mu: float) -> None:
-        m = replacement_moments(QueueParams(lam, mu))
+        v = replacement_values(QueueParams(lam, mu))
         # delivered rate is the reciprocal of the mean delivery gap
-        assert m.lambda_e * m.ez == pytest.approx(1.0, rel=1e-12)
-        assert m.p_leave_empty + m.p_leave_busy == pytest.approx(1.0, rel=1e-12)
-        mix = m.p_leave_empty * m.ez_empty + m.p_leave_busy * m.ez_busy
-        assert m.ez == pytest.approx(mix, rel=GRID_REL)
-        assert m.p_drop == pytest.approx(1.0 - m.lambda_e / lam, rel=GRID_REL)
-        assert m.et_empty == pytest.approx(m.ew_tx + m.es_empty, rel=GRID_REL)
-        assert m.et_busy == pytest.approx(m.ew_tx + m.es_busy, rel=GRID_REL)
+        assert v["effective_rate"] * v["gap_mean"] == pytest.approx(1.0, rel=1e-12)
+        empty = v["leave_empty_prob"]
+        mix = empty * v["gap_mean_after_empty"] + (1.0 - empty) * v["gap_mean_after_busy"]
+        assert v["gap_mean"] == pytest.approx(mix, rel=GRID_REL)
+        assert v["drop_prob"] == pytest.approx(1.0 - v["effective_rate"] / lam, rel=GRID_REL)
 
     def test_drop_matches_stationary_top_state(self) -> None:
         # the drop rate equals the top-state mass of the arrival-facing chain
         lam, mu = 0.2, 0.5
-        m = replacement_moments(QueueParams(lam, mu))
+        v = replacement_values(QueueParams(lam, mu))
         d_eff = lam**2 * (1 - mu) + lam * mu * (1 - mu) + mu**2
-        assert m.p_drop == pytest.approx(lam**2 * (1 - mu) / d_eff, rel=GRID_REL)
+        assert v["drop_prob"] == pytest.approx(lam**2 * (1 - mu) / d_eff, rel=GRID_REL)
 
     @pytest.mark.parametrize("rate", EQUAL_RATES)
     def test_continuous_through_equal_rates(self, rate: float) -> None:
         # no moment is singular at lam == mu: each equals the mean of its
         # neighbours on either side
-        at = replacement_moments(QueueParams(rate, rate))
-        below = replacement_moments(QueueParams(rate - RATE_STEP, rate))
-        above = replacement_moments(QueueParams(rate + RATE_STEP, rate))
-        for name in ("p_drop", "ez_empty", "etz"):
-            mean = 0.5 * (getattr(below, name) + getattr(above, name))
-            assert getattr(at, name) == pytest.approx(mean, rel=GRID_REL), name
+        at = replacement_values(QueueParams(rate, rate))
+        below = replacement_values(QueueParams(rate - RATE_STEP, rate))
+        above = replacement_values(QueueParams(rate + RATE_STEP, rate))
+        for name in ("drop_prob", "gap_mean_after_empty", "system_time_gap_cross"):
+            mean = 0.5 * (below[name] + above[name])
+            assert at[name] == pytest.approx(mean, rel=GRID_REL), name
 
 
 def geometric(rate: float, n: np.ndarray) -> np.ndarray:
@@ -280,28 +275,36 @@ def conditional_laws(lam: float, mu: float) -> dict[str, np.ndarray]:
     }
 
 
+LAW_PAIRS = [(0.2, 0.5), (0.5, 0.2), (0.35, 0.8), (0.9, 0.3), (0.3, 0.3)]
+
+
+def law_mean(pmf: np.ndarray, power: int = 1) -> float:
+    """The ``power``-th moment of a law on n = 1 .. PMF_TERMS-1, checked to be one."""
+    assert pmf.min() >= 0.0
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
+    return float(np.arange(1, PMF_TERMS) ** power @ pmf)
+
+
 class TestConditionalMoments:
-    @pytest.mark.parametrize("lam,mu", [(0.2, 0.5), (0.5, 0.2), (0.35, 0.8), (0.9, 0.3), (0.3, 0.3)])
+    @pytest.mark.parametrize("lam,mu", LAW_PAIRS)
+    # ids in the paper's symbols: the gap law Z | after, E[Z | after], E[Z^2 | after]
     @pytest.mark.parametrize(
-        "law,mean_name,square_name",
-        [
-            ("z_empty", "ez_empty", "ez2_empty"),
-            ("z_busy", "ez_busy", "ez2_busy"),
-            ("s_empty", "es_empty", None),
-            ("s_busy", "es_busy", None),
-        ],
+        "after", ["empty", "busy"], ids=["z_empty-ez_empty-ez2_empty", "z_busy-ez_busy-ez2_busy"]
     )
-    def test_moments_match_the_law(
-        self, lam: float, mu: float, law: str, mean_name: str, square_name: str | None
-    ) -> None:
-        pmf = conditional_laws(lam, mu)[law]
-        n = np.arange(1, PMF_TERMS)
-        assert pmf.min() >= 0.0
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-10)
-        m = replacement_moments(QueueParams(lam, mu))
-        assert float(n @ pmf) == pytest.approx(getattr(m, mean_name), rel=1e-9)
-        if square_name is not None:
-            assert float((n * n) @ pmf) == pytest.approx(getattr(m, square_name), rel=1e-9)
+    def test_moments_match_the_law(self, lam: float, mu: float, after: str) -> None:
+        pmf = conditional_laws(lam, mu)[f"z_{after}"]
+        v = replacement_values(QueueParams(lam, mu))
+        assert law_mean(pmf) == pytest.approx(v[f"gap_mean_after_{after}"], rel=1e-9)
+        assert law_mean(pmf, 2) == pytest.approx(v[f"gap_sq_after_{after}"], rel=1e-9)
+
+    @pytest.mark.parametrize("lam,mu", LAW_PAIRS)
+    def test_service_laws_differ_by_the_system_times(self, lam: float, mu: float) -> None:
+        # both system times add the same mean wait, which cancels here
+        laws = conditional_laws(lam, mu)
+        v = replacement_values(QueueParams(lam, mu))
+        assert law_mean(laws["s_busy"]) - law_mean(laws["s_empty"]) == pytest.approx(
+            v["system_time_after_busy"] - v["system_time_after_empty"], rel=1e-9
+        )
 
 
 class TestAoiReplacement:
@@ -317,9 +320,11 @@ class TestAoiReplacement:
     @pytest.mark.parametrize("lam,mu", REPLACEMENT_PAIRS)
     def test_moment_assembly_agrees(self, lam: float, mu: float) -> None:
         # the age is the moment assembly, bit for bit: there is one route
-        m = replacement_moments(QueueParams(lam, mu))
-        assembled = m.lambda_e * (m.etz + 0.5 * m.ez2 + 0.5 * m.ez)
-        assert aoi_replacement(QueueParams(lam, mu)) == assembled
+        v = replacement_values(QueueParams(lam, mu))
+        assembled = v["effective_rate"] * (
+            v["system_time_gap_cross"] + 0.5 * v["gap_sq"] + 0.5 * v["gap_mean"]
+        )
+        assert aoi_replacement(QueueParams(lam, mu)) == v["avg_aoi"] == assembled
 
     def test_grid_equivalence_is_fast(self) -> None:
         # 20x20 grid plus the equal-rate diagonal, assembly vs the paper's
@@ -344,10 +349,10 @@ class TestAoiReplacement:
     def test_equal_rates_anchor(self) -> None:
         # at lam == mu == 1/2: age 23/5, drop fraction 1/4, E[Z | empty] = 4
         p = QueueParams(0.5, 0.5)
-        m = replacement_moments(p)
+        v = replacement_values(p)
         assert aoi_replacement(p) == pytest.approx(float(Fraction(23, 5)), rel=FROZEN_REL)
-        assert m.p_drop == pytest.approx(0.25, rel=FROZEN_REL)
-        assert m.ez_empty == pytest.approx(4.0, rel=FROZEN_REL)
+        assert v["drop_prob"] == pytest.approx(0.25, rel=FROZEN_REL)
+        assert v["gap_mean_after_empty"] == pytest.approx(4.0, rel=FROZEN_REL)
 
 
 # every named closed form at (lam, mu) = (0.2, 0.5), in ``analytic --json``'s order
@@ -365,18 +370,7 @@ REPLACEMENT_VALUES_FROZEN = {
     "pi0": Fraction(8, 13),
     "pi1": Fraction(4, 13),
     "pi2": Fraction(1, 13),
-    "leave_empty_prob": Fraction(2, 3),
-    "gap_mean_after_empty": Fraction(7),
-    "gap_mean_after_busy": Fraction(2),
-    "gap_sq_after_empty": Fraction(71),
-    "gap_sq_after_busy": Fraction(6),
-    "gap_mean": Fraction(16, 3),
-    "gap_sq": Fraction(148, 3),
-    "system_time_after_empty": Fraction(25, 13),
-    "system_time_after_busy": Fraction(38, 13),
-    "system_time_gap_cross": Fraction(142, 13),
-    "drop_prob": Fraction(1, 16),
-    "effective_rate": Fraction(3, 16),
+    **REPL_FROZEN,
 }
 
 
@@ -391,21 +385,6 @@ class TestNamedValues:
         assert list(got) == list(frozen)
         for name, exact in frozen.items():
             assert got[name] == pytest.approx(float(exact), rel=FROZEN_REL), name
-
-    def test_values_are_the_module_functions(self) -> None:
-        # each mapping reads the discipline's closed forms, not copies of them
-        for lam, mu in STABLE_PAIRS:
-            p = QueueParams(lam, mu)
-            geo = geo_values(p)
-            assert geo["avg_aoi"] == aoi_geo_geo_1(p)
-            assert geo["wait_cross_moment"] == geo_wait_cross_moment(p)
-            assert geo["pi2"] == stationary_geo(p).pi(2)
-        for lam, mu in REPLACEMENT_PAIRS:
-            p = QueueParams(lam, mu)
-            rep = replacement_values(p)
-            assert rep["avg_aoi"] == aoi_replacement(p)
-            assert rep["drop_prob"] == replacement_moments(p).p_drop
-            assert rep["pi2"] == stationary_replacement(p).pi2
 
     def test_geo_values_reject_an_unstable_pair(self) -> None:
         with pytest.raises(UnstableError, match="lam < mu"):

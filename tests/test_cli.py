@@ -22,7 +22,6 @@ from aoisim.analytic import (
     geo_values,
     optimal_arrival_rate,
     replacement_values,
-    stationary_geo,
 )
 from aoisim.cli import SIMULATE_COLUMNS, build_sim_config, main
 from aoisim.engine import MeasurePoint
@@ -219,8 +218,9 @@ class TestAnalyticCommand:
             ["analytic", "--lambda", str(lam), "--mu", str(mu), "--model", "geo", "--json"]
         ) == 0
         mean_t = json.loads(capsys.readouterr().out)["geo"]["mean_system_time"]
-        st = stationary_geo(QueueParams(lam, mu))
-        occupancy = sum(n * st.pi(n) for n in range(1, 4000))
+        # pi(n) = rho**(n-1) * pi1 for n >= 1
+        st = geo_values(QueueParams(lam, mu))
+        occupancy = sum(n * st["utilization"] ** (n - 1) * st["pi1"] for n in range(1, 4000))
         assert lam * mean_t == pytest.approx(occupancy, rel=1e-9)
 
     def test_json_blocks_are_the_library_mappings(self, capsys) -> None:
@@ -240,6 +240,21 @@ class TestAnalyticCommand:
     def test_unstable_pair_exits_two(self, capsys) -> None:
         assert main(["analytic", "--lambda", "0.9", "--mu", "0.5", "--model", "geo"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("lam,mu", [("0.7", "0.3"), ("0.5", "0.5")])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_both_models_at_an_unstable_pair_print_replacement(
+        self, capsys, lam: str, mu: str, as_json: bool
+    ) -> None:
+        # the replacement forms hold at lam >= mu; the FIFO block is left out with a note
+        argv = ["analytic", "--lambda", lam, "--mu", mu] + ["--json"] * as_json
+        assert main(argv + ["--model", "replacement"]) == 0
+        alone = capsys.readouterr()
+        assert main(argv) == 0
+        both = capsys.readouterr()
+        assert both.out == alone.out
+        assert alone.err == ""
+        assert both.err == f"note: geo block left out: FIFO queue requires lam < mu, got lam={lam}, mu={mu}\n"
 
 
 def dedicated_doc(**kw) -> dict:

@@ -394,15 +394,34 @@ def test_golden_validate_text_digests(name: str, tmp_path, capsys) -> None:
     assert digest == GOLDEN_VALIDATE_TEXT[name]
 
 
-# sha256 of `analytic --model all` output, as a table and as JSON, at (lambda, mu)
+# sha256 of `analytic --model <model>` output, as a table and as JSON, at
+# (lambda, mu): (model, table digest, JSON digest).  The FIFO forms need
+# lam < mu, so pairs with lam >= mu pin the replacement block alone.
 GOLDEN_ANALYTIC = {
     ("0.2", "0.5"): (
+        "all",
         "abed7a2f5fe91e7f02089eaf9005bd82da1d86736422f1142344542c581557ba",
         "da87215d8abfbf87eb0e9a59e02989ae2bed2b755c4a9fa66ef764d420b305ec",
     ),
     ("0.5", "1.0"): (
+        "all",
         "45d9c7fa7440a4c5791d89005faf5195efb6d7f62e73fb1b66c225b031d3fd95",
         "552c355a8fb43a671c709abff12630d100239310bb431e870010539c85a318a2",
+    ),
+    ("0.7", "0.3"): (
+        "replacement",
+        "fcbeadef7643f09ce09abcddff11e1151ee414a141dbab035d57369c1d73b873",
+        "79224b1bc0e18bcffff6d921659b44d511977d1b6206bcc445403247a10be2bf",
+    ),
+    ("0.5", "0.5"): (
+        "replacement",
+        "1b050a3b3b4f3bd4c129f12d8718ec632601e58fbcdcf7241130360cbe563009",
+        "905ba5e5ae4c1bc7414e82cb4f95b1f6707a23a3d942581c38faac2f23ae1433",
+    ),
+    ("0.95", "0.05"): (
+        "replacement",
+        "351d968bca1cd6f1e963e6d63613e108beb1203d6c2bb5b9215011ff25c14b28",
+        "26a5073ed8a91f4ebd334a34cb0fdae048d4ebb280b7b6e51107500144f5a0b1",
     ),
 }
 
@@ -410,8 +429,9 @@ GOLDEN_ANALYTIC = {
 @pytest.mark.parametrize("lam, mu", sorted(GOLDEN_ANALYTIC))
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_golden_analytic_digests(lam: str, mu: str, as_json: bool, capsys) -> None:
-    argv = ["analytic", "--lambda", lam, "--mu", mu, "--model", "all"]
+    model, *digests = GOLDEN_ANALYTIC[lam, mu]
+    argv = ["analytic", "--lambda", lam, "--mu", mu, "--model", model]
     capsys.readouterr()
     assert main(argv + ["--json"] * as_json) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == GOLDEN_ANALYTIC[lam, mu][as_json]
+    assert digest == digests[as_json]

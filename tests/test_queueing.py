@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from aoisim.analytic import QueueParams, stationary_geo, stationary_replacement
+from aoisim.analytic import QueueParams, geo_values, replacement_values
 from aoisim.errors import ProtocolError
 from aoisim.queueing import Discipline, SourceQueue
 
@@ -157,17 +157,17 @@ class TestStationaryOccupancy:
     def test_fifo_matches_closed_form(self) -> None:
         lam, mu = 0.2, 0.5
         counts = drive(Discipline.FIFO, lam, mu, seed=11)
-        st = stationary_geo(QueueParams(lam, mu))
+        st = geo_values(QueueParams(lam, mu))
+        pis = [st["pi0"], st["pi1"], st["pi2"], st["utilization"] ** 2 * st["pi1"]]
         for n in range(4):
-            assert counts[n] / DRIVE_SLOTS == pytest.approx(st.pi(n), abs=OCC_TOL)
+            assert counts[n] / DRIVE_SLOTS == pytest.approx(pis[n], abs=OCC_TOL)
 
     def test_replacement_matches_closed_form(self) -> None:
         lam, mu = 0.2, 0.5
         counts = drive(Discipline.REPLACEMENT, lam, mu, seed=12)
-        st = stationary_replacement(QueueParams(lam, mu))
-        assert counts[0] / DRIVE_SLOTS == pytest.approx(st.pi0, abs=OCC_TOL)
-        assert counts[1] / DRIVE_SLOTS == pytest.approx(st.pi1, abs=OCC_TOL)
-        assert counts[2] / DRIVE_SLOTS == pytest.approx(st.pi2, abs=OCC_TOL)
+        st = replacement_values(QueueParams(lam, mu))
+        for n in range(3):
+            assert counts[n] / DRIVE_SLOTS == pytest.approx(st[f"pi{n}"], abs=OCC_TOL)
         assert max(counts) <= 2
 
     def test_arrivals_see_slot_start_state(self) -> None:
