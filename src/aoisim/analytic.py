@@ -40,6 +40,7 @@ __all__ = [
     "aoi_replacement",
     "geo_values",
     "replacement_values",
+    "service_means",
 ]
 
 
@@ -134,6 +135,14 @@ def geo_values(params: QueueParams) -> dict[str, float]:
     }
 
 
+def service_means(params: QueueParams) -> tuple[float, float]:
+    """E[S | empty], E[S | busy]: the replacement queue's mean service time of
+    a delivered update, after a delivery that left the system empty or busy."""
+    lam, mu = params.lam, params.mu
+    p = lam + mu - lam * mu
+    return 1.0 / p, 1.0 / p + 1.0 / mu - 1.0
+
+
 def replacement_values(params: QueueParams) -> dict[str, float]:
     """The replacement queue's closed forms by name, in ``aoisim analytic``'s order.
 
@@ -167,8 +176,7 @@ def replacement_values(params: QueueParams) -> dict[str, float]:
     # system time = wait of a transmitted update + its conditional service time
     d_wait = lam**2 * (mu - 1.0) ** 2 + lam * mu * (1.0 - 2.0 * mu) + mu**2
     wait = (1.0 - lam) * lam * (1.0 - mu) * (mu + lam - 2.0 * lam * mu) / (d_wait * p)
-    service_empty = 1.0 / p
-    service_busy = 1.0 / p + 1.0 / mu - 1.0
+    service_empty, service_busy = service_means(params)
     time_empty = wait + service_empty
     time_busy = wait + service_busy
 

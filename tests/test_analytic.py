@@ -21,6 +21,7 @@ from aoisim.analytic import (
     geo_values,
     optimal_arrival_rate,
     replacement_values,
+    service_means,
 )
 from aoisim.errors import DomainError, InvalidParamsError, UnstableError
 
@@ -285,17 +286,37 @@ def law_mean(pmf: np.ndarray, power: int = 1) -> float:
     return float(np.arange(1, PMF_TERMS) ** power @ pmf)
 
 
+def closed_moments(lam: float, mu: float) -> dict[str, tuple[float, float | None]]:
+    """The closed-form mean and second moment (None: not given) of each law."""
+    v = replacement_values(QueueParams(lam, mu))
+    service_empty, service_busy = service_means(QueueParams(lam, mu))
+    return {
+        "z_empty": (v["gap_mean_after_empty"], v["gap_sq_after_empty"]),
+        "z_busy": (v["gap_mean_after_busy"], v["gap_sq_after_busy"]),
+        "s_empty": (service_empty, None),
+        "s_busy": (service_busy, None),
+    }
+
+
 class TestConditionalMoments:
     @pytest.mark.parametrize("lam,mu", LAW_PAIRS)
-    # ids in the paper's symbols: the gap law Z | after, E[Z | after], E[Z^2 | after]
+    # ids in the paper's symbols: the law, its mean, its second moment (None: unchecked)
     @pytest.mark.parametrize(
-        "after", ["empty", "busy"], ids=["z_empty-ez_empty-ez2_empty", "z_busy-ez_busy-ez2_busy"]
+        "law",
+        ["z_empty", "z_busy", "s_empty", "s_busy"],
+        ids=[
+            "z_empty-ez_empty-ez2_empty",
+            "z_busy-ez_busy-ez2_busy",
+            "s_empty-es_empty-None",
+            "s_busy-es_busy-None",
+        ],
     )
-    def test_moments_match_the_law(self, lam: float, mu: float, after: str) -> None:
-        pmf = conditional_laws(lam, mu)[f"z_{after}"]
-        v = replacement_values(QueueParams(lam, mu))
-        assert law_mean(pmf) == pytest.approx(v[f"gap_mean_after_{after}"], rel=1e-9)
-        assert law_mean(pmf, 2) == pytest.approx(v[f"gap_sq_after_{after}"], rel=1e-9)
+    def test_moments_match_the_law(self, lam: float, mu: float, law: str) -> None:
+        pmf = conditional_laws(lam, mu)[law]
+        mean, square = closed_moments(lam, mu)[law]
+        assert law_mean(pmf) == pytest.approx(mean, rel=1e-9)
+        if square is not None:
+            assert law_mean(pmf, 2) == pytest.approx(square, rel=1e-9)
 
     @pytest.mark.parametrize("lam,mu", LAW_PAIRS)
     def test_service_laws_differ_by_the_system_times(self, lam: float, mu: float) -> None:
