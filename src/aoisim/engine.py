@@ -1,4 +1,4 @@
-"""Event-driven simulator for N sources sharing a medium.
+"""Simulator for N sources sharing a medium.
 
 Time is slotted.  Within each slot, events happen in a fixed order:
 
@@ -15,23 +15,34 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-The engine only visits event slots: slots with an arrival, a delay-stage
+Two implementations compute these steps; which one runs depends only on the
+policy and the discipline.  FIFO round robin, whatever the channel, delay
+stage, warm-up or measure point, visits no slot: a source's queue is a
+Geo/Geo/1 queue in the slots it owns, so its deliveries follow Lindley's
+recursion, which ``_fifo_round_robin`` computes a span of slots at a time
+with array operations, for all sources at once.  Packet management and the
+other policies run on the event loop, ``_event_loop``: the update a
+replacement queue sends next depends on what arrived during the last
+service, which is no such recursion, and work conserving and random access
+couple the sources.
+
+The event loop only visits event slots: slots with an arrival, a delay-stage
 reception, a grant to a backlogged source under work conserving or random
 access, or a round robin's successful attempt.  Each event slot runs the six
 steps above in the same order, touching only the sources involved; nothing
 changes in the slots between them.
 
 Arrivals do not depend on the system state, and a source's arrival stream
-takes one draw per slot, so the engine takes the draws of a whole block of
+takes one draw per slot, so the event loop takes the draws of a whole block of
 slots from every arrival stream at once and merges the arrival slots by
 (slot, source) into the arrival calendar.  Each kind of pending event has
-one owner: arrivals are on the calendar, grants on the engine's heap of
+one owner: arrivals are on the calendar, grants on the loop's heap of
 ``(slot, source)`` events, and receptions on the delay stage's heap; the
 next event slot is the earliest of the three.
 
 Under round robin only a slot's owner transmits and the channel draws are
 its own, so when an update enters service (its source becomes backlogged,
-or a delivery leaves a successor) the engine draws the owner's channel
+or a delivery leaves a successor) the loop draws the owner's channel
 stream ahead over the slots it owns up to the first success, and schedules
 only that slot; the failed attempts in between change nothing but the
 draws.  An update that waits for its first owned slot enters service at the
@@ -40,9 +51,9 @@ it still replaces it under packet management.
 
 Steps 1 and 6 are kept as running sums: the occupancy histogram adds the
 time spent in each state when the state changes, and the age area adds the
-arithmetic series ``slot - newest_gen + 1`` between receptions.  Every
-random stream is drawn in the same order as a slot-by-slot loop would draw
-it, so results are the same at every seed.
+arithmetic series ``slot - newest_gen + 1`` between receptions.  Both
+implementations take the same values from every random stream as a
+slot-by-slot loop would, so results are the same at every seed.
 """
 from __future__ import annotations
 
@@ -264,14 +275,104 @@ def _window_sum(lo: int, hi: int, base: int) -> int:
     return k * (lo + hi - 1) // 2 - k * (base - 1)
 
 
+@dataclass(slots=True)
+class _Totals:
+    """A run's integer tallies, one entry per source, from which the report is built.
+
+    Every count covers the window, except ``in_system``, the occupancy at
+    the horizon.
+    """
+
+    generated: list[int]
+    delivered: list[int]
+    dropped: list[int]
+    in_system: list[int]
+    informative: list[int]
+    obsolete: list[int]
+    age_area: list[int]  # the sum of the window's age samples
+    occupancy: list[dict[int, int]]  # window slot starts that saw each occupancy
+    y_count: list[int]
+    y_sum: list[int]
+    y2_sum: list[int]
+    stats: list[ReceptionStats]
+
+
 def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats]]:
     """Run one simulation, returning metrics and the per-source reception statistics."""
     config.validate()
     n = config.n_sources
     lambdas = config.lambdas
     horizon = config.horizon
+    window = horizon - config.warmup
+    streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
+    stage = DelayStage(config.network_k, n) if config.network_k is not None else None
+    measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
+    # arrivals are drawn `span` slots at a time: a block, or fewer when the
+    # rates add up to more than 1, so that a span expects no more than about
+    # _BLOCK arrivals
+    span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(lambdas)))))
+    if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
+        totals = _fifo_round_robin(config, streams, stage, measure_dest, span)
+    else:
+        totals = _event_loop(config, streams, stage, measure_dest, span)
+
+    per_source = []
+    for i in range(n):
+        generated = totals.generated[i]
+        delivered = totals.delivered[i]
+        dropped = totals.dropped[i]
+        y_count = totals.y_count[i]
+        rx = totals.stats[i]
+        if rx.count >= 2:
+            # both estimates scale the mean age area per gap by the
+            # empirical reception rate
+            rate = rx.count / window
+            k = rx.count - 1
+            est_yt = rate * (rx.yt2_sum / 2) / k
+            est_zt = rate * (rx.zt2_sum / 2) / k
+        else:
+            est_yt = est_zt = _NAN
+        hist = totals.occupancy[i]
+        per_source.append(
+            SourceMetrics(
+                source_id=i,
+                avg_aoi=totals.age_area[i] / window,
+                generated=generated,
+                delivered=delivered,
+                dropped=dropped,
+                in_system_at_end=totals.in_system[i],
+                informative=totals.informative[i],
+                obsolete=totals.obsolete[i],
+                empirical_drop_prob=dropped / generated if generated else 0.0,
+                empirical_effective_rate=delivered / window,
+                occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
+                estimator_yt=est_yt,
+                estimator_zt=est_zt,
+                mean_system_time=mean_or_nan(rx.t_sum, rx.count),
+                mean_interarrival=mean_or_nan(totals.y_sum[i], y_count),
+                mean_interarrival_sq=mean_or_nan(totals.y2_sum[i], y_count),
+                stability_warning=(
+                    config.discipline is Discipline.FIFO
+                    and lambdas[i] >= _service_share(config, i) - 1e-12
+                ),
+            )
+        )
+    report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
+    return report, totals.stats
+
+
+def _event_loop(
+    config: SimConfig,
+    streams: list[SourceStreams],
+    stage: DelayStage | None,
+    measure_dest: bool,
+    span: int,
+) -> _Totals:
+    """Any run but a FIFO round robin, event slot by event slot."""
+    n = config.n_sources
+    lambdas = config.lambdas
+    horizon = config.horizon
     warmup = config.warmup
-    window = horizon - warmup
     policy = config.policy
     channel = config.channel
     per_slot_grant = policy.kind is PolicyKind.WORK_CONSERVING
@@ -281,10 +382,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     collision = channel.kind is ChannelKind.COLLISION
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
-    streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
-
-    stage = DelayStage(config.network_k, n) if config.network_k is not None else None
-    measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
 
     stats = [ReceptionStats() for _ in range(n)]
     # Step 6 lazily: the age is slot - base + 1, with base 0 until something
@@ -314,11 +411,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     obsolete = [0] * n
     counts_at_warmup: list[tuple[int, int, int]] | None = None
 
-    # the arrival calendar covers `span` slots at a time: a block, or fewer
-    # when the rates add up to more than 1, so that it expects no more than
-    # about _BLOCK arrivals
     arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-    span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(lambdas)))))
 
     def calendar(start: int) -> tuple[list[int], list[int], int]:
         """Arrival slots and sources from ``start`` on, and the slot they end at.
@@ -485,53 +578,370 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
 
     if counts_at_warmup is None:
         counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
-
-    per_source = []
     for i in range(n):
-        q = queues[i]
-        base_generated, base_delivered, base_dropped = counts_at_warmup[i]
-        generated = q.generated - base_generated
-        delivered = q.delivered - base_delivered
-        dropped = q.dropped - base_dropped
-        avg_aoi = (age_area[i] + _window_sum(age_from[i], horizon, base[i])) / window
-        hist = occ_slots[i]
-        hist[occ[i]] += horizon - occ_from[i]
-        rx = stats[i]
-        if rx.count >= 2:
-            # both estimates scale the mean age area per gap by the
-            # empirical reception rate
-            rate = rx.count / window
-            k = rx.count - 1
-            est_yt = rate * (rx.yt2_sum / 2) / k
-            est_zt = rate * (rx.zt2_sum / 2) / k
+        age_area[i] += _window_sum(age_from[i], horizon, base[i])
+        occ_slots[i][occ[i]] += horizon - occ_from[i]
+    generated = [q.generated - g for q, (g, _, _) in zip(queues, counts_at_warmup)]
+    delivered = [q.delivered - d for q, (_, d, _) in zip(queues, counts_at_warmup)]
+    dropped = [q.dropped - x for q, (_, _, x) in zip(queues, counts_at_warmup)]
+    return _Totals(
+        generated=generated,
+        delivered=delivered,
+        dropped=dropped,
+        in_system=[q.occupancy() for q in queues],
+        informative=informative,
+        obsolete=obsolete,
+        age_area=age_area,
+        occupancy=occ_slots,
+        y_count=y_count,
+        y_sum=y_sum,
+        y2_sum=y2_sum,
+        stats=stats,
+    )
+
+
+def _firsts(src: np.ndarray) -> np.ndarray:
+    """Where each source's run starts in ``src``, an array sorted by source."""
+    first = np.empty(len(src), bool)
+    first[:1] = True
+    np.not_equal(src[1:], src[:-1], out=first[1:])
+    return first
+
+
+def _lasts(first: np.ndarray) -> np.ndarray:
+    """Where each source's run ends, given where each starts."""
+    last = np.empty_like(first)
+    last[:-1] = first[1:]
+    last[-1:] = True
+    return last
+
+
+def _previous(
+    values: np.ndarray, first: np.ndarray, src: np.ndarray, carried: np.ndarray
+) -> np.ndarray:
+    """Each value's predecessor of the same source, along the last axis.
+
+    A source's first value takes the source's entry of ``carried``.
+    """
+    prev = np.empty_like(values)
+    prev[..., 1:] = values[..., :-1]
+    prev[..., first] = carried[..., src[first]]
+    return prev
+
+
+def _add_by_source(
+    totals: np.ndarray, src: np.ndarray, first: np.ndarray, *rows: np.ndarray
+) -> None:
+    """Add row j's values into ``totals[j]``, by source; ``src`` is sorted."""
+    if len(src):
+        starts = first.nonzero()[0]
+        totals[:, src[starts]] += np.add.reduceat(np.array(rows), starts, axis=1)
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The columns of ``a`` and ``b``, each sorted by row 0 (the source), merged by source.
+
+    A source's columns from ``b`` follow its columns from ``a``.
+    """
+    if not a.shape[1]:
+        return b
+    return np.insert(a, np.searchsorted(a[0], b[0], "right"), b, axis=1)
+
+
+# From this horizon on, the kernel adds its terms, each below about
+# 3 * horizon**2, as Python integers, since int64 could overflow
+_INT64_HORIZON = 1 << 30
+
+# The kernel's sums per source, by row: the window's arrivals, interarrival
+# count, sum and sum of squares, and deliveries; the window's summed newest
+# generation at the monitor point; then ReceptionStats' sums, "empty" and
+# "busy" being its after_empty and after_busy
+_SUMS = (
+    "generated", "y_count", "y_sum", "y2_sum", "delivered", "base_area",
+    "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
+    "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
+    "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
+)
+
+
+def _fifo_round_robin(
+    config: SimConfig,
+    streams: list[SourceStreams],
+    stage: DelayStage | None,
+    measure_dest: bool,
+    span: int,
+) -> _Totals:
+    """FIFO round robin: each source's deliveries from one Lindley recursion.
+
+    Source i owns the slots i + n·d; d is the owned index.  Its channel
+    stream takes one draw in each owned slot in which it transmits, so its
+    k-th service ends with the stream's k-th success, at draw S_k, and has
+    spent C_k = S_k + 1 draws by then (C_k = k + 1 when every attempt
+    succeeds).  Update k, generated in slot a_k, can first be sent at owned
+    index u_k = (a_k - i) // n + 1, so it is delivered at owned index
+
+        d_k = max(u_k, d_{k-1} + 1) + C_k - C_{k-1} - 1
+            = C_k + max over j <= k of (u_j - 1 - C_{j-1})
+
+    (Lindley's recursion in owned-slot time), one running maximum, which
+    ``np.maximum.accumulate`` takes for all sources at once after lifting
+    each source's terms above those of the sources before it.
+
+    The run goes a span of slots at a time: the arrival calendar's span, or
+    a multiple of it while more than a block of updates wait.  A span takes
+    every source's arrival draws, and the channel draws that the services ending before
+    the span's end can spend, with ``take_below``: the same values a
+    slot-by-slot loop draws.  Updates whose service may end later wait for
+    a later span.  The statistics of the deliveries, and of the receptions
+    the delay stage hands out, before the span's end are then added to
+    exact integer sums per source.  The arrays a span holds are sorted by
+    source, and carry the source in row 0.
+    """
+    n = config.n_sources
+    lambdas = config.lambdas
+    horizon = config.horizon
+    warmup = config.warmup
+    probs = [config.channel.attempt_prob(i) for i in range(n)]
+    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
+    failing = np.array([p < 1.0 for p in probs])  # sources whose attempts can fail
+    sources = np.arange(n)
+    # a source's recursion terms lie in [-horizon - 1, horizon], so adding
+    # lift[i] to source i's puts them above those of every source before it
+    lift = (2 * horizon + 8) * sources
+    none = np.empty((3, 0), np.int64)
+
+    waiting = none  # updates without a delivery slot: source, gen, u
+    scheduled = none  # updates delivered at or after the span's start: source, gen, slot
+    successes = none[:2]  # channel successes drawn: source, draw
+    state = np.zeros((10, n), np.int64)
+    (
+        spent,  # C of the last update given a slot
+        lag,  # that update's owned index minus spent
+        drawn,  # channel draws taken
+        used,  # leading successes of the source in `successes` spent
+        n_waiting,
+        last_arrival,  # -1 before the first
+        occ,  # occupancy at the span's start
+    ) = state[:7]
+    # the last reception at the monitor point: gen (0 before the first),
+    # slot (-1 before the first), and whether it left the queue empty
+    last_rx = state[7:]
+    lag[:] = last_arrival[:] = last_rx[1] = -1
+    exact = np.int64 if horizon < _INT64_HORIZON else object
+    sums = np.zeros((len(_SUMS), n), exact)
+    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+    informative = [0] * n
+    obsolete = [0] * n
+
+    start = 0
+    while start < horizon:
+        # a span copies the waiting updates once, so it grows with them, to
+        # about as many arrivals as they are: the copying stays in proportion
+        # to the arrivals, and the memory to the waiting updates
+        end = min(start + span * max(1, waiting.shape[1] // _BLOCK), horizon)
+
+        hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
+        if hits:
+            a_src = np.repeat(arriving, [len(h) for h in hits])
+            a_slot = np.concatenate(hits) + start
         else:
-            est_yt = est_zt = _NAN
-        per_source.append(
-            SourceMetrics(
-                source_id=i,
-                avg_aoi=avg_aoi,
-                generated=generated,
-                delivered=delivered,
-                dropped=dropped,
-                in_system_at_end=q.occupancy(),
-                informative=informative[i],
-                obsolete=obsolete[i],
-                empirical_drop_prob=dropped / generated if generated else 0.0,
-                empirical_effective_rate=delivered / window,
-                occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
-                estimator_yt=est_yt,
-                estimator_zt=est_zt,
-                mean_system_time=mean_or_nan(rx.t_sum, rx.count),
-                mean_interarrival=mean_or_nan(y_sum[i], y_count[i]),
-                mean_interarrival_sq=mean_or_nan(y2_sum[i], y_count[i]),
-                stability_warning=(
-                    config.discipline is Discipline.FIFO
-                    and lambdas[i] >= _service_share(config, i) - 1e-12
-                ),
-            )
+            a_src = a_slot = none[0]
+        first = _firsts(a_src)
+        prev = _previous(a_slot, first, a_src, last_arrival)
+        last = _lasts(first)
+        last_arrival[a_src[last]] = a_slot[last]
+        in_window = a_slot >= warmup
+        paired = in_window & (prev >= 0)
+        y = (a_slot - prev).astype(exact) * paired
+        _add_by_source(sums[:4], a_src, first, in_window, paired, y, y * y)
+
+        # give delivery slots to the waiting updates whose service can end
+        # before `end`: the next service starts at owned index `begin` or
+        # later and each takes an owned slot or more, so at most `room` of
+        # them do, spending at most `room` channel draws
+        if len(a_src):
+            waiting = _merge(waiting, np.array((a_src, a_slot, (a_slot - a_src) // n + 1)))
+            n_waiting += np.bincount(a_src, minlength=n)
+        total_given = 0
+        if waiting.shape[1]:
+            w_start = np.cumsum(n_waiting) - n_waiting
+            u_first = waiting[2].take(np.minimum(w_start, waiting.shape[1] - 1))
+            begin = np.maximum(spent + lag + 1, u_first)
+            room = np.maximum((end - sources + n - 1) // n - begin, 0)
+            n_given = np.minimum(n_waiting, room)
+            target = spent + room
+            to_draw = (failing & (n_given > 0) & (target > drawn)).nonzero()[0].tolist()
+            if to_draw:
+                if used.any():
+                    s_src = successes[0]
+                    n_drawn = np.bincount(s_src, minlength=n)
+                    s_rank = np.arange(len(s_src)) - (np.cumsum(n_drawn) - n_drawn)[s_src]
+                    successes = successes.compress(s_rank >= used[s_src], axis=1)
+                    used[:] = 0
+                new = []
+                for i in to_draw:
+                    k = int(drawn[i])
+                    hit = streams[i].channel.take_below(probs[i], int(target[i]) - k)
+                    new.append(np.array((np.full(len(hit), i), hit + k)))
+                    drawn[i] = target[i]
+                successes = _merge(successes, np.concatenate(new, axis=1))
+            n_drawn = np.bincount(successes[0], minlength=n)
+            n_given = np.where(failing, np.minimum(n_given, n_drawn - used), n_given)
+            total_given = int(n_given.sum())
+        if total_given:
+            # each source's first n_given waiting updates
+            g_rank = np.arange(total_given) - np.repeat(np.cumsum(n_given) - n_given, n_given)
+            at = np.repeat(w_start, n_given) + g_rank
+            g_src, g_gen, g_u = waiting.take(at, axis=1)
+            g_spent = spent[g_src] + g_rank + 1
+            fail = failing[g_src]
+            if fail.any():
+                f_src = g_src[fail]
+                unspent = np.cumsum(n_drawn) - n_drawn + used  # each source's first unspent success
+                g_spent[fail] = successes[1].take(unspent[f_src] + g_rank[fail]) + 1
+                used += n_given * failing
+            first = g_rank == 0
+            v = g_u - 1 - _previous(g_spent, first, g_src, spent)
+            v[first] = np.maximum(v[first], lag[g_src[first]])
+            g_lag = np.maximum.accumulate(v + lift[g_src]) - lift[g_src]
+            last = _lasts(first)
+            spent[g_src[last]] = g_spent[last]
+            lag[g_src[last]] = g_lag[last]
+            delivered = g_src + n * (g_spent + g_lag)
+            scheduled = _merge(scheduled, np.array((g_src, g_gen, delivered)))
+            keep = np.ones(waiting.shape[1], bool)
+            keep[at] = False
+            waiting = waiting.compress(keep, axis=1)
+            n_waiting -= n_given
+        due = scheduled[2] < end
+        d_src, d_gen, d_slot = scheduled.compress(due, axis=1)
+        scheduled = scheduled.compress(~due, axis=1)
+        sums[4] += np.bincount(d_src[d_slot >= warmup], minlength=n)
+
+        # occupancy: each source's level from the span's start, +1 at the
+        # slot after an arrival, -1 at the slot after a delivery, then back
+        # to 0 at the span's end; e_kind orders the events of one slot (the
+        # span's start, arrivals, deliveries, the span's end), so the level
+        # after a delivery is what it left behind, arrivals of its slot included
+        net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
+        n_a, n_d = len(a_src), len(d_src)
+        e_src = np.concatenate((sources, a_src, d_src, sources))
+        e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
+        e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
+        step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
+        key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
+        order = np.argsort(key, kind="stable")
+        e_src, e_kind = e_src.take(order), e_kind.take(order)
+        level = np.cumsum(step.take(order))
+        t = np.maximum(e_time.take(order), warmup)
+        held = np.zeros_like(t)
+        np.subtract(t[1:], t[:-1], out=held[:-1])
+        held[e_kind == 3] = 0
+        occ += net
+        left_empty = level[e_kind == 2] == 0
+        kept = held > 0
+        if kept.any():
+            # a source's levels in a span form a range, so each source
+            # counts its slots in its own slice of one bincount
+            h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
+            h_first = _firsts(h_src)
+            starts = h_first.nonzero()[0]
+            lo = np.minimum.reduceat(h_level, starts)
+            width = np.maximum.reduceat(h_level, starts) - lo + 1
+            offset = np.cumsum(width) - width
+            run = np.cumsum(h_first) - 1
+            tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
+            seen = tally.nonzero()[0]
+            run = np.searchsorted(offset, seen, "right") - 1
+            for i, o, slots in zip(
+                h_src[starts[run]].tolist(),
+                (lo[run] + seen - offset[run]).tolist(),
+                tally[seen].tolist(),
+            ):
+                occupancy[i][o] += int(slots)
+
+        # receptions at the monitor point, by source and slot
+        if stage is not None:
+            for i, gen, slot in zip(d_src.tolist(), d_gen.tolist(), d_slot.tolist()):
+                stage.inject((i, gen), slot, streams[i].delay)
+            fresh_rx = []
+            while (slot := stage.earliest) is not None and slot < end:
+                for (i, gen), fresh in deliver_due(stage, slot):
+                    if slot >= warmup:
+                        if fresh:
+                            informative[i] += 1
+                        else:
+                            obsolete[i] += 1
+                    if fresh and measure_dest:
+                        fresh_rx.append((i, gen, slot))
+        if measure_dest:
+            fresh_rx.sort(key=lambda r: r[0])
+            r_src, r_gen, r_slot = np.array(fresh_rx, np.int64).reshape(-1, 3).T
+            left_empty = np.zeros(len(r_src), np.int64)
+        else:
+            r_src, r_gen, r_slot = d_src, d_gen, d_slot
+        first = _firsts(r_src)
+        received = np.array((r_gen, r_slot, left_empty), exact)
+        prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, last_rx)
+        last = _lasts(first)
+        last_rx[:, r_src[last]] = received[:, last]
+        r_gen, r_slot, left_empty = received
+        # the window's receptions are a suffix of each source's, so a gap
+        # lies in the window when the reception that opens it does
+        in_window = r_slot >= warmup
+        paired = prev_slot >= warmup
+        after_empty = paired & (prev_empty == 1)
+        after_busy = paired & (prev_empty == 0)
+        t = r_slot - r_gen
+        y = (r_gen - prev_gen) * paired
+        z = (r_slot - prev_slot) * paired
+        t_prev = prev_slot - prev_gen
+        _add_by_source(
+            sums[5:], r_src, first,
+            # each reception raises the newest generation for the rest of the window
+            (r_gen - prev_gen) * (horizon - np.maximum(r_slot, warmup)),
+            in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
+            left_empty * in_window,
+            after_empty, z * after_empty, z * z * after_empty, t * after_empty,
+            after_busy, z * after_busy, z * z * after_busy, t * after_busy,
         )
-    report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
-    return report, stats
+        start = end
+
+    total = dict(zip(_SUMS, sums.tolist()))
+    last_gen, last_recv, last_left_empty = last_rx.tolist()
+    stats = []
+    for i in range(n):
+        rs = ReceptionStats(
+            count=total["count"][i],
+            t_sum=total["t_sum"][i],
+            yt2_sum=total["yt2_sum"][i],
+            zt2_sum=total["zt2_sum"][i],
+            tz_sum=total["tz_sum"][i],
+            left_empty=total["left_empty"][i],
+            after_empty=GapSums(*(total["empty_" + name][i] for name in GapSums.__slots__)),
+            after_busy=GapSums(*(total["busy_" + name][i] for name in GapSums.__slots__)),
+        )
+        if rs.count:
+            # the last reception is the window's
+            rs.last_gen = last_gen[i]
+            rs.last_recv = last_recv[i]
+            rs.last_left_empty = last_left_empty[i] == 1
+        stats.append(rs)
+    total_age = _window_sum(warmup, horizon, 0)
+    return _Totals(
+        generated=total["generated"],
+        delivered=total["delivered"],
+        dropped=[0] * n,
+        in_system=occ.tolist(),
+        informative=informative,
+        obsolete=obsolete,
+        age_area=[total_age - a for a in total["base_area"]],
+        occupancy=occupancy,
+        y_count=total["y_count"],
+        y_sum=total["y_sum"],
+        y2_sum=total["y2_sum"],
+        stats=stats,
+    )
 
 
 def run(config: SimConfig) -> MetricsReport:

@@ -23,7 +23,7 @@ from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.cli import build_sim_config, main
 from aoisim.engine import MeasurePoint, ReceptionStats, SimConfig
 from aoisim.queueing import Discipline
-from aoisim.streams import _BLOCK
+from aoisim.streams import _BLOCK, Role, UniformStream
 
 
 def stats_of_trace(log: reference_engine.DeliveryLog) -> ReceptionStats:
@@ -118,6 +118,89 @@ def test_horizon_crossing_the_block_boundary(policy: PolicyConfig) -> None:
         horizon=2 * _BLOCK + 500,
         seed=3,
         warmup=100,
+    )
+    assert_same_run(config)
+
+
+def test_unstable_fifo_backlog_crosses_blocks() -> None:
+    # source 0 arrives faster than its half of a perfect channel serves it,
+    # so its backlog, and the deliveries already computed for it, carry
+    # from one block of slots into the next
+    config = SimConfig(
+        n_sources=2,
+        lambdas=(0.52, 0.3),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.PERFECT),
+        horizon=2 * _BLOCK + 500,
+        seed=29,
+    )
+    assert engine.run(config).per_source[0].in_system_at_end > 100
+    assert_same_run(config)
+
+
+@pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
+def test_fifo_delay_stage_and_warmup_across_blocks(measure_at: MeasurePoint) -> None:
+    # updates in flight through the delay stage, and the reception sums,
+    # carry across blocks, and the window opens in the second block
+    config = SimConfig(
+        n_sources=3,
+        lambdas=(0.1, 0.2, 0.25),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+        network_k=0.3,
+        horizon=2 * _BLOCK + 500,
+        seed=31,
+        measure_at=measure_at,
+        warmup=_BLOCK + 250,
+    )
+    assert_same_run(config)
+
+
+def test_spans_grow_with_a_long_backlog(monkeypatch) -> None:
+    # four saturated sources share a round robin, so more than two blocks
+    # of updates wait after some 11,000 slots, and a span then covers more
+    # slots than the arrival calendar's 4,096
+    spans = []
+    take_below = UniformStream.take_below
+
+    def recording(self, p, count):
+        if self._key == (0, Role.ARRIVAL):
+            spans.append(count)
+        return take_below(self, p, count)
+
+    monkeypatch.setattr(UniformStream, "take_below", recording)
+    config = SimConfig(
+        n_sources=4,
+        lambdas=(1.0, 1.0, 1.0, 1.0),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 0.9, 1.0, 0.3)),
+        horizon=20_000,
+        seed=41,
+        warmup=3000,
+    )
+    assert_same_run(config)
+    assert max(spans) > _BLOCK // 4
+
+
+@pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
+def test_fifo_sums_in_python_integers(measure_at: MeasurePoint, monkeypatch) -> None:
+    # from _INT64_HORIZON on, FIFO round robin adds its terms as Python
+    # integers, which int64 could not hold; a short run takes that path here
+    monkeypatch.setattr(engine, "_INT64_HORIZON", 1)
+    config = SimConfig(
+        n_sources=2,
+        lambdas=(0.3, 0.45),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.7, 0.9)),
+        network_k=0.4,
+        horizon=5000,
+        seed=37,
+        measure_at=measure_at,
+        warmup=600,
     )
     assert_same_run(config)
 

@@ -240,10 +240,11 @@ class TestMemory:
 
 class TestWork:
     def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
-        # when an update enters service the engine draws the owner's channel
-        # stream ahead to the success slot in one step, so round robin never
-        # runs the channel rule and skips once per service rather than once
-        # per attempt (about 10 attempts per delivery at mu = 0.1)
+        # when an update enters service the event loop draws the owner's
+        # channel stream ahead to the success slot in one step, so round
+        # robin never runs the channel rule and skips once per service
+        # rather than once per attempt (about 10 attempts per delivery at
+        # mu = 0.1); packet management keeps a round robin on the loop
         resolves = skips = 0
         original_resolve = engine.resolve
         original_skip = UniformStream.skip_to_below
@@ -262,12 +263,32 @@ class TestWork:
         monkeypatch.setattr(engine, "resolve", counting_resolve)
         monkeypatch.setattr(UniformStream, "skip_to_below", counting_skip)
         report = dedicated_channel_run(
-            QueueParams(0.05, 0.1), Discipline.FIFO, horizon=20_000, seed=3
+            QueueParams(0.05, 0.1), Discipline.REPLACEMENT, horizon=20_000, seed=3
         )
         delivered = report.per_source[0].delivered
         assert delivered > 500
         assert resolves == 0
-        assert skips <= delivered + 1
+        assert 0 < skips <= delivered + 1
+
+    def test_fifo_round_robin_takes_its_draws_block_wise(self, monkeypatch, stream_draws) -> None:
+        # FIFO round robin takes arrival and channel draws only through
+        # take_below, a block at a time, and no stream more than one per slot
+        def refuse(self, *args):
+            raise AssertionError("a FIFO round robin draws through take_below only")
+
+        monkeypatch.setattr(UniformStream, "uniform", refuse)
+        monkeypatch.setattr(UniformStream, "skip_to_below", refuse)
+        h = 3000
+        c = config(
+            n_sources=3,
+            lambdas=(0.1, 0.2, 0.25),
+            discipline=Discipline.FIFO,
+            channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 0.7, 0.9)),
+            horizon=h,
+        )
+        assert all(m.delivered > 50 for m in run(c).per_source)
+        assert {role for _, role in stream_draws} == {Role.ARRIVAL, Role.CHANNEL}
+        assert max(stream_draws.values()) <= h
 
     def test_no_stream_draws_more_than_the_horizon(self, stream_draws) -> None:
         # no stream takes more than one draw per slot, so blocks are sized
