@@ -15,7 +15,7 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-Two implementations compute these steps; which one runs depends only on the
+Two implementations compute the queues; which one runs depends only on the
 policy and the discipline.  FIFO round robin, whatever the channel, delay
 stage, warm-up or measure point, visits no slot: a source's queue is a
 Geo/Geo/1 queue in the slots it owns, so its deliveries follow Lindley's
@@ -24,7 +24,11 @@ with array operations, for all sources at once.  Packet management and the
 other policies run on the event loop, ``_event_loop``: the update a
 replacement queue sends next depends on what arrived during the last
 service, which is no such recursion, and work conserving and random access
-couple the sources.
+couple the sources.  Both take their statistics from the same three
+functions, a span at a time: ``_arrivals`` draws a span's arrivals and adds
+their interarrival moments, ``_receive_due`` hands out the delay stage's
+receptions of a slot, and ``_fold`` adds a span's receptions at the monitor
+point to the reception sums and the age area.
 
 The event loop only visits event slots: slots with an arrival, a delay-stage
 reception, a grant to a backlogged source under work conserving or random
@@ -49,9 +53,10 @@ draws.  An update that waits for its first owned slot enters service at the
 source's first visit at or after that slot, so that a newer arrival before
 it still replaces it under packet management.
 
-Steps 1 and 6 are kept as running sums: the occupancy histogram adds the
-time spent in each state when the state changes, and the age area adds the
-arithmetic series ``slot - newest_gen + 1`` between receptions.  Both
+Steps 1 and 6 are kept as sums: the occupancy histogram adds the time spent
+in each state when the state changes, and the age area is the sum of
+``slot + 1`` over the window less, for each reception, the rise of the
+newest generation times the window slots from the reception on.  Both
 implementations take the same values from every random stream as a
 slot-by-slot loop would, so results are the same at every seed.
 """
@@ -61,6 +66,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
+from operator import itemgetter
 
 import numpy as np
 
@@ -159,18 +165,20 @@ class GapSums:
 
 @dataclass(slots=True)
 class ReceptionStats:
-    """Running sums over one source's receptions at the monitor point.
+    """Sums over one source's receptions at the monitor point in the window.
 
-    The engine calls ``add`` for every reception in the window, in order.
-    At the access point it then calls ``mark_left_empty`` when that delivery
-    left the source queue empty at the end of its slot (arrivals of that slot
-    included); receptions at the destination are never marked.  Every
-    reception after the first closes a gap with interarrival gap Y, system
-    time T, inter-reception gap Z and previous system time T₋; these are the
-    terms of the age-area decomposition (Kaul, Yates & Gruteser, "Real-time
-    status: How often should one update?", INFOCOM 2012).  Each sum is an
-    integer, so the statistics derived from them are exact up to one final
-    division, and the memory used does not grow with the horizon.
+    The engine adds them with array operations, a span of receptions at a
+    time (``_fold``), and builds this record once, at the end of the run.  A
+    reception at the access point is a delivery, and it left the queue empty
+    when nothing was left behind at the end of its slot (arrivals of that
+    slot included); a reception at the destination never counts as leaving
+    it empty.  Every reception after the window's first closes a gap with
+    interarrival gap Y, system time T, inter-reception gap Z and previous
+    system time T₋; these are the terms of the age-area decomposition (Kaul,
+    Yates & Gruteser, "Real-time status: How often should one update?",
+    INFOCOM 2012).  Each sum is an integer, so the statistics derived from
+    them are exact up to one final division, and the memory used does not
+    grow with the horizon.
     """
 
     count: int = 0
@@ -178,40 +186,10 @@ class ReceptionStats:
     yt2_sum: int = 0  # sum of 2YT + Y² + Y, twice the age area of each gap
     zt2_sum: int = 0  # sum of 2T₋Z + Z² + Z
     tz_sum: int = 0  # sum of T₋Z
-    left_empty: int = 0  # receptions marked by mark_left_empty
+    left_empty: int = 0  # receptions that left the queue empty
     # gaps split by whether the reception that opened them left the queue empty
     after_empty: GapSums = field(default_factory=GapSums)
     after_busy: GapSums = field(default_factory=GapSums)
-    last_gen: int = 0
-    last_recv: int = 0
-    last_left_empty: bool = False
-
-    def add(self, gen: int, recv: int) -> None:
-        t = recv - gen
-        if self.count:
-            last_gen = self.last_gen
-            last_recv = self.last_recv
-            y = gen - last_gen
-            z = recv - last_recv
-            t_prev = last_recv - last_gen
-            self.yt2_sum += (2 * t + y + 1) * y
-            self.zt2_sum += (2 * t_prev + z + 1) * z
-            self.tz_sum += t_prev * z
-            gaps = self.after_empty if self.last_left_empty else self.after_busy
-            gaps.count += 1
-            gaps.z_sum += z
-            gaps.z2_sum += z * z
-            gaps.t_sum += t
-        self.count += 1
-        self.t_sum += t
-        self.last_gen = gen
-        self.last_recv = recv
-        self.last_left_empty = False
-
-    def mark_left_empty(self) -> None:
-        """The latest reception left the source queue empty."""
-        self.left_empty += 1
-        self.last_left_empty = True
 
 
 def mean_or_nan(total: int, count: int) -> float:
@@ -269,32 +247,18 @@ def _service_share(config: SimConfig, i: int) -> float:
     return att / n
 
 
-def _window_sum(lo: int, hi: int, base: int) -> int:
-    """Sum of ``slot - base + 1`` over the slots ``lo <= slot < hi``."""
-    k = hi - lo
-    return k * (lo + hi - 1) // 2 - k * (base - 1)
-
-
-@dataclass(slots=True)
-class _Totals:
-    """A run's integer tallies, one entry per source, from which the report is built.
-
-    Every count covers the window, except ``in_system``, the occupancy at
-    the horizon.
-    """
-
-    generated: list[int]
-    delivered: list[int]
-    dropped: list[int]
-    in_system: list[int]
-    informative: list[int]
-    obsolete: list[int]
-    age_area: list[int]  # the sum of the window's age samples
-    occupancy: list[dict[int, int]]  # window slot starts that saw each occupancy
-    y_count: list[int]
-    y_sum: list[int]
-    y2_sum: list[int]
-    stats: list[ReceptionStats]
+def _reception_stats(total: dict[str, list[int]], i: int) -> ReceptionStats:
+    """Source i's ``ReceptionStats``, from the run's sums by row name."""
+    return ReceptionStats(
+        count=total["count"][i],
+        t_sum=total["t_sum"][i],
+        yt2_sum=total["yt2_sum"][i],
+        zt2_sum=total["zt2_sum"][i],
+        tz_sum=total["tz_sum"][i],
+        left_empty=total["left_empty"][i],
+        after_empty=GapSums(*(total["empty_" + name][i] for name in GapSums.__slots__)),
+        after_busy=GapSums(*(total["busy_" + name][i] for name in GapSums.__slots__)),
+    )
 
 
 def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats]]:
@@ -311,18 +275,29 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     # rates add up to more than 1, so that a span expects no more than about
     # _BLOCK arrivals
     span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(lambdas)))))
+    sums = np.zeros((len(_SUMS), n), np.int64 if horizon < _INT64_HORIZON else object)
+    # carried from span to span, by source: the last arrival slot (-1 before
+    # the first), then the last reception at the monitor point: its gen (0
+    # before the first), its slot (-1 before the first) and whether it left
+    # the queue empty
+    carry = np.zeros((4, n), np.int64)
+    carry[0] = carry[2] = -1
     if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
-        totals = _fifo_round_robin(config, streams, stage, measure_dest, span)
+        occupancy = _fifo_round_robin(config, streams, stage, measure_dest, span, sums, carry)
     else:
-        totals = _event_loop(config, streams, stage, measure_dest, span)
+        occupancy = _event_loop(config, streams, stage, measure_dest, span, sums, carry)
 
+    total = dict(zip(_SUMS, sums.tolist()))
+    # the window's ages, were nothing ever received: slot + 1 summed over it
+    total_age = (horizon * (horizon + 1) - config.warmup * (config.warmup + 1)) // 2
+    stats = [_reception_stats(total, i) for i in range(n)]
     per_source = []
     for i in range(n):
-        generated = totals.generated[i]
-        delivered = totals.delivered[i]
-        dropped = totals.dropped[i]
-        y_count = totals.y_count[i]
-        rx = totals.stats[i]
+        generated = total["generated"][i]
+        delivered = total["delivered"][i]
+        dropped = total["dropped"][i]
+        y_count = total["y_count"][i]
+        rx = stats[i]
         if rx.count >= 2:
             # both estimates scale the mean age area per gap by the
             # empirical reception rate
@@ -332,25 +307,25 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             est_zt = rate * (rx.zt2_sum / 2) / k
         else:
             est_yt = est_zt = _NAN
-        hist = totals.occupancy[i]
+        hist = occupancy[i]
         per_source.append(
             SourceMetrics(
                 source_id=i,
-                avg_aoi=totals.age_area[i] / window,
+                avg_aoi=(total_age - total["base_area"][i]) / window,
                 generated=generated,
                 delivered=delivered,
                 dropped=dropped,
-                in_system_at_end=totals.in_system[i],
-                informative=totals.informative[i],
-                obsolete=totals.obsolete[i],
+                in_system_at_end=total["in_system"][i],
+                informative=total["informative"][i],
+                obsolete=total["obsolete"][i],
                 empirical_drop_prob=dropped / generated if generated else 0.0,
                 empirical_effective_rate=delivered / window,
                 occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
                 estimator_yt=est_yt,
                 estimator_zt=est_zt,
                 mean_system_time=mean_or_nan(rx.t_sum, rx.count),
-                mean_interarrival=mean_or_nan(totals.y_sum[i], y_count),
-                mean_interarrival_sq=mean_or_nan(totals.y2_sum[i], y_count),
+                mean_interarrival=mean_or_nan(total["y_sum"][i], y_count),
+                mean_interarrival_sq=mean_or_nan(total["y2_sum"][i], y_count),
                 stability_warning=(
                     config.discipline is Discipline.FIFO
                     and lambdas[i] >= _service_share(config, i) - 1e-12
@@ -358,7 +333,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
             )
         )
     report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
-    return report, totals.stats
+    return report, stats
 
 
 def _event_loop(
@@ -367,8 +342,14 @@ def _event_loop(
     stage: DelayStage | None,
     measure_dest: bool,
     span: int,
-) -> _Totals:
-    """Any run but a FIFO round robin, event slot by event slot."""
+    sums: np.ndarray,
+    carry: np.ndarray,
+) -> list[defaultdict[int, int]]:
+    """Any run but a FIFO round robin, event slot by event slot.
+
+    Adds the run's tallies to ``sums`` and returns each source's window slot
+    starts by occupancy.
+    """
     n = config.n_sources
     lambdas = config.lambdas
     horizon = config.horizon
@@ -383,12 +364,10 @@ def _event_loop(
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
 
-    stats = [ReceptionStats() for _ in range(n)]
-    # Step 6 lazily: the age is slot - base + 1, with base 0 until something
-    # is received.  age_area holds the window's ages before slot age_from.
-    base = [0] * n
-    age_from = [warmup] * n
-    age_area = [0] * n
+    last_arrival, last_rx = carry[0], carry[1:]
+    # receptions at the monitor point not yet folded: (source, gen, slot,
+    # left empty), in slot order
+    received: list[tuple[int, int, int, int]] = []
     # Step 1 lazily: occ is the occupancy every slot start from occ_from on
     # sees; occ_slots[i][o] counts the window's slot starts that saw o.
     occ = [0] * n
@@ -403,13 +382,7 @@ def _event_loop(
     # a round-robin update waiting for its first owned slot: that slot,
     # until a visit at or after it moves the update into service
     promote_at = [horizon] * n
-    last_gen = [-1] * n
-    y_sum = [0] * n
-    y2_sum = [0] * n
-    y_count = [0] * n
-    informative = [0] * n
-    obsolete = [0] * n
-    counts_at_warmup: list[tuple[int, int, int]] | None = None
+    counts_at_warmup: list[tuple[int, int]] | None = None  # (delivered, dropped)
 
     arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
 
@@ -422,20 +395,11 @@ def _event_loop(
         """
         while True:
             end = min(start + span, horizon)
-            hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
-            if len(hits) == 1:
-                slots = (hits[0] + start).tolist()
-                sources = [arriving[0]] * len(slots)
-            elif hits:
-                merged = np.concatenate(hits) + start
-                owners = np.repeat(arriving, [len(h) for h in hits])
-                order = np.lexsort((owners, merged))
-                slots = merged[order].tolist()
-                sources = owners[order].tolist()
-            else:
-                slots = sources = []
-            if slots or end == horizon:
-                return slots + [end], sources + [-1], end
+            src, slots = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
+            if len(src) or end == horizon:
+                # sorted by source, so a stable sort by slot breaks ties by source
+                order = slots.argsort(kind="stable")
+                return slots[order].tolist() + [end], src[order].tolist() + [-1], end
             start = end
 
     # the next arrival is cal_slots[ci], or the horizon when none is left
@@ -460,10 +424,9 @@ def _event_loop(
             due = due_at == slot
         if slot >= horizon:
             break
-        rec = slot >= warmup
-        if counts_at_warmup is None and rec:
+        if counts_at_warmup is None and slot >= warmup:
             # no event lies between the warm-up boundary and this slot
-            counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
+            counts_at_warmup = [(q.delivered, q.dropped) for q in queues]
 
         if per_slot_grant:
             granted = grant(slot, occ)
@@ -475,7 +438,7 @@ def _event_loop(
                 grant_pending[i] = False
 
         # every granted source is backlogged, so each one transmits
-        received: list[tuple[int, int]] = []  # (source, gen) reaching the monitor point
+        at_ap: list[tuple[int, int]] = []  # (source, gen) received at the access point
         if granted:
             for i in granted:
                 queues[i].begin_attempt()
@@ -490,27 +453,10 @@ def _event_loop(
                 if stage is not None:
                     stage.inject((i, gen), slot, streams[i].delay)
                 if not measure_dest:
-                    received.append((i, gen))
+                    at_ap.append((i, gen))
 
         if due:
-            for (i, gen), fresh in deliver_due(stage, slot):
-                if rec:
-                    if fresh:
-                        informative[i] += 1
-                    else:
-                        obsolete[i] += 1
-                if fresh and measure_dest:
-                    received.append((i, gen))
-
-        for i, gen in received:
-            if gen > base[i]:
-                lo = age_from[i]
-                if slot > lo:
-                    age_area[i] += _window_sum(lo, slot, base[i])
-                    age_from[i] = slot
-                base[i] = gen
-            if rec:
-                stats[i].add(gen, slot)
+            _receive_due(stage, slot, warmup, measure_dest, sums, received)
 
         first = ci
         while cal_slots[ci] == slot:
@@ -521,16 +467,14 @@ def _event_loop(
                 q.begin_attempt()
                 promote_at[i] = horizon
             q.on_arrival(slot)
-            prev = last_gen[i]
-            if rec and prev >= 0:
-                y = slot - prev
-                y_sum[i] += y
-                y2_sum[i] += y * y
-                y_count[i] += 1
-            last_gen[i] = slot
+        for i, gen in at_ap:
+            # what the delivery left behind, arrivals of this slot included
+            received.append((i, gen, slot, queues[i].in_system == 0))
         if ci > first:
             visits = granted + cal_sources[first:ci]
             if cal_slots[ci] == cal_end and cal_end < horizon:
+                _fold(_by_source(received), warmup, horizon, last_rx, sums)
+                received = []
                 cal_slots, cal_sources, cal_end = calendar(cal_end)
                 ci = 0
         else:
@@ -539,7 +483,6 @@ def _event_loop(
         # the next slot starts: record occupancy changes and schedule grants
         # (a source both granted and arriving is visited twice; the second
         # visit changes nothing)
-        mark_empty = rec and not measure_dest
         for i in visits:
             o = queues[i].in_system
             if o != occ[i]:
@@ -550,10 +493,6 @@ def _event_loop(
                 if per_slot_grant and not (o and occ[i]):
                     n_backlogged += 1 if o else -1
                 occ[i] = o
-                if not o and mark_empty:
-                    # only a delivery empties a queue: it left nothing
-                    # behind, arrivals of this slot included
-                    stats[i].mark_left_empty()
             if o and not per_slot_grant and not grant_pending[i]:
                 grant_pending[i] = True
                 if round_robin:
@@ -576,28 +515,15 @@ def _event_loop(
                 if nxt < horizon:
                     heappush(grants, (nxt, i))
 
+    _fold(_by_source(received), warmup, horizon, last_rx, sums)
     if counts_at_warmup is None:
-        counts_at_warmup = [(q.generated, q.delivered, q.dropped) for q in queues]
+        counts_at_warmup = [(q.delivered, q.dropped) for q in queues]
     for i in range(n):
-        age_area[i] += _window_sum(age_from[i], horizon, base[i])
         occ_slots[i][occ[i]] += horizon - occ_from[i]
-    generated = [q.generated - g for q, (g, _, _) in zip(queues, counts_at_warmup)]
-    delivered = [q.delivered - d for q, (_, d, _) in zip(queues, counts_at_warmup)]
-    dropped = [q.dropped - x for q, (_, _, x) in zip(queues, counts_at_warmup)]
-    return _Totals(
-        generated=generated,
-        delivered=delivered,
-        dropped=dropped,
-        in_system=[q.occupancy() for q in queues],
-        informative=informative,
-        obsolete=obsolete,
-        age_area=age_area,
-        occupancy=occ_slots,
-        y_count=y_count,
-        y_sum=y_sum,
-        y2_sum=y2_sum,
-        stats=stats,
-    )
+    sums[_ROW["delivered"]] = [q.delivered - d for q, (d, _) in zip(queues, counts_at_warmup)]
+    sums[_ROW["dropped"]] = [q.dropped - x for q, (_, x) in zip(queues, counts_at_warmup)]
+    sums[_ROW["in_system"]] = [q.in_system for q in queues]
+    return occ_slots
 
 
 def _firsts(src: np.ndarray) -> np.ndarray:
@@ -648,20 +574,124 @@ def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.insert(a, np.searchsorted(a[0], b[0], "right"), b, axis=1)
 
 
-# From this horizon on, the kernel adds its terms, each below about
+# From this horizon on, a run adds its terms, each below about
 # 3 * horizon**2, as Python integers, since int64 could overflow
 _INT64_HORIZON = 1 << 30
 
-# The kernel's sums per source, by row: the window's arrivals, interarrival
-# count, sum and sum of squares, and deliveries; the window's summed newest
-# generation at the monitor point; then ReceptionStats' sums, "empty" and
-# "busy" being its after_empty and after_busy
+# A run's tallies per source, by row.  _arrivals adds the first four: the
+# window's arrivals, interarrival count, sum and sum of squares.  _fold adds
+# the next fifteen: the window's summed newest generation at the monitor
+# point, then ReceptionStats' sums, "empty" and "busy" being its after_empty
+# and after_busy.  _receive_due counts the window's informative and obsolete
+# delay-stage receptions.  Each engine path fills in the window's deliveries
+# and drops, and the occupancy at the horizon.
 _SUMS = (
-    "generated", "y_count", "y_sum", "y2_sum", "delivered", "base_area",
-    "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
+    "generated", "y_count", "y_sum", "y2_sum",
+    "base_area", "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
     "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
     "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
+    "informative", "obsolete",
+    "delivered", "dropped", "in_system",
 )
+_ROW = {name: j for j, name in enumerate(_SUMS)}
+
+
+def _arrivals(
+    streams: list[SourceStreams],
+    lambdas: tuple[float, ...],
+    arriving: list[int],
+    start: int,
+    end: int,
+    warmup: int,
+    last_arrival: np.ndarray,
+    sums: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The arrivals in the slots ``start <= slot < end``: sources and slots, sorted by source.
+
+    Takes ``end - start`` draws from the arrival stream of every source in
+    ``arriving``, adds the window's arrivals and interarrival moments to
+    ``sums`` and moves each source's ``last_arrival`` on.
+    """
+    hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
+    if hits:
+        a_src = np.repeat(arriving, [len(h) for h in hits])
+        a_slot = np.concatenate(hits) + start
+    else:
+        a_src = a_slot = np.empty(0, np.int64)
+    first = _firsts(a_src)
+    prev = _previous(a_slot, first, a_src, last_arrival)
+    last = _lasts(first)
+    last_arrival[a_src[last]] = a_slot[last]
+    in_window = a_slot >= warmup
+    paired = in_window & (prev >= 0)
+    y = (a_slot - prev).astype(sums.dtype) * paired
+    _add_by_source(sums[:4], a_src, first, in_window, paired, y, y * y)
+    return a_src, a_slot
+
+
+def _receive_due(
+    stage: DelayStage,
+    slot: int,
+    warmup: int,
+    measure_dest: bool,
+    sums: np.ndarray,
+    received: list[tuple[int, int, int, int]],
+) -> None:
+    """Hand out the delay stage's receptions due in ``slot``.
+
+    Counts the window's informative and obsolete ones in ``sums``, and
+    appends each informative one to ``received`` when the destination is the
+    monitor point.
+    """
+    for (i, gen), fresh in deliver_due(stage, slot):
+        if slot >= warmup:
+            sums[_ROW["informative" if fresh else "obsolete"], i] += 1
+        if fresh and measure_dest:
+            received.append((i, gen, slot, 0))
+
+
+def _by_source(received: list[tuple[int, int, int, int]]) -> np.ndarray:
+    """Receptions listed in slot order, as rows source, gen, slot, left empty, sorted by source."""
+    return np.array(sorted(received, key=itemgetter(0)), np.int64).reshape(-1, 4).T
+
+
+def _fold(
+    received: np.ndarray, warmup: int, horizon: int, last_rx: np.ndarray, sums: np.ndarray
+) -> None:
+    """Add receptions at the monitor point to the reception sums.
+
+    ``received`` has rows source, gen, slot and left empty (1 when the
+    reception left the queue empty), sorted by source and, within a source,
+    by slot; each reception follows ``last_rx``, the source's last one (gen,
+    slot, left empty), which moves on.  A reception outside the window only
+    raises the newest generation.
+    """
+    r_src = received[0]
+    first = _firsts(r_src)
+    received = received[1:].astype(sums.dtype)
+    prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, last_rx)
+    last = _lasts(first)
+    last_rx[:, r_src[last]] = received[:, last]
+    r_gen, r_slot, left_empty = received
+    # the window's receptions are a suffix of each source's, so a gap
+    # lies in the window when the reception that opens it does
+    in_window = r_slot >= warmup
+    paired = prev_slot >= warmup
+    after_empty = paired & (prev_empty == 1)
+    after_busy = paired & (prev_empty == 0)
+    t = r_slot - r_gen
+    y = (r_gen - prev_gen) * paired
+    z = (r_slot - prev_slot) * paired
+    t_prev = prev_slot - prev_gen
+    _add_by_source(
+        sums[4:19], r_src, first,
+        # each reception raises the newest generation for the rest of the window
+        (r_gen - prev_gen) * (horizon - np.maximum(r_slot, warmup)),
+        in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
+        left_empty * in_window,
+        after_empty, z * after_empty, z * z * after_empty, t * after_empty,
+        after_busy, z * after_busy, z * z * after_busy, t * after_busy,
+    )
 
 
 def _fifo_round_robin(
@@ -670,7 +700,9 @@ def _fifo_round_robin(
     stage: DelayStage | None,
     measure_dest: bool,
     span: int,
-) -> _Totals:
+    sums: np.ndarray,
+    carry: np.ndarray,
+) -> list[defaultdict[int, int]]:
     """FIFO round robin: each source's deliveries from one Lindley recursion.
 
     Source i owns the slots i + n·d; d is the owned index.  Its channel
@@ -692,10 +724,11 @@ def _fifo_round_robin(
     every source's arrival draws, and the channel draws that the services ending before
     the span's end can spend, with ``take_below``: the same values a
     slot-by-slot loop draws.  Updates whose service may end later wait for
-    a later span.  The statistics of the deliveries, and of the receptions
-    the delay stage hands out, before the span's end are then added to
-    exact integer sums per source.  The arrays a span holds are sorted by
-    source, and carry the source in row 0.
+    a later span.  The statistics of the arrivals, the deliveries, and the
+    receptions the delay stage hands out, before the span's end are then
+    added to ``sums`` as on the event loop.  The arrays a span holds are
+    sorted by source, and carry the source in row 0.  Returns each source's
+    window slot starts by occupancy.
     """
     n = config.n_sources
     lambdas = config.lambdas
@@ -713,25 +746,18 @@ def _fifo_round_robin(
     waiting = none  # updates without a delivery slot: source, gen, u
     scheduled = none  # updates delivered at or after the span's start: source, gen, slot
     successes = none[:2]  # channel successes drawn: source, draw
-    state = np.zeros((10, n), np.int64)
+    state = np.zeros((6, n), np.int64)
     (
         spent,  # C of the last update given a slot
         lag,  # that update's owned index minus spent
         drawn,  # channel draws taken
         used,  # leading successes of the source in `successes` spent
         n_waiting,
-        last_arrival,  # -1 before the first
         occ,  # occupancy at the span's start
-    ) = state[:7]
-    # the last reception at the monitor point: gen (0 before the first),
-    # slot (-1 before the first), and whether it left the queue empty
-    last_rx = state[7:]
-    lag[:] = last_arrival[:] = last_rx[1] = -1
-    exact = np.int64 if horizon < _INT64_HORIZON else object
-    sums = np.zeros((len(_SUMS), n), exact)
+    ) = state
+    lag[:] = -1
+    last_arrival, last_rx = carry[0], carry[1:]
     occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    informative = [0] * n
-    obsolete = [0] * n
 
     start = 0
     while start < horizon:
@@ -740,20 +766,7 @@ def _fifo_round_robin(
         # to the arrivals, and the memory to the waiting updates
         end = min(start + span * max(1, waiting.shape[1] // _BLOCK), horizon)
 
-        hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
-        if hits:
-            a_src = np.repeat(arriving, [len(h) for h in hits])
-            a_slot = np.concatenate(hits) + start
-        else:
-            a_src = a_slot = none[0]
-        first = _firsts(a_src)
-        prev = _previous(a_slot, first, a_src, last_arrival)
-        last = _lasts(first)
-        last_arrival[a_src[last]] = a_slot[last]
-        in_window = a_slot >= warmup
-        paired = in_window & (prev >= 0)
-        y = (a_slot - prev).astype(exact) * paired
-        _add_by_source(sums[:4], a_src, first, in_window, paired, y, y * y)
+        a_src, a_slot = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
 
         # give delivery slots to the waiting updates whose service can end
         # before `end`: the next service starts at owned index `begin` or
@@ -816,7 +829,7 @@ def _fifo_round_robin(
         due = scheduled[2] < end
         d_src, d_gen, d_slot = scheduled.compress(due, axis=1)
         scheduled = scheduled.compress(~due, axis=1)
-        sums[4] += np.bincount(d_src[d_slot >= warmup], minlength=n)
+        sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
 
         # occupancy: each source's level from the span's start, +1 at the
         # slot after an arrival, -1 at the slot after a delivery, then back
@@ -864,84 +877,17 @@ def _fifo_round_robin(
         if stage is not None:
             for i, gen, slot in zip(d_src.tolist(), d_gen.tolist(), d_slot.tolist()):
                 stage.inject((i, gen), slot, streams[i].delay)
-            fresh_rx = []
+            fresh_rx: list[tuple[int, int, int, int]] = []
             while (slot := stage.earliest) is not None and slot < end:
-                for (i, gen), fresh in deliver_due(stage, slot):
-                    if slot >= warmup:
-                        if fresh:
-                            informative[i] += 1
-                        else:
-                            obsolete[i] += 1
-                    if fresh and measure_dest:
-                        fresh_rx.append((i, gen, slot))
+                _receive_due(stage, slot, warmup, measure_dest, sums, fresh_rx)
         if measure_dest:
-            fresh_rx.sort(key=lambda r: r[0])
-            r_src, r_gen, r_slot = np.array(fresh_rx, np.int64).reshape(-1, 3).T
-            left_empty = np.zeros(len(r_src), np.int64)
+            _fold(_by_source(fresh_rx), warmup, horizon, last_rx, sums)
         else:
-            r_src, r_gen, r_slot = d_src, d_gen, d_slot
-        first = _firsts(r_src)
-        received = np.array((r_gen, r_slot, left_empty), exact)
-        prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, last_rx)
-        last = _lasts(first)
-        last_rx[:, r_src[last]] = received[:, last]
-        r_gen, r_slot, left_empty = received
-        # the window's receptions are a suffix of each source's, so a gap
-        # lies in the window when the reception that opens it does
-        in_window = r_slot >= warmup
-        paired = prev_slot >= warmup
-        after_empty = paired & (prev_empty == 1)
-        after_busy = paired & (prev_empty == 0)
-        t = r_slot - r_gen
-        y = (r_gen - prev_gen) * paired
-        z = (r_slot - prev_slot) * paired
-        t_prev = prev_slot - prev_gen
-        _add_by_source(
-            sums[5:], r_src, first,
-            # each reception raises the newest generation for the rest of the window
-            (r_gen - prev_gen) * (horizon - np.maximum(r_slot, warmup)),
-            in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
-            left_empty * in_window,
-            after_empty, z * after_empty, z * z * after_empty, t * after_empty,
-            after_busy, z * after_busy, z * z * after_busy, t * after_busy,
-        )
+            _fold(np.array((d_src, d_gen, d_slot, left_empty)), warmup, horizon, last_rx, sums)
         start = end
 
-    total = dict(zip(_SUMS, sums.tolist()))
-    last_gen, last_recv, last_left_empty = last_rx.tolist()
-    stats = []
-    for i in range(n):
-        rs = ReceptionStats(
-            count=total["count"][i],
-            t_sum=total["t_sum"][i],
-            yt2_sum=total["yt2_sum"][i],
-            zt2_sum=total["zt2_sum"][i],
-            tz_sum=total["tz_sum"][i],
-            left_empty=total["left_empty"][i],
-            after_empty=GapSums(*(total["empty_" + name][i] for name in GapSums.__slots__)),
-            after_busy=GapSums(*(total["busy_" + name][i] for name in GapSums.__slots__)),
-        )
-        if rs.count:
-            # the last reception is the window's
-            rs.last_gen = last_gen[i]
-            rs.last_recv = last_recv[i]
-            rs.last_left_empty = last_left_empty[i] == 1
-        stats.append(rs)
-    total_age = _window_sum(warmup, horizon, 0)
-    return _Totals(
-        generated=total["generated"],
-        delivered=total["delivered"],
-        dropped=[0] * n,
-        in_system=occ.tolist(),
-        informative=informative,
-        obsolete=obsolete,
-        age_area=[total_age - a for a in total["base_area"]],
-        occupancy=occupancy,
-        y_count=total["y_count"],
-        y_sum=total["y_sum"],
-        y2_sum=total["y2_sum"],
-        stats=stats,
-    )
+    sums[_ROW["in_system"]] = occ
+    return occupancy
 
 
 def run(config: SimConfig) -> MetricsReport:

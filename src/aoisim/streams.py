@@ -22,10 +22,10 @@ A source builds a role's stream on first use.  A stream builds its generator
 and draws its first block of uniforms on first use, so a source's unused
 roles cost nothing; a first use that says how many draws it may take
 (``skip_to_below``, ``take_below``) draws no more than that.  Later blocks
-hold ``_BLOCK`` values, or fewer when the streams are made for a run of known
-horizon: no stream takes more than one draw per slot, so a block never needs
-more values than the run has slots.  Block sizes never change which values
-are drawn, only when.
+hold ``_BLOCK`` values.  A stream made for a run of known horizon draws no
+more than ``horizon`` values in all, its last block holding what is left:
+no stream takes more than one draw per slot, so a run never needs more.
+Block sizes never change which values are drawn, only when.
 """
 from __future__ import annotations
 
@@ -166,13 +166,13 @@ class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
     __slots__ = (
-        "_seed", "_key", "_block", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next"
+        "_seed", "_key", "_left", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next"
     )
 
-    def __init__(self, seed: int, key: tuple[int, ...], block: int = _BLOCK):
+    def __init__(self, seed: int, key: tuple[int, ...], horizon: int | None = None):
         self._seed = seed
         self._key = key
-        self._block = block
+        self._left = horizon  # values the stream may still draw; None: no bound
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
@@ -184,10 +184,18 @@ class UniformStream:
 
     def _refill(self, first_size: int = _BLOCK) -> None:
         gen = self._gen
-        size = self._block
+        size = _BLOCK
         if gen is None:
             gen = self._gen = _generator(self._seed, self._key)
             size = min(first_size, size)
+        left = self._left
+        if left is not None:
+            if not left:
+                raise RuntimeError(
+                    f"stream {self._key} has drawn all its values: one per slot of the run"
+                )
+            size = min(size, left)
+            self._left = left - size
         self._buf = gen.random(size)
         self._idx = 0
         self._end = size
@@ -269,22 +277,22 @@ class SourceStreams:
     """The independent streams one source consumes during a run.
 
     Each role's stream (``arrival``, ``channel``, ``access``, ``delay``) is
-    built on first use.  Given the run's ``horizon``, every block holds at
+    built on first use.  Given the run's ``horizon``, each stream draws at
     most ``horizon`` values.
     """
 
-    __slots__ = ("_seed", "_source_id", "_block", "arrival", "channel", "access", "delay")
+    __slots__ = ("_seed", "_source_id", "_horizon", "arrival", "channel", "access", "delay")
 
     def __init__(self, seed: int, source_id: int, horizon: int | None = None):
         self._seed = seed
         self._source_id = source_id
-        self._block = _BLOCK if horizon is None else min(_BLOCK, horizon)
+        self._horizon = horizon
 
     def __getattr__(self, name: str) -> UniformStream:
         # reached only while a role's slot is unset: build its stream there
         role = _ROLES.get(name)
         if role is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        stream = UniformStream(self._seed, (self._source_id, role), self._block)
+        stream = UniformStream(self._seed, (self._source_id, role), self._horizon)
         setattr(self, name, stream)
         return stream

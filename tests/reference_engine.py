@@ -6,20 +6,23 @@ outside the package, as the oracle for the differential tests of the
 event-driven engine, together with ``AoiTracker``, the per-slot age
 accumulator it needs, ``random_access_grant``, the slot-wise random-access
 rule, ``DelayStage``, ``DestState`` and ``deliver_due``, a slot-wise delay
-stage that sorts each slot's receptions, and ``DeliveryLog`` and
+stage that sorts each slot's receptions, ``DeliveryLog`` and
 ``sample_path_estimators``, which keep every reception and compute the two
-area-decomposition estimates from the whole trace.  Only the tests import
-it.
+area-decomposition estimates from the whole trace, and ``ReceptionFold`` and
+``fold_trace``, which add a trace's reception sums one reception at a time.
+Only the tests import it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from aoisim.access import ChannelKind, PolicyKind, grant, resolve
 from aoisim.engine import (
+    GapSums,
     MeasurePoint,
     MetricsReport,
+    ReceptionStats,
     SimConfig,
     SourceMetrics,
     _service_share,
@@ -109,6 +112,58 @@ class DeliveryLog:
     gen_slots: list[int] = field(default_factory=list)
     recv_slots: list[int] = field(default_factory=list)
     left_empty: list[bool] = field(default_factory=list)
+
+
+@dataclass
+class ReceptionFold:
+    """A source's reception sums, added one reception at a time.
+
+    The engine adds its receptions with array operations, a span at a time;
+    this is the independent fold the tests hold it to.  Call ``add`` for
+    every reception in the window, in order, and after it
+    ``mark_left_empty`` when that delivery left the source queue empty.
+    """
+
+    stats: ReceptionStats = field(default_factory=ReceptionStats)
+    last_gen: int = 0
+    last_recv: int = 0
+    last_left_empty: bool = False
+
+    def add(self, gen: int, recv: int) -> None:
+        stats = self.stats
+        t = recv - gen
+        if stats.count:
+            y = gen - self.last_gen
+            z = recv - self.last_recv
+            t_prev = self.last_recv - self.last_gen
+            stats.yt2_sum += (2 * t + y + 1) * y
+            stats.zt2_sum += (2 * t_prev + z + 1) * z
+            stats.tz_sum += t_prev * z
+            gaps: GapSums = stats.after_empty if self.last_left_empty else stats.after_busy
+            gaps.count += 1
+            gaps.z_sum += z
+            gaps.z2_sum += z * z
+            gaps.t_sum += t
+        stats.count += 1
+        stats.t_sum += t
+        self.last_gen = gen
+        self.last_recv = recv
+        self.last_left_empty = False
+
+    def mark_left_empty(self) -> None:
+        """The latest reception left the source queue empty."""
+        self.stats.left_empty += 1
+        self.last_left_empty = True
+
+
+def fold_trace(trace: Iterable[tuple[int, int, bool]]) -> ReceptionStats:
+    """The reception sums of ``(gen, recv, left empty)`` triples, in reception order."""
+    fold = ReceptionFold()
+    for gen, recv, left_empty in trace:
+        fold.add(gen, recv)
+        if left_empty:
+            fold.mark_left_empty()
+    return fold.stats
 
 
 def sample_path_estimators(log: DeliveryLog, window: int) -> tuple[float, float]:

@@ -27,14 +27,9 @@ from aoisim.streams import _BLOCK, Role, UniformStream
 
 
 def stats_of_trace(log: reference_engine.DeliveryLog) -> ReceptionStats:
-    """Feed a reference reception trace, left-empty marks included, in order."""
-    stats = ReceptionStats()
-    marks = log.left_empty
-    for j, (gen, recv) in enumerate(zip(log.gen_slots, log.recv_slots)):
-        stats.add(gen, recv)
-        if j < len(marks) and marks[j]:
-            stats.mark_left_empty()
-    return stats
+    """Fold a reference reception trace, left-empty marks included, one reception at a time."""
+    marks = log.left_empty or [False] * len(log.gen_slots)
+    return reference_engine.fold_trace(zip(log.gen_slots, log.recv_slots, marks))
 
 
 def assert_same_run(config: SimConfig) -> None:
@@ -185,12 +180,8 @@ def test_spans_grow_with_a_long_backlog(monkeypatch) -> None:
     assert max(spans) > _BLOCK // 4
 
 
-@pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
-def test_fifo_sums_in_python_integers(measure_at: MeasurePoint, monkeypatch) -> None:
-    # from _INT64_HORIZON on, FIFO round robin adds its terms as Python
-    # integers, which int64 could not hold; a short run takes that path here
-    monkeypatch.setattr(engine, "_INT64_HORIZON", 1)
-    config = SimConfig(
+_PYTHON_INTEGER_RUNS = {
+    measure_at.value: SimConfig(
         n_sources=2,
         lambdas=(0.3, 0.45),
         discipline=Discipline.FIFO,
@@ -202,7 +193,40 @@ def test_fifo_sums_in_python_integers(measure_at: MeasurePoint, monkeypatch) -> 
         measure_at=measure_at,
         warmup=600,
     )
-    assert_same_run(config)
+    for measure_at in MeasurePoint
+} | {
+    "round_robin_replacement": SimConfig(
+        n_sources=3,
+        lambdas=(0.2, 0.35, 0.6),
+        discipline=Discipline.REPLACEMENT,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 0.8, 0.9)),
+        horizon=5000,
+        seed=43,
+        warmup=400,
+    ),
+    "random_access_destination": SimConfig(
+        n_sources=3,
+        lambdas=(0.05, 0.1, 0.15),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.4, 0.5, 0.6)),
+        channel=ChannelConfig(ChannelKind.COLLISION, success_probs=(0.9, 0.9, 0.8)),
+        network_k=0.3,
+        horizon=5000,
+        seed=47,
+        measure_at=MeasurePoint.DESTINATION,
+        warmup=300,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_PYTHON_INTEGER_RUNS))
+def test_fifo_sums_in_python_integers(name: str, monkeypatch) -> None:
+    # from _INT64_HORIZON on, a run adds its terms as Python integers, which
+    # int64 could not hold; a short run takes that path here, on the FIFO
+    # round-robin kernel and on the event loop, which share the sums
+    monkeypatch.setattr(engine, "_INT64_HORIZON", 1)
+    assert_same_run(_PYTHON_INTEGER_RUNS[name])
 
 
 @pytest.mark.parametrize("discipline", list(Discipline))

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import reference_engine
@@ -80,15 +81,30 @@ class TestCalibrationTraces:
         assert stats[0].count == len(logs[0].gen_slots) > 0
 
 
+def engine_folds(trace: list[tuple[int, int, bool]]) -> list[ReceptionStats]:
+    """The engine's array fold of one source's ``(gen, recv, left empty)`` trace.
+
+    One result per split of the trace into two spans, the first holding
+    0, 1, ..., all of the receptions.
+    """
+    rows = np.array([(0, gen, recv, empty) for gen, recv, empty in trace], np.int64)
+    horizon = trace[-1][1] + 1
+    folds = []
+    for k in range(len(trace) + 1):
+        sums = np.zeros((len(engine._SUMS), 1), np.int64)
+        last_rx = np.array([[0], [-1], [0]])  # nothing received yet
+        for part in (rows[:k], rows[k:]):
+            engine._fold(part.reshape(-1, 4).T, 0, horizon, last_rx, sums)
+        folds.append(engine._reception_stats(dict(zip(engine._SUMS, sums.tolist())), 0))
+    return folds
+
+
 class TestEstimators:
     def test_constant_trace(self) -> None:
         # gen 0, 2, 4, ..., each received one slot later: Y=2, T=1, Z=2 every
         # gap, and every third delivery leaves the queue empty
-        stats = ReceptionStats()
-        for j in range(50):
-            stats.add(2 * j, 2 * j + 1)
-            if j % 3 == 0:
-                stats.mark_left_empty()
+        trace = [(2 * j, 2 * j + 1, j % 3 == 0) for j in range(50)]
+        stats = reference_engine.fold_trace(trace)
         # 49 gaps; those opened by deliveries 0, 3, ..., 48 follow an empty queue
         assert stats == ReceptionStats(
             count=50,
@@ -99,10 +115,8 @@ class TestEstimators:
             left_empty=17,
             after_empty=GapSums(count=17, z_sum=34, z2_sum=68, t_sum=17),
             after_busy=GapSums(count=32, z_sum=64, z2_sum=128, t_sum=32),
-            last_gen=98,
-            last_recv=99,
-            last_left_empty=False,
         )
+        assert engine_folds(trace) == [stats] * 51
         # two saturated sources under round robin produce that trace after a
         # two-slot warm-up; both decompositions give the per-slot age 2.5
         c = config(n_sources=2, lambdas=(1.0, 1.0), horizon=100, warmup=2)
@@ -114,11 +128,9 @@ class TestEstimators:
 
     def test_uneven_trace_split_sums(self) -> None:
         # (gen, recv, left empty): T = 2, 1, 4, 1; Y = 3, 2, 5; Z = 2, 5, 2
-        stats = ReceptionStats()
-        for gen, recv, empty in ((0, 2, True), (3, 4, False), (5, 9, True), (10, 11, False)):
-            stats.add(gen, recv)
-            if empty:
-                stats.mark_left_empty()
+        trace = [(0, 2, True), (3, 4, False), (5, 9, True), (10, 11, False)]
+        stats = reference_engine.fold_trace(trace)
+        assert engine_folds(trace) == [stats] * 5
         assert stats.count == 4 and stats.left_empty == 2
         assert stats.t_sum == 2 + 1 + 4 + 1
         assert stats.yt2_sum == (2 * 1 + 3 + 1) * 3 + (2 * 4 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5
@@ -129,9 +141,9 @@ class TestEstimators:
 
     def test_needs_two_deliveries(self) -> None:
         # a lone reception closes no gap, so neither estimate exists
-        stats = ReceptionStats()
-        stats.add(3, 4)
-        stats.mark_left_empty()
+        trace = [(3, 4, True)]
+        stats = reference_engine.fold_trace(trace)
+        assert engine_folds(trace) == [stats] * 2
         assert stats.after_empty == stats.after_busy == GapSums()
         assert stats.yt2_sum == stats.zt2_sum == stats.tz_sum == 0
         # a single update at slot 0, delivered in slot 1, and nothing after it
@@ -309,6 +321,13 @@ class TestWork:
             Role.ARRIVAL, Role.CHANNEL, Role.ACCESS, Role.DELAY
         }
         assert max(stream_draws.values()) <= h
+        # twenty saturated sources draw their arrivals 819 slots at a time,
+        # so after the first span a stream must not refill a whole block
+        h = 10_000
+        for discipline in Discipline:
+            stream_draws.clear()
+            run(config(n_sources=20, lambdas=(1.0,) * 20, discipline=discipline, horizon=h))
+            assert stream_draws == {(i, Role.ARRIVAL): h for i in range(20)}
 
 
 class TestStabilityWarning:

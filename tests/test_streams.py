@@ -25,10 +25,13 @@ from aoisim.streams import _BLOCK, Role, SourceStreams, UniformStream
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1])
 def test_draws_equal_the_spawn_key_generator(seed: int, key: tuple[int, ...]) -> None:
     """A stream draws what numpy's SeedSequence with its spawn key seeds, across blocks."""
-    stream = UniformStream(seed, key, 1000)
+    # a full first block, then a second one of the 500 values left in the budget
+    stream = UniformStream(seed, key, _BLOCK + 500)
     ss = np.random.SeedSequence(entropy=seed & (2**64 - 1), spawn_key=key)
-    expected = np.random.Generator(np.random.PCG64(ss)).random(2500)
-    assert [stream.uniform() for _ in range(2500)] == expected.tolist()
+    expected = np.random.Generator(np.random.PCG64(ss)).random(_BLOCK + 500)
+    assert [stream.uniform() for _ in range(_BLOCK + 500)] == expected.tolist()
+    with pytest.raises(RuntimeError):
+        stream.uniform()
 
 
 def test_round_robin_on_a_perfect_channel_builds_only_arrival_streams(monkeypatch) -> None:
@@ -130,7 +133,7 @@ def test_skip_to_below_equals_counting_draws(p: float, steps: list[int | None]) 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.001, 0.999)),
-    block=st.sampled_from([_BLOCK, 1000, 7]),
+    slack=st.sampled_from([None, 0, 7, 1000]),
     steps=st.lists(
         st.one_of(
             st.none(),
@@ -141,10 +144,15 @@ def test_skip_to_below_equals_counting_draws(p: float, steps: list[int | None]) 
     ),
 )
 def test_take_below_equals_counting_draws(
-    p: float, block: int, steps: list[tuple[bool, int] | None]
+    p: float, slack: int | None, steps: list[tuple[bool, int] | None]
 ) -> None:
-    """Block-wise takes interleaved with skips and single draws, on any block size."""
-    fast = UniformStream(5, (3, 0), block)
+    """Block-wise takes interleaved with skips and single draws, with or without a budget.
+
+    A budget of ``slack`` values beyond the most the steps can take sizes
+    the last block by what is left; with no slack every value is drawn.
+    """
+    most = sum(1 if step is None else step[1] for step in steps) + 1
+    fast = UniformStream(5, (3, 0), None if slack is None else most + slack)
     slow = UniformStream(5, (3, 0))
     for step in steps:
         if step is None:
