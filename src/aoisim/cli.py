@@ -432,13 +432,17 @@ def _run_jobs(configs: list[SimConfig], workers: int) -> list[list[dict[str, Any
     points.  Share 0 runs here; each other share runs in one forked child
     that sends its rows back over a pipe.  ``_sweep_job`` is looked up by
     name at call time, here and in the children, so a wrapper bound to
-    ``cli._sweep_job`` before the fork sees every job.
+    ``cli._sweep_job`` before the fork sees every job.  The children are
+    forked whatever the default start method, wherever the platform can
+    fork: a spawned or forkserver child would import numpy and aoisim
+    again, and would not see such a wrapper.
     """
     if workers == 1:
         return [_sweep_job(cfg) for cfg in configs]
     import multiprocessing
 
-    ctx = multiprocessing.get_context()
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    ctx = multiprocessing.get_context(method)
     children = []
     try:
         for share in range(1, workers):

@@ -15,34 +15,41 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-Two implementations compute the queues; which one runs depends only on the
-policy and the discipline.  FIFO round robin, whatever the channel, delay
-stage, warm-up or measure point, visits no slot: a source's queue is a
+Three implementations compute the queues; which one runs depends only on
+the policy and the discipline.  FIFO round robin, whatever the channel,
+delay stage, warm-up or measure point, visits no slot: a source's queue is a
 Geo/Geo/1 queue in the slots it owns, so its deliveries follow Lindley's
 recursion, which ``_fifo_round_robin`` computes a span of slots at a time
-with array operations, for all sources at once.  Packet management and the
-other policies run on the event loop, ``_event_loop``: the update a
-replacement queue sends next depends on what arrived during the last
-service, which is no such recursion, and work conserving and random access
-couple the sources.  Both take their statistics from the same three
-functions, a span at a time: ``_arrivals`` draws a span's arrivals and adds
-their interarrival moments, ``_receive_due`` hands out the delay stage's
-receptions of a slot, and ``_fold`` adds a span's receptions at the monitor
-point to the reception sums and the age area.
+with array operations, for all sources at once.  FIFO random access visits
+only the slots in which some source transmits: a FIFO source sends its
+oldest update whatever arrived since, so ``_fifo_random_access`` keeps a
+heap of the sources' next attempts and nothing else.  Packet management, on
+any policy, and FIFO work conserving run on the event loop, ``_event_loop``:
+the update a replacement queue sends next depends on what arrived during
+the last service, and work conserving grants a slot from every source's
+backlog.
 
-The event loop only visits event slots: slots with an arrival, a delay-stage
-reception, a grant to a backlogged source under work conserving or random
-access, or a round robin's successful attempt.  Each event slot runs the six
-steps above in the same order, touching only the sources involved; nothing
-changes in the slots between them.
+All three take their statistics from the same functions, a span of slots
+at a time: ``_arrivals`` draws a span's arrivals and adds their
+interarrival moments, ``_receive`` passes a span's deliveries through the
+delay stage, which never feeds back into the access point, and ``_fold``
+adds the receptions at the monitor point to the reception sums and the age
+area.  The two FIFO paths add the occupancy histogram and each delivery's
+left-empty flag from a span's arrival and delivery arrays (``_fifo_span``).
+
+The event loop only visits event slots: slots with an arrival, a grant to a
+backlogged source under work conserving or random access, or a round
+robin's successful attempt.  Each event slot runs the six steps above in
+the same order, touching only the sources involved, but for the delay
+stage's receptions, which are handed out a span at a time; nothing changes
+in the slots between them.
 
 Arrivals do not depend on the system state, and a source's arrival stream
 takes one draw per slot, so the event loop takes the draws of a whole block of
 slots from every arrival stream at once and merges the arrival slots by
 (slot, source) into the arrival calendar.  Each kind of pending event has
-one owner: arrivals are on the calendar, grants on the loop's heap of
-``(slot, source)`` events, and receptions on the delay stage's heap; the
-next event slot is the earliest of the three.
+one owner: arrivals are on the calendar and grants on the loop's heap of
+``(slot, source)`` events; the next event slot is the earlier of the two.
 
 Under round robin only a slot's owner transmits and the channel draws are
 its own, so when an update enters service (its source becomes backlogged,
@@ -56,13 +63,13 @@ it still replaces it under packet management.
 Steps 1 and 6 are kept as sums: the occupancy histogram adds the time spent
 in each state when the state changes, and the age area is the sum of
 ``slot + 1`` over the window less, for each reception, the rise of the
-newest generation times the window slots from the reception on.  Both
+newest generation times the window slots from the reception on.  All three
 implementations take the same values from every random stream as a
 slot-by-slot loop would, so results are the same at every seed.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -269,7 +276,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     horizon = config.horizon
     window = horizon - config.warmup
     streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
-    stage = DelayStage(config.network_k, n) if config.network_k is not None else None
+    stage = DelayStage(config.network_k, streams) if config.network_k is not None else None
     measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
     # arrivals are drawn `span` slots at a time: a block, or fewer when the
     # rates add up to more than 1, so that a span expects no more than about
@@ -282,10 +289,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     # the queue empty
     carry = np.zeros((4, n), np.int64)
     carry[0] = carry[2] = -1
-    if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
-        occupancy = _fifo_round_robin(config, streams, stage, measure_dest, span, sums, carry)
-    else:
-        occupancy = _event_loop(config, streams, stage, measure_dest, span, sums, carry)
+    path = _event_loop
+    if config.discipline is Discipline.FIFO:
+        path = _FIFO_PATHS.get(config.policy.kind, _event_loop)
+    occupancy = path(config, streams, stage, measure_dest, span, sums, carry)
 
     total = dict(zip(_SUMS, sums.tolist()))
     # the window's ages, were nothing ever received: slot + 1 summed over it
@@ -345,7 +352,7 @@ def _event_loop(
     sums: np.ndarray,
     carry: np.ndarray,
 ) -> list[defaultdict[int, int]]:
-    """Any run but a FIFO round robin, event slot by event slot.
+    """Packet management, and FIFO work conserving, event slot by event slot.
 
     Adds the run's tallies to ``sums`` and returns each source's window slot
     starts by occupancy.
@@ -365,8 +372,7 @@ def _event_loop(
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
 
     last_arrival, last_rx = carry[0], carry[1:]
-    # receptions at the monitor point not yet folded: (source, gen, slot,
-    # left empty), in slot order
+    # deliveries not yet received: (source, gen, slot, left empty), in slot order
     received: list[tuple[int, int, int, int]] = []
     # Step 1 lazily: occ is the occupancy every slot start from occ_from on
     # sees; occ_slots[i][o] counts the window's slot starts that saw o.
@@ -409,7 +415,6 @@ def _event_loop(
     grants: list[tuple[int, int]] = []
 
     slot = -1
-    due = False  # a delay-stage reception is due this slot
     while True:
         if per_slot_grant and n_backlogged:
             slot += 1
@@ -417,11 +422,6 @@ def _event_loop(
             slot = cal_slots[ci]
             if grants and grants[0][0] < slot:
                 slot = grants[0][0]
-        if stage is not None:
-            due_at = stage.earliest
-            if due_at is not None and due_at < slot:
-                slot = due_at
-            due = due_at == slot
         if slot >= horizon:
             break
         if counts_at_warmup is None and slot >= warmup:
@@ -438,7 +438,7 @@ def _event_loop(
                 grant_pending[i] = False
 
         # every granted source is backlogged, so each one transmits
-        at_ap: list[tuple[int, int]] = []  # (source, gen) received at the access point
+        at_ap: list[tuple[int, int]] = []  # (source, gen) delivered this slot
         if granted:
             for i in granted:
                 queues[i].begin_attempt()
@@ -449,14 +449,7 @@ def _event_loop(
             else:
                 delivered = resolve(attempt_probs, granted, streams, collision)
             for i in delivered:
-                gen = queues[i].on_delivery()
-                if stage is not None:
-                    stage.inject((i, gen), slot, streams[i].delay)
-                if not measure_dest:
-                    at_ap.append((i, gen))
-
-        if due:
-            _receive_due(stage, slot, warmup, measure_dest, sums, received)
+                at_ap.append((i, queues[i].on_delivery()))
 
         first = ci
         while cal_slots[ci] == slot:
@@ -473,7 +466,10 @@ def _event_loop(
         if ci > first:
             visits = granted + cal_sources[first:ci]
             if cal_slots[ci] == cal_end and cal_end < horizon:
-                _fold(_by_source(received), warmup, horizon, last_rx, sums)
+                _receive(
+                    _by_source(received, 4), slot,
+                    stage, measure_dest, warmup, horizon, last_rx, sums,
+                )
                 received = []
                 cal_slots, cal_sources, cal_end = calendar(cal_end)
                 ci = 0
@@ -515,7 +511,10 @@ def _event_loop(
                 if nxt < horizon:
                     heappush(grants, (nxt, i))
 
-    _fold(_by_source(received), warmup, horizon, last_rx, sums)
+    _receive(
+        _by_source(received, 4), horizon - 1,
+        stage, measure_dest, warmup, horizon, last_rx, sums,
+    )
     if counts_at_warmup is None:
         counts_at_warmup = [(q.delivered, q.dropped) for q in queues]
     for i in range(n):
@@ -582,7 +581,7 @@ _INT64_HORIZON = 1 << 30
 # window's arrivals, interarrival count, sum and sum of squares.  _fold adds
 # the next fifteen: the window's summed newest generation at the monitor
 # point, then ReceptionStats' sums, "empty" and "busy" being its after_empty
-# and after_busy.  _receive_due counts the window's informative and obsolete
+# and after_busy.  _receive counts the window's informative and obsolete
 # delay-stage receptions.  Each engine path fills in the window's deliveries
 # and drops, and the occupancy at the horizon.
 _SUMS = (
@@ -629,30 +628,43 @@ def _arrivals(
     return a_src, a_slot
 
 
-def _receive_due(
-    stage: DelayStage,
-    slot: int,
-    warmup: int,
+def _by_source(items: list[tuple[int, ...]], width: int) -> np.ndarray:
+    """Tuples of ``width`` ints listed in slot order, as rows, sorted by source (their first)."""
+    return np.array(sorted(items, key=itemgetter(0)), np.int64).reshape(-1, width).T
+
+
+def _receive(
+    delivered: np.ndarray,
+    until: int,
+    stage: DelayStage | None,
     measure_dest: bool,
+    warmup: int,
+    horizon: int,
+    last_rx: np.ndarray,
     sums: np.ndarray,
-    received: list[tuple[int, int, int, int]],
 ) -> None:
-    """Hand out the delay stage's receptions due in ``slot``.
+    """Add a span's deliveries, and what they make the monitor point receive, to ``sums``.
 
-    Counts the window's informative and obsolete ones in ``sums``, and
-    appends each informative one to ``received`` when the destination is the
-    monitor point.
+    ``delivered`` has rows source, gen, slot and left empty, sorted by
+    source and, within a source, by slot.  A delay stage takes them and
+    hands out its receptions due by slot ``until``, whose informative and
+    obsolete ones in the window are counted; the receptions at the monitor
+    point, the deliveries or the informative receptions, are then folded.
     """
-    for (i, gen), fresh in deliver_due(stage, slot):
-        if slot >= warmup:
-            sums[_ROW["informative" if fresh else "obsolete"], i] += 1
-        if fresh and measure_dest:
-            received.append((i, gen, slot, 0))
-
-
-def _by_source(received: list[tuple[int, int, int, int]]) -> np.ndarray:
-    """Receptions listed in slot order, as rows source, gen, slot, left empty, sorted by source."""
-    return np.array(sorted(received, key=itemgetter(0)), np.int64).reshape(-1, 4).T
+    if stage is not None:
+        stage.inject(*delivered[:3])
+        deliver_due(stage, until)
+        received = stage.received
+        r_src, _, r_slot, fresh = received
+        in_window = r_slot >= warmup
+        _add_by_source(
+            sums[_ROW["informative"]:_ROW["obsolete"] + 1], r_src, _firsts(r_src),
+            in_window & (fresh == 1), in_window & (fresh == 0),
+        )
+        if measure_dest:
+            delivered = received.compress(fresh == 1, axis=1)
+            delivered[3] = 0  # a reception at the destination never left the queue empty
+    _fold(delivered, warmup, horizon, last_rx, sums)
 
 
 def _fold(
@@ -724,11 +736,10 @@ def _fifo_round_robin(
     every source's arrival draws, and the channel draws that the services ending before
     the span's end can spend, with ``take_below``: the same values a
     slot-by-slot loop draws.  Updates whose service may end later wait for
-    a later span.  The statistics of the arrivals, the deliveries, and the
-    receptions the delay stage hands out, before the span's end are then
-    added to ``sums`` as on the event loop.  The arrays a span holds are
-    sorted by source, and carry the source in row 0.  Returns each source's
-    window slot starts by occupancy.
+    a later span.  The span's arrivals and the deliveries before its end
+    then go to ``_fifo_span``, as on FIFO random access.  The arrays a span
+    holds are sorted by source, and carry the source in row 0.  Returns each
+    source's window slot starts by occupancy.
     """
     n = config.n_sources
     lambdas = config.lambdas
@@ -827,67 +838,184 @@ def _fifo_round_robin(
             waiting = waiting.compress(keep, axis=1)
             n_waiting -= n_given
         due = scheduled[2] < end
-        d_src, d_gen, d_slot = scheduled.compress(due, axis=1)
+        delivered = scheduled.compress(due, axis=1)
         scheduled = scheduled.compress(~due, axis=1)
-        sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
-
-        # occupancy: each source's level from the span's start, +1 at the
-        # slot after an arrival, -1 at the slot after a delivery, then back
-        # to 0 at the span's end; e_kind orders the events of one slot (the
-        # span's start, arrivals, deliveries, the span's end), so the level
-        # after a delivery is what it left behind, arrivals of its slot included
-        net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
-        n_a, n_d = len(a_src), len(d_src)
-        e_src = np.concatenate((sources, a_src, d_src, sources))
-        e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
-        e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
-        step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
-        key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
-        order = np.argsort(key, kind="stable")
-        e_src, e_kind = e_src.take(order), e_kind.take(order)
-        level = np.cumsum(step.take(order))
-        t = np.maximum(e_time.take(order), warmup)
-        held = np.zeros_like(t)
-        np.subtract(t[1:], t[:-1], out=held[:-1])
-        held[e_kind == 3] = 0
-        occ += net
-        left_empty = level[e_kind == 2] == 0
-        kept = held > 0
-        if kept.any():
-            # a source's levels in a span form a range, so each source
-            # counts its slots in its own slice of one bincount
-            h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
-            h_first = _firsts(h_src)
-            starts = h_first.nonzero()[0]
-            lo = np.minimum.reduceat(h_level, starts)
-            width = np.maximum.reduceat(h_level, starts) - lo + 1
-            offset = np.cumsum(width) - width
-            run = np.cumsum(h_first) - 1
-            tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
-            seen = tally.nonzero()[0]
-            run = np.searchsorted(offset, seen, "right") - 1
-            for i, o, slots in zip(
-                h_src[starts[run]].tolist(),
-                (lo[run] + seen - offset[run]).tolist(),
-                tally[seen].tolist(),
-            ):
-                occupancy[i][o] += int(slots)
-
-        # receptions at the monitor point, by source and slot
-        if stage is not None:
-            for i, gen, slot in zip(d_src.tolist(), d_gen.tolist(), d_slot.tolist()):
-                stage.inject((i, gen), slot, streams[i].delay)
-            fresh_rx: list[tuple[int, int, int, int]] = []
-            while (slot := stage.earliest) is not None and slot < end:
-                _receive_due(stage, slot, warmup, measure_dest, sums, fresh_rx)
-        if measure_dest:
-            _fold(_by_source(fresh_rx), warmup, horizon, last_rx, sums)
-        else:
-            _fold(np.array((d_src, d_gen, d_slot, left_empty)), warmup, horizon, last_rx, sums)
+        _fifo_span(
+            start, end, a_src, a_slot, delivered, occ, occupancy,
+            stage, measure_dest, warmup, horizon, last_rx, sums,
+        )
         start = end
 
     sums[_ROW["in_system"]] = occ
     return occupancy
+
+
+def _fifo_span(
+    start: int,
+    end: int,
+    a_src: np.ndarray,
+    a_slot: np.ndarray,
+    delivered: np.ndarray,
+    occ: np.ndarray,
+    occupancy: list[defaultdict[int, int]],
+    stage: DelayStage | None,
+    measure_dest: bool,
+    warmup: int,
+    horizon: int,
+    last_rx: np.ndarray,
+    sums: np.ndarray,
+) -> None:
+    """Add the statistics of a FIFO run's slots ``start <= slot < end``.
+
+    ``a_src`` and ``a_slot`` are the span's arrivals, ``delivered`` its
+    deliveries as rows source, gen and slot, each sorted by source and,
+    within a source, by slot.  ``occ`` holds each source's occupancy at the
+    span's start and moves on to its end.  Adds the window's deliveries and
+    slot starts by occupancy, and passes the deliveries, with whether each
+    left its queue empty, to ``_receive``.
+    """
+    n = len(occ)
+    sources = np.arange(n)
+    d_src, d_gen, d_slot = delivered
+    sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
+
+    # occupancy: each source's level from the span's start, +1 at the
+    # slot after an arrival, -1 at the slot after a delivery, then back
+    # to 0 at the span's end; e_kind orders the events of one slot (the
+    # span's start, arrivals, deliveries, the span's end), so the level
+    # after a delivery is what it left behind, arrivals of its slot included
+    net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
+    n_a, n_d = len(a_src), len(d_src)
+    e_src = np.concatenate((sources, a_src, d_src, sources))
+    e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
+    e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
+    step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
+    key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
+    order = np.argsort(key, kind="stable")
+    e_src, e_kind = e_src.take(order), e_kind.take(order)
+    level = np.cumsum(step.take(order))
+    t = np.maximum(e_time.take(order), warmup)
+    held = np.zeros_like(t)
+    np.subtract(t[1:], t[:-1], out=held[:-1])
+    held[e_kind == 3] = 0
+    occ += net
+    left_empty = level[e_kind == 2] == 0
+    kept = held > 0
+    if kept.any():
+        # a source's levels in a span form a range, so each source
+        # counts its slots in its own slice of one bincount
+        h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
+        h_first = _firsts(h_src)
+        starts = h_first.nonzero()[0]
+        lo = np.minimum.reduceat(h_level, starts)
+        width = np.maximum.reduceat(h_level, starts) - lo + 1
+        offset = np.cumsum(width) - width
+        run = np.cumsum(h_first) - 1
+        tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
+        seen = tally.nonzero()[0]
+        run = np.searchsorted(offset, seen, "right") - 1
+        for i, o, slots in zip(
+            h_src[starts[run]].tolist(),
+            (lo[run] + seen - offset[run]).tolist(),
+            tally[seen].tolist(),
+        ):
+            occupancy[i][o] += int(slots)
+
+    _receive(
+        np.array((d_src, d_gen, d_slot, left_empty)), end - 1,
+        stage, measure_dest, warmup, horizon, last_rx, sums,
+    )
+
+
+def _fifo_random_access(
+    config: SimConfig,
+    streams: list[SourceStreams],
+    stage: DelayStage | None,
+    measure_dest: bool,
+    span: int,
+    sums: np.ndarray,
+    carry: np.ndarray,
+) -> list[defaultdict[int, int]]:
+    """FIFO random access: only the slots in which some source transmits.
+
+    A source sends its oldest update whatever arrived since, so an arrival
+    to a backlogged source changes nothing about when it transmits.  A
+    source attempts in the first slot after ``start`` whose access draw is
+    below its access probability, where ``start`` is the slot of its last
+    attempt, failed or delivering, when it is still backlogged at that
+    slot's end, and else the arrival that ends its idle spell.  The run
+    keeps a heap of those attempts and resolves the attempts of one slot
+    through ``resolve``; a source's k-th delivery carries its k-th arrival.
+    It goes a span of slots at a time: it draws the span's arrivals, resolves
+    the attempts before the span's end, and adds the span's statistics with
+    ``_fifo_span``, as the FIFO round-robin kernel does.  Returns each
+    source's window slot starts by occupancy.
+    """
+    n = config.n_sources
+    lambdas = config.lambdas
+    horizon = config.horizon
+    warmup = config.warmup
+    access_probs = config.policy.access_probs
+    attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
+    collision = config.channel.kind is ChannelKind.COLLISION
+    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
+    queued: list[deque[int]] = [deque() for _ in range(n)]  # undelivered gens, oldest first
+    idle = [True] * n  # empty, its next attempt drawn at its next arrival
+    attempts: list[tuple[int, int]] = []  # heap of (slot, source)
+    occ = np.zeros(n, np.int64)
+    last_arrival, last_rx = carry[0], carry[1:]
+    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+
+    def attempt_after(i: int, start: int) -> None:
+        # one access draw per backlogged slot; none left before the horizon
+        # means no attempt, and the source is never scheduled again
+        nxt = start + 1 + streams[i].access.skip_to_below(access_probs[i], horizon - start - 1)
+        if nxt < horizon:
+            heappush(attempts, (nxt, i))
+
+    start = 0
+    while start < horizon:
+        end = min(start + span, horizon)
+        a_src, a_slot = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
+        slots = a_slot.tolist()
+        at = 0
+        for i, m in enumerate(np.bincount(a_src, minlength=n).tolist()):
+            if m:
+                if idle[i]:
+                    idle[i] = False
+                    attempt_after(i, slots[at])
+                queued[i].extend(slots[at:at + m])
+                at += m
+        sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
+        while attempts and attempts[0][0] < end:
+            slot, i = heappop(attempts)
+            granted = [i]
+            while attempts and attempts[0][0] == slot:
+                granted.append(heappop(attempts)[1])
+            for i in resolve(attempt_probs, granted, streams, collision):
+                sent.append((i, queued[i].popleft(), slot))
+            for i in granted:
+                waiting = queued[i]
+                if waiting:
+                    # from this slot, or from the arrival after it that the
+                    # delivery left waiting
+                    attempt_after(i, waiting[0] if waiting[0] > slot else slot)
+                else:
+                    idle[i] = True
+        _fifo_span(
+            start, end, a_src, a_slot, _by_source(sent, 3), occ, occupancy,
+            stage, measure_dest, warmup, horizon, last_rx, sums,
+        )
+        start = end
+
+    sums[_ROW["in_system"]] = occ
+    return occupancy
+
+
+_FIFO_PATHS = {
+    PolicyKind.ROUND_ROBIN: _fifo_round_robin,
+    PolicyKind.RANDOM_ACCESS: _fifo_random_access,
+}
 
 
 def run(config: SimConfig) -> MetricsReport:

@@ -21,7 +21,7 @@ interface.  ``numpy.random`` is imported at the first draw, not at import.
 A source builds a role's stream on first use.  A stream builds its generator
 and draws its first block of uniforms on first use, so a source's unused
 roles cost nothing; a first use that says how many draws it may take
-(``skip_to_below``, ``take_below``) draws no more than that.  Later blocks
+(``skip_to_below``, ``take_below``, ``geometric``) draws no more than that.  Later blocks
 hold ``_BLOCK`` values.  A stream made for a run of known horizon draws no
 more than ``horizon`` values in all, its last block holding what is left:
 no stream takes more than one draw per slot, so a run never needs more.
@@ -251,6 +251,25 @@ class UniformStream:
         Equivalent to ``count`` calls of ``uniform() < p``, but one block at
         a time.
         """
+        return (self._take(count) < p).nonzero()[0]
+
+    def geometric(self, p: float, count: int) -> np.ndarray:
+        """The next ``count`` numbers of Bernoulli(p) trials up to the first success.
+
+        Support {1, 2, ...}; one draw each, or none when ``p >= 1``.  Each
+        is ``int(log(1 - u) / log(1 - p)) + 1`` for its draw u, with the logs
+        taken by ``math.log``, whose last bit ``np.log`` need not match.
+        """
+        if p >= 1.0:
+            return np.ones(count, np.int64)
+        scale = math.log(1.0 - p)
+        if not scale:  # 1 - p rounds to 1, where numpy would divide by zero quietly
+            raise ZeroDivisionError(f"no geometric draw at p = {p}: 1 - p rounds to 1")
+        logs = np.fromiter(map(math.log, (1.0 - self._take(count)).tolist()), float, count)
+        return (logs / scale).astype(np.int64) + 1
+
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` draws, taken a block at a time."""
         parts = []
         taken = 0
         while taken < count:
@@ -258,19 +277,12 @@ class UniformStream:
                 self._refill(count - taken)
             i = self._idx
             stop = min(self._end, i + count - taken)
-            parts.append((self._buf[i:stop] < p).nonzero()[0] + taken)
+            parts.append(self._buf[i:stop])
             taken += stop - i
             self._idx = stop
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate(parts) if parts else np.empty(0, np.intp)
-
-    def geometric(self, p: float) -> int:
-        """Number of Bernoulli(p) trials up to the first success; support {1, 2, ...}."""
-        if p >= 1.0:
-            return 1
-        u = self.uniform()
-        return int(math.log(1.0 - u) / math.log(1.0 - p)) + 1
+        return np.concatenate(parts) if parts else np.empty(0)
 
 
 class SourceStreams:

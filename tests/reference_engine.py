@@ -14,6 +14,7 @@ Only the tests import it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -61,7 +62,9 @@ class DelayStage:
 
     def inject(self, item: tuple[int, int], ap_slot: int, stream: UniformStream) -> int:
         """Launch a ``(source, gen)`` pair at the access point; returns its arrival slot."""
-        delay = 1 if self.k >= 1.0 else stream.geometric(self.k)
+        delay = 1
+        if self.k < 1.0:  # the number of Bernoulli(k) trials up to the first success
+            delay = int(math.log(1.0 - stream.uniform()) / math.log(1.0 - self.k)) + 1
         arrive = ap_slot + delay
         self._due.setdefault(arrive, []).append(item)
         return arrive

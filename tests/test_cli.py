@@ -417,6 +417,26 @@ class TestSweepCommand:
         assert capfd.readouterr().err == "error: bad point in a child\n"
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="the platform cannot fork"
+    )
+    def test_children_are_forked_whatever_the_default_start_method(
+        self, tmp_path, monkeypatch, capfd
+    ) -> None:
+        # a spawned child imports aoisim afresh, so it would run the unpatched
+        # job and the sweep would succeed
+        def fail():
+            raise ConfigError("bad point in a child")
+
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("spawn", force=True)
+        try:
+            assert self._sweep_in_children(tmp_path, monkeypatch, fail) == 2
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+        assert capfd.readouterr().err == "error: bad point in a child\n"
+        assert multiprocessing.active_children() == []
+
     def test_a_child_that_dies_names_its_exit_code(self, tmp_path, monkeypatch, capfd) -> None:
         assert self._sweep_in_children(tmp_path, monkeypatch, lambda: os._exit(7)) == 4
         assert capfd.readouterr().err == (

@@ -9,6 +9,7 @@ queues, channel) cannot move both sides of the comparison unseen.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from datetime import timedelta
@@ -118,32 +119,69 @@ def test_horizon_crossing_the_block_boundary(policy: PolicyConfig) -> None:
 
 
 def test_unstable_fifo_backlog_crosses_blocks() -> None:
-    # source 0 arrives faster than its half of a perfect channel serves it,
-    # so its backlog, and the deliveries already computed for it, carry
-    # from one block of slots into the next
-    config = SimConfig(
+    # source 0 arrives faster than it is served, so its backlog, and under
+    # round robin the deliveries already computed for it, carry from one
+    # block of slots into the next
+    round_robin = SimConfig(
         n_sources=2,
-        lambdas=(0.52, 0.3),
+        lambdas=(0.52, 0.3),  # above half of a perfect channel
         discipline=Discipline.FIFO,
         policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
         channel=ChannelConfig(ChannelKind.PERFECT),
         horizon=2 * _BLOCK + 500,
         seed=29,
     )
-    assert engine.run(config).per_source[0].in_system_at_end > 100
-    assert_same_run(config)
+    random_access = dataclasses.replace(
+        round_robin,
+        lambdas=(0.6, 0.05),  # above source 0's access probability
+        policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.5, 0.3)),
+        channel=ChannelConfig(ChannelKind.COLLISION),
+        network_k=0.5,
+    )
+    for config in (round_robin, random_access):
+        assert engine.run(config).per_source[0].in_system_at_end > 100
+        assert_same_run(config)
 
 
-@pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
-def test_fifo_delay_stage_and_warmup_across_blocks(measure_at: MeasurePoint) -> None:
+_ACROSS_BLOCKS = {
+    "round_robin": (
+        (0.1, 0.2, 0.25),
+        PolicyConfig(PolicyKind.ROUND_ROBIN),
+        ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+    ),
+    "random_access": (
+        (0.02, 0.05, 0.08),
+        PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3, 0.4, 0.5)),
+        ChannelConfig(ChannelKind.COLLISION),
+    ),
+    "random_access_thinned": (
+        (0.02, 0.05, 0.08),
+        PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3, 0.4, 0.5)),
+        ChannelConfig(
+            ChannelKind.COLLISION, service_probs=(0.6, 0.8, 0.9), collision_thinning=True
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, measure_at",
+    [
+        pytest.param(name, m, id=m.value if name == "round_robin" else f"{name}-{m.value}")
+        for name in _ACROSS_BLOCKS
+        for m in MeasurePoint
+    ],
+)
+def test_fifo_delay_stage_and_warmup_across_blocks(name: str, measure_at: MeasurePoint) -> None:
     # updates in flight through the delay stage, and the reception sums,
     # carry across blocks, and the window opens in the second block
+    lambdas, policy, channel = _ACROSS_BLOCKS[name]
     config = SimConfig(
         n_sources=3,
-        lambdas=(0.1, 0.2, 0.25),
+        lambdas=lambdas,
         discipline=Discipline.FIFO,
-        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
-        channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+        policy=policy,
+        channel=channel,
         network_k=0.3,
         horizon=2 * _BLOCK + 500,
         seed=31,
@@ -217,6 +255,20 @@ _PYTHON_INTEGER_RUNS = {
         measure_at=MeasurePoint.DESTINATION,
         warmup=300,
     ),
+    "random_access_fifo": SimConfig(
+        n_sources=3,
+        lambdas=(0.05, 0.1, 0.15),
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.4, 0.5, 0.6)),
+        channel=ChannelConfig(
+            ChannelKind.COLLISION, service_probs=(0.9, 0.8, 0.9), collision_thinning=True
+        ),
+        network_k=0.3,
+        horizon=5000,
+        seed=53,
+        measure_at=MeasurePoint.AP,
+        warmup=300,
+    ),
 }
 
 
@@ -224,7 +276,8 @@ _PYTHON_INTEGER_RUNS = {
 def test_fifo_sums_in_python_integers(name: str, monkeypatch) -> None:
     # from _INT64_HORIZON on, a run adds its terms as Python integers, which
     # int64 could not hold; a short run takes that path here, on the FIFO
-    # round-robin kernel and on the event loop, which share the sums
+    # round-robin kernel, the FIFO random-access path and the event loop,
+    # which share the sums
     monkeypatch.setattr(engine, "_INT64_HORIZON", 1)
     assert_same_run(_PYTHON_INTEGER_RUNS[name])
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -301,6 +302,39 @@ class TestWork:
         assert all(m.delivered > 50 for m in run(c).per_source)
         assert {role for _, role in stream_draws} == {Role.ARRIVAL, Role.CHANNEL}
         assert max(stream_draws.values()) <= h
+
+    def test_fifo_random_access_draws_arrivals_and_delays_block_wise(self, monkeypatch) -> None:
+        # FIFO random access takes a span's arrival draws at once, never one
+        # slot at a time, and one delay draw per delivery, across spans
+        uniform = UniformStream.uniform
+        take = UniformStream._take
+        delay_draws: Counter[int] = Counter()
+
+        def checked_uniform(self):
+            assert self._key[1] != Role.ARRIVAL, "arrivals are drawn a span at a time"
+            if self._key[1] == Role.DELAY:
+                delay_draws[self._key[0]] += 1
+            return uniform(self)
+
+        def counting_take(self, count):
+            if self._key[1] == Role.DELAY:
+                delay_draws[self._key[0]] += count
+            return take(self, count)
+
+        monkeypatch.setattr(UniformStream, "uniform", checked_uniform)
+        monkeypatch.setattr(UniformStream, "_take", counting_take)
+        c = config(
+            n_sources=3,
+            lambdas=(0.05, 0.1, 0.15),
+            discipline=Discipline.FIFO,
+            policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.4, 0.5, 0.6)),
+            channel=ChannelConfig(ChannelKind.COLLISION),
+            network_k=0.3,
+            horizon=2 * _BLOCK + 500,
+        )
+        delivered = {m.source_id: m.delivered for m in run(c).per_source}
+        assert min(delivered.values()) > 1000
+        assert delay_draws == delivered
 
     def test_no_stream_draws_more_than_the_horizon(self, stream_draws) -> None:
         # no stream takes more than one draw per slot, so blocks are sized

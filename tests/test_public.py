@@ -9,6 +9,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import aoisim
 from aoisim import access, cli, netdelay
 from aoisim.queueing import SourceQueue
@@ -95,10 +97,9 @@ def test_names_the_benchmark_wraps_exist() -> None:
 
 
 def test_deliver_due_returns_source_gen_and_informative_flag() -> None:
-    stage = netdelay.DelayStage(1.0, 2)
-    stream = SourceStreams(0, 0).delay
-    for source, gen in ((1, 3), (0, 2), (1, 1)):
-        stage.inject((source, gen), 4, stream)
+    stage = netdelay.DelayStage(1.0, [SourceStreams(0, 0), SourceStreams(0, 1)])
+    # deliveries (source, gen) (0, 2), (1, 3) and (1, 1), all in slot 4
+    stage.inject(np.array([0, 1, 1]), np.array([2, 3, 1]), np.array([4, 4, 4]))
     result = netdelay.deliver_due(stage, 5)
     assert result == [((0, 2), True), ((1, 3), True), ((1, 1), False)]
     assert all(type(fresh) is bool for _, fresh in result)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,33 @@ def test_draws_do_not_depend_on_block_sizes() -> None:
     short = UniformStream(9, (0, 0))
     assert short.skip_to_below(0.0, 10) == 10
     assert [short.uniform() for _ in range(_BLOCK + 10)] == draws[10:]
+
+
+@pytest.mark.parametrize("p", [0.9, 0.1, 0.001])
+def test_geometric_takes_one_draw_each_across_blocks(p: float) -> None:
+    # each number is int(log(1 - u) / log(1 - p)) + 1 of the next draw u,
+    # the first block sized by the first count
+    budget = _BLOCK + 500
+    scalar = UniformStream(12, (0, 3), budget)
+    expected = [
+        int(math.log(1.0 - scalar.uniform()) / math.log(1.0 - p)) + 1 for _ in range(budget)
+    ]
+    stream = UniformStream(12, (0, 3), budget)
+    counts = (3, _BLOCK, 0, 497)
+    got = [stream.geometric(p, count).tolist() for count in counts]
+    assert [len(g) for g in got] == list(counts)
+    assert sum(got, []) == expected
+    with pytest.raises(RuntimeError):
+        stream.geometric(p, 1)  # the budget is spent
+
+
+def test_geometric_at_certain_success_or_below_precision() -> None:
+    stream = UniformStream(12, (0, 3), 10)
+    assert stream.geometric(1.0, 20).tolist() == [1] * 20  # no draw taken
+    assert stream._buf is None
+    # 1 - p rounds to 1: refused, not turned into garbage delays
+    with pytest.raises(ZeroDivisionError):
+        stream.geometric(1e-17, 3)
 
 
 def test_unused_streams_draw_nothing() -> None:
