@@ -29,24 +29,30 @@ the update a replacement queue sends next depends on what arrived during
 the last service, and work conserving grants a slot from every source's
 backlog.
 
-All three take their statistics from the same functions, a span of slots
-at a time: ``_arrivals`` draws a span's arrivals and adds their
-interarrival moments, ``_receive`` passes a span's deliveries through the
-delay stage, which never feeds back into the access point, and ``_fold``
-adds the receptions at the monitor point to the reception sums and the age
-area.  The two FIFO paths add the occupancy histogram and each delivery's
-left-empty flag from a span's arrival and delivery arrays (``_fifo_span``).
+All three go a span of slots at a time and keep one span accounting:
+``_arrivals`` draws a span's arrivals and adds their interarrival moments,
+and ``_span`` takes the span's admitted arrivals and its deliveries as
+arrays.  It adds the window's deliveries, admitted arrivals, occupancy
+histogram and each delivery's left-empty flag, and passes the deliveries to
+``_receive``, which sends them through the delay stage (it never feeds back
+into the access point) and on to ``_fold``, which adds the receptions at the
+monitor point to the reception sums and the age area.  An arrival that
+replaces the waiting update is not admitted, so a run's drops are its
+arrivals less its admitted ones; under FIFO every arrival is admitted.
 
 The event loop only visits event slots: slots with an arrival, a grant to a
 backlogged source under work conserving or random access, or a round
-robin's successful attempt.  Each event slot runs the six steps above in
-the same order, touching only the sources involved, but for the delay
-stage's receptions, which are handed out a span at a time; nothing changes
-in the slots between them.
+robin's successful attempt.  Each event slot runs steps 2 to 5 in order,
+touching only the sources involved, but for the delay stage's receptions;
+nothing changes in the slots between them.  The loop keeps no statistics: it collects the span's deliveries and
+the arrivals its queues did not admit, and hands them to ``_span`` at the
+span's end.  What it keeps is what decides the next events: the queues,
+whose occupancy decides the work-conserving grant and when a source's next
+grant is scheduled, and the pending grants.
 
 Arrivals do not depend on the system state, and a source's arrival stream
-takes one draw per slot, so the event loop takes the draws of a whole block of
-slots from every arrival stream at once and merges the arrival slots by
+takes one draw per slot, so the event loop takes the draws of a whole span
+of slots from every arrival stream at once and merges the arrival slots by
 (slot, source) into the arrival calendar.  Each kind of pending event has
 one owner: arrivals are on the calendar and grants on the loop's heap of
 ``(slot, source)`` events; the next event slot is the earlier of the two.
@@ -60,12 +66,13 @@ draws.  An update that waits for its first owned slot enters service at the
 source's first visit at or after that slot, so that a newer arrival before
 it still replaces it under packet management.
 
-Steps 1 and 6 are kept as sums: the occupancy histogram adds the time spent
-in each state when the state changes, and the age area is the sum of
-``slot + 1`` over the window less, for each reception, the rise of the
-newest generation times the window slots from the reception on.  All three
-implementations take the same values from every random stream as a
-slot-by-slot loop would, so results are the same at every seed.
+Steps 1 and 6 are kept as sums: the occupancy histogram adds the time
+spent at each level between a span's arrivals and deliveries, and the age
+area is the sum of ``slot + 1`` over the window less, for each reception,
+the rise of the newest generation times the window slots from the
+reception on.  All three implementations take the same values from every
+random stream as a slot-by-slot loop would, so results are the same at
+every seed.
 """
 from __future__ import annotations
 
@@ -149,8 +156,10 @@ class SimConfig:
             raise ConfigError(
                 f"warmup must be in [0, horizon), got {self.warmup} with horizon {self.horizon}"
             )
-        if self.network_k is not None and not (0.0 < self.network_k <= 1.0):
-            raise ConfigError(f"network_k must be in (0, 1], got {self.network_k}")
+        k = self.network_k
+        # at k <= 2**-54, 1 - k rounds to 1, and no delay can be drawn
+        if k is not None and not (0.0 < k <= 1.0 and 1.0 - k != 1.0):
+            raise ConfigError(f"network_k must be in (2**-54, 1], about (5.55e-17, 1], got {k}")
         self.policy.validate(self.n_sources)
         self.channel.validate(self.n_sources)
 
@@ -286,13 +295,16 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     # carried from span to span, by source: the last arrival slot (-1 before
     # the first), then the last reception at the monitor point: its gen (0
     # before the first), its slot (-1 before the first) and whether it left
-    # the queue empty
-    carry = np.zeros((4, n), np.int64)
+    # the queue empty, then the occupancy at the span's start
+    carry = np.zeros((5, n), np.int64)
     carry[0] = carry[2] = -1
+    # each source's window slot starts by occupancy
+    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
     path = _event_loop
     if config.discipline is Discipline.FIFO:
         path = _FIFO_PATHS.get(config.policy.kind, _event_loop)
-    occupancy = path(config, streams, stage, measure_dest, span, sums, carry)
+    path(config, streams, stage, measure_dest, span, sums, carry, occupancy)
+    sums[_ROW["in_system"]] = carry[4]
 
     total = dict(zip(_SUMS, sums.tolist()))
     # the window's ages, were nothing ever received: slot + 1 summed over it
@@ -302,7 +314,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     for i in range(n):
         generated = total["generated"][i]
         delivered = total["delivered"][i]
-        dropped = total["dropped"][i]
+        dropped = generated - total["admitted"][i]
         y_count = total["y_count"][i]
         rx = stats[i]
         if rx.count >= 2:
@@ -351,11 +363,15 @@ def _event_loop(
     span: int,
     sums: np.ndarray,
     carry: np.ndarray,
-) -> list[defaultdict[int, int]]:
+    occupancy: list[defaultdict[int, int]],
+) -> None:
     """Packet management, and FIFO work conserving, event slot by event slot.
 
-    Adds the run's tallies to ``sums`` and returns each source's window slot
-    starts by occupancy.
+    Goes a span of slots at a time: it draws the span's arrivals, merges
+    them by (slot, source) into the arrival calendar, runs every event slot
+    before the span's end, and hands the span's admitted arrivals and its
+    deliveries to ``_span``.  A span without arrivals merges into the next,
+    but for the last.
     """
     n = config.n_sources
     lambdas = config.lambdas
@@ -370,159 +386,123 @@ def _event_loop(
     collision = channel.kind is ChannelKind.COLLISION
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
-
-    last_arrival, last_rx = carry[0], carry[1:]
-    # deliveries not yet received: (source, gen, slot, left empty), in slot order
-    received: list[tuple[int, int, int, int]] = []
-    # Step 1 lazily: occ is the occupancy every slot start from occ_from on
-    # sees; occ_slots[i][o] counts the window's slot starts that saw o.
-    occ = [0] * n
-    occ_from = [warmup] * n
-    occ_slots: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    # work conserving is granted slot by slot from the occupancies; the
-    # other policies hold one pending grant event per backlogged source,
+    last_arrival = carry[0]
+    # work conserving is granted slot by slot from the backlogged sources;
+    # the other policies hold one pending grant event per backlogged source,
     # and a round-robin source keeps its mark when no success is left
     # before the horizon, so that it is never scheduled again
+    backlogged = [False] * n
     n_backlogged = 0
     grant_pending = [False] * n
     # a round-robin update waiting for its first owned slot: that slot,
     # until a visit at or after it moves the update into service
     promote_at = [horizon] * n
-    counts_at_warmup: list[tuple[int, int]] | None = None  # (delivered, dropped)
-
     arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-
-    def calendar(start: int) -> tuple[list[int], list[int], int]:
-        """Arrival slots and sources from ``start`` on, and the slot they end at.
-
-        The arrivals are merged by (slot, source).  A calendar without one
-        is skipped unless it is the last.  Both lists end with a sentinel:
-        the end slot and source -1.
-        """
-        while True:
-            end = min(start + span, horizon)
-            src, slots = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
-            if len(src) or end == horizon:
-                # sorted by source, so a stable sort by slot breaks ties by source
-                order = slots.argsort(kind="stable")
-                return slots[order].tolist() + [end], src[order].tolist() + [-1], end
-            start = end
-
-    # the next arrival is cal_slots[ci], or the horizon when none is left
-    cal_slots, cal_sources, cal_end = calendar(0)
-    ci = 0
     # grant events: (slot, source), a round robin's already known to succeed
     grants: list[tuple[int, int]] = []
 
     slot = -1
-    while True:
-        if per_slot_grant and n_backlogged:
-            slot += 1
-        else:
-            slot = cal_slots[ci]
-            if grants and grants[0][0] < slot:
-                slot = grants[0][0]
-        if slot >= horizon:
-            break
-        if counts_at_warmup is None and slot >= warmup:
-            # no event lies between the warm-up boundary and this slot
-            counts_at_warmup = [(q.delivered, q.dropped) for q in queues]
+    start = 0
+    while start < horizon:
+        # a span without arrivals merges into the next, but for the last
+        end = start
+        while True:
+            stop = min(end + span, horizon)
+            a_src, a_slot = _arrivals(streams, lambdas, arriving, end, stop, warmup, last_arrival, sums)
+            end = stop
+            if len(a_src) or end == horizon:
+                break
+        # the calendar: arrivals sorted by source, so a stable sort by slot
+        # breaks ties by source; it ends with a sentinel, the span's end
+        order = a_slot.argsort(kind="stable")
+        cal_slots = a_slot[order].tolist() + [end]
+        cal_sources = a_src[order].tolist()
+        ci = 0
+        replacing: list[int] = []  # calendar indices of arrivals that replaced the waiting update
+        sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
 
-        if per_slot_grant:
-            granted = grant(slot, occ)
-        else:
-            granted = []
-            while grants and grants[0][0] == slot:
-                i = heappop(grants)[1]
-                granted.append(i)
-                grant_pending[i] = False
-
-        # every granted source is backlogged, so each one transmits
-        at_ap: list[tuple[int, int]] = []  # (source, gen) delivered this slot
-        if granted:
-            for i in granted:
-                queues[i].begin_attempt()
-                promote_at[i] = horizon
-            if round_robin:
-                # the owner's success, drawn when its update entered service
-                delivered = granted
+        while True:
+            if per_slot_grant and n_backlogged:
+                nxt = slot + 1
             else:
-                delivered = resolve(attempt_probs, granted, streams, collision)
-            for i in delivered:
-                at_ap.append((i, queues[i].on_delivery()))
+                nxt = cal_slots[ci]
+                if grants and grants[0][0] < nxt:
+                    nxt = grants[0][0]
+            if nxt >= end:
+                break
+            slot = nxt
 
-        first = ci
-        while cal_slots[ci] == slot:
-            i = cal_sources[ci]
-            ci += 1
-            q = queues[i]
-            if slot >= promote_at[i]:
-                q.begin_attempt()
-                promote_at[i] = horizon
-            q.on_arrival(slot)
-        for i, gen in at_ap:
-            # what the delivery left behind, arrivals of this slot included
-            received.append((i, gen, slot, queues[i].in_system == 0))
-        if ci > first:
-            visits = granted + cal_sources[first:ci]
-            if cal_slots[ci] == cal_end and cal_end < horizon:
-                _receive(
-                    _by_source(received, 4), slot,
-                    stage, measure_dest, warmup, horizon, last_rx, sums,
-                )
-                received = []
-                cal_slots, cal_sources, cal_end = calendar(cal_end)
-                ci = 0
-        else:
-            visits = granted
+            if per_slot_grant:
+                granted = grant(slot, backlogged)
+            else:
+                granted = []
+                while grants and grants[0][0] == slot:
+                    i = heappop(grants)[1]
+                    granted.append(i)
+                    grant_pending[i] = False
 
-        # the next slot starts: record occupancy changes and schedule grants
-        # (a source both granted and arriving is visited twice; the second
-        # visit changes nothing)
-        for i in visits:
-            o = queues[i].in_system
-            if o != occ[i]:
-                lo = occ_from[i]
-                if slot >= lo:
-                    occ_slots[i][occ[i]] += slot + 1 - lo
-                    occ_from[i] = slot + 1
-                if per_slot_grant and not (o and occ[i]):
-                    n_backlogged += 1 if o else -1
-                occ[i] = o
-            if o and not per_slot_grant and not grant_pending[i]:
-                grant_pending[i] = True
+            # every granted source is backlogged, so each one transmits
+            if granted:
+                for i in granted:
+                    queues[i].begin_attempt()
+                    promote_at[i] = horizon
                 if round_robin:
-                    # an update enters service: draw ahead over the slots
-                    # the owner has left, from the next one, to the first
-                    # success; with none left nxt passes the horizon, and
-                    # the mark stays
-                    nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
-                    if queues[i].in_service is None:
-                        promote_at[i] = nxt  # the update waits for that slot
-                    p = attempt_probs[i]
-                    if p < 1.0:
-                        left = (horizon - 1 - nxt) // n + 1
-                        nxt += n * streams[i].channel.skip_to_below(p, left)
+                    # the owner's success, drawn when its update entered service
+                    delivered = granted
                 else:
-                    # random access: one access draw per backlogged slot
-                    nxt = slot + 1 + streams[i].access.skip_to_below(
-                        access_probs[i], horizon - slot - 1
-                    )
-                if nxt < horizon:
-                    heappush(grants, (nxt, i))
+                    delivered = resolve(attempt_probs, granted, streams, collision)
+                for i in delivered:
+                    sent.append((i, queues[i].on_delivery(), slot))
 
-    _receive(
-        _by_source(received, 4), horizon - 1,
-        stage, measure_dest, warmup, horizon, last_rx, sums,
-    )
-    if counts_at_warmup is None:
-        counts_at_warmup = [(q.delivered, q.dropped) for q in queues]
-    for i in range(n):
-        occ_slots[i][occ[i]] += horizon - occ_from[i]
-    sums[_ROW["delivered"]] = [q.delivered - d for q, (d, _) in zip(queues, counts_at_warmup)]
-    sums[_ROW["dropped"]] = [q.dropped - x for q, (_, x) in zip(queues, counts_at_warmup)]
-    sums[_ROW["in_system"]] = [q.in_system for q in queues]
-    return occ_slots
+            first = ci
+            while cal_slots[ci] == slot:
+                i = cal_sources[ci]
+                q = queues[i]
+                if slot >= promote_at[i]:
+                    q.begin_attempt()
+                    promote_at[i] = horizon
+                if not q.on_arrival(slot):
+                    replacing.append(ci)
+                ci += 1
+            visits = granted + cal_sources[first:ci] if ci > first else granted
+
+            # the next slot starts: schedule grants (a source both granted
+            # and arriving is visited twice; the second visit changes nothing)
+            for i in visits:
+                o = queues[i].in_system
+                if per_slot_grant:
+                    if backlogged[i] != (o > 0):
+                        backlogged[i] = o > 0
+                        n_backlogged += 1 if o else -1
+                elif o and not grant_pending[i]:
+                    grant_pending[i] = True
+                    if round_robin:
+                        # an update enters service: draw ahead over the slots
+                        # the owner has left, from the next one, to the first
+                        # success; with none left nxt passes the horizon, and
+                        # the mark stays
+                        nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
+                        if queues[i].in_service is None:
+                            promote_at[i] = nxt  # the update waits for that slot
+                        p = attempt_probs[i]
+                        if p < 1.0:
+                            left = (horizon - 1 - nxt) // n + 1
+                            nxt += n * streams[i].channel.skip_to_below(p, left)
+                    else:
+                        # random access: one access draw per backlogged slot
+                        nxt = slot + 1 + streams[i].access.skip_to_below(
+                            access_probs[i], horizon - slot - 1
+                        )
+                    if nxt < horizon:
+                        heappush(grants, (nxt, i))
+
+        # an arrival that replaced the waiting update was not admitted
+        at = order[replacing]
+        _span(
+            start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent),
+            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
+        )
+        start = end
 
 
 def _firsts(src: np.ndarray) -> np.ndarray:
@@ -582,15 +562,16 @@ _INT64_HORIZON = 1 << 30
 # the next fifteen: the window's summed newest generation at the monitor
 # point, then ReceptionStats' sums, "empty" and "busy" being its after_empty
 # and after_busy.  _receive counts the window's informative and obsolete
-# delay-stage receptions.  Each engine path fills in the window's deliveries
-# and drops, and the occupancy at the horizon.
+# delay-stage receptions.  _span counts the window's deliveries and admitted
+# arrivals (those that replaced no waiting update), and run_with_logs writes
+# the occupancy at the horizon.
 _SUMS = (
     "generated", "y_count", "y_sum", "y2_sum",
     "base_area", "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
     "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
     "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
     "informative", "obsolete",
-    "delivered", "dropped", "in_system",
+    "delivered", "admitted", "in_system",
 )
 _ROW = {name: j for j, name in enumerate(_SUMS)}
 
@@ -628,9 +609,9 @@ def _arrivals(
     return a_src, a_slot
 
 
-def _by_source(items: list[tuple[int, ...]], width: int) -> np.ndarray:
-    """Tuples of ``width`` ints listed in slot order, as rows, sorted by source (their first)."""
-    return np.array(sorted(items, key=itemgetter(0)), np.int64).reshape(-1, width).T
+def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:
+    """Deliveries (source, gen, slot) listed in slot order, as rows, sorted by source."""
+    return np.array(sorted(sent, key=itemgetter(0)), np.int64).reshape(-1, 3).T
 
 
 def _receive(
@@ -714,7 +695,8 @@ def _fifo_round_robin(
     span: int,
     sums: np.ndarray,
     carry: np.ndarray,
-) -> list[defaultdict[int, int]]:
+    occupancy: list[defaultdict[int, int]],
+) -> None:
     """FIFO round robin: each source's deliveries from one Lindley recursion.
 
     Source i owns the slots i + n·d; d is the owned index.  Its channel
@@ -737,9 +719,8 @@ def _fifo_round_robin(
     the span's end can spend, with ``take_below``: the same values a
     slot-by-slot loop draws.  Updates whose service may end later wait for
     a later span.  The span's arrivals and the deliveries before its end
-    then go to ``_fifo_span``, as on FIFO random access.  The arrays a span
-    holds are sorted by source, and carry the source in row 0.  Returns each
-    source's window slot starts by occupancy.
+    then go to ``_span``, as on the other paths.  The arrays a span holds
+    are sorted by source, and carry the source in row 0.
     """
     n = config.n_sources
     lambdas = config.lambdas
@@ -757,18 +738,16 @@ def _fifo_round_robin(
     waiting = none  # updates without a delivery slot: source, gen, u
     scheduled = none  # updates delivered at or after the span's start: source, gen, slot
     successes = none[:2]  # channel successes drawn: source, draw
-    state = np.zeros((6, n), np.int64)
+    state = np.zeros((5, n), np.int64)
     (
         spent,  # C of the last update given a slot
         lag,  # that update's owned index minus spent
         drawn,  # channel draws taken
         used,  # leading successes of the source in `successes` spent
         n_waiting,
-        occ,  # occupancy at the span's start
     ) = state
     lag[:] = -1
-    last_arrival, last_rx = carry[0], carry[1:]
-    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+    last_arrival = carry[0]
 
     start = 0
     while start < horizon:
@@ -840,44 +819,43 @@ def _fifo_round_robin(
         due = scheduled[2] < end
         delivered = scheduled.compress(due, axis=1)
         scheduled = scheduled.compress(~due, axis=1)
-        _fifo_span(
-            start, end, a_src, a_slot, delivered, occ, occupancy,
-            stage, measure_dest, warmup, horizon, last_rx, sums,
+        _span(
+            start, end, a_src, a_slot, delivered,
+            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
         )
         start = end
 
-    sums[_ROW["in_system"]] = occ
-    return occupancy
 
-
-def _fifo_span(
+def _span(
     start: int,
     end: int,
     a_src: np.ndarray,
     a_slot: np.ndarray,
     delivered: np.ndarray,
-    occ: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
     stage: DelayStage | None,
     measure_dest: bool,
     warmup: int,
     horizon: int,
-    last_rx: np.ndarray,
+    carry: np.ndarray,
+    occupancy: list[defaultdict[int, int]],
     sums: np.ndarray,
 ) -> None:
-    """Add the statistics of a FIFO run's slots ``start <= slot < end``.
+    """Add the statistics of a run's slots ``start <= slot < end``.
 
-    ``a_src`` and ``a_slot`` are the span's arrivals, ``delivered`` its
-    deliveries as rows source, gen and slot, each sorted by source and,
-    within a source, by slot.  ``occ`` holds each source's occupancy at the
-    span's start and moves on to its end.  Adds the window's deliveries and
-    slot starts by occupancy, and passes the deliveries, with whether each
-    left its queue empty, to ``_receive``.
+    ``a_src`` and ``a_slot`` are the span's admitted arrivals, ``delivered``
+    its deliveries as rows source, gen and slot, each sorted by source and,
+    within a source, by slot.  ``carry`` holds each source's reception
+    state in rows 1 to 3 and its occupancy at the span's start in row 4,
+    which moves on to the span's end.  Adds the window's deliveries,
+    admitted arrivals and slot starts by occupancy, and passes the
+    deliveries, with whether each left its queue empty, to ``_receive``.
     """
-    n = len(occ)
+    n = len(occupancy)
     sources = np.arange(n)
+    occ = carry[4]
     d_src, d_gen, d_slot = delivered
     sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
+    sums[_ROW["admitted"]] += np.bincount(a_src[a_slot >= warmup], minlength=n)
 
     # occupancy: each source's level from the span's start, +1 at the
     # slot after an arrival, -1 at the slot after a delivery, then back
@@ -923,7 +901,7 @@ def _fifo_span(
 
     _receive(
         np.array((d_src, d_gen, d_slot, left_empty)), end - 1,
-        stage, measure_dest, warmup, horizon, last_rx, sums,
+        stage, measure_dest, warmup, horizon, carry[1:4], sums,
     )
 
 
@@ -935,7 +913,8 @@ def _fifo_random_access(
     span: int,
     sums: np.ndarray,
     carry: np.ndarray,
-) -> list[defaultdict[int, int]]:
+    occupancy: list[defaultdict[int, int]],
+) -> None:
     """FIFO random access: only the slots in which some source transmits.
 
     A source sends its oldest update whatever arrived since, so an arrival
@@ -948,8 +927,7 @@ def _fifo_random_access(
     through ``resolve``; a source's k-th delivery carries its k-th arrival.
     It goes a span of slots at a time: it draws the span's arrivals, resolves
     the attempts before the span's end, and adds the span's statistics with
-    ``_fifo_span``, as the FIFO round-robin kernel does.  Returns each
-    source's window slot starts by occupancy.
+    ``_span``, as the other paths do.
     """
     n = config.n_sources
     lambdas = config.lambdas
@@ -962,9 +940,7 @@ def _fifo_random_access(
     queued: list[deque[int]] = [deque() for _ in range(n)]  # undelivered gens, oldest first
     idle = [True] * n  # empty, its next attempt drawn at its next arrival
     attempts: list[tuple[int, int]] = []  # heap of (slot, source)
-    occ = np.zeros(n, np.int64)
-    last_arrival, last_rx = carry[0], carry[1:]
-    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+    last_arrival = carry[0]
 
     def attempt_after(i: int, start: int) -> None:
         # one access draw per backlogged slot; none left before the horizon
@@ -1002,14 +978,11 @@ def _fifo_random_access(
                     attempt_after(i, waiting[0] if waiting[0] > slot else slot)
                 else:
                     idle[i] = True
-        _fifo_span(
-            start, end, a_src, a_slot, _by_source(sent, 3), occ, occupancy,
-            stage, measure_dest, warmup, horizon, last_rx, sums,
+        _span(
+            start, end, a_src, a_slot, _by_source(sent),
+            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
         )
         start = end
-
-    sums[_ROW["in_system"]] = occ
-    return occupancy
 
 
 _FIFO_PATHS = {

@@ -11,6 +11,11 @@ slot.  When a delivery completes, the successor (FIFO head or the waiting
 update) is moved into service immediately; an arrival later in the same slot
 therefore queues behind it instead of replacing it.  The update in service
 is never preempted or replaced.
+
+A queue keeps no counts of its own: ``on_arrival`` returns whether the
+update was admitted (False when it replaced the waiting one, which leaves
+the occupancy as it was), and ``on_delivery`` returns the update delivered,
+so a caller counts arrivals, drops and deliveries from those.
 """
 from __future__ import annotations
 
@@ -28,11 +33,10 @@ class Discipline(Enum):
 
 
 class SourceQueue:
-    """Queue of one source, holding generation slots and conservation counters.
+    """Queue of one source, holding generation slots.
 
     ``in_system`` is the occupancy, kept up to date by ``on_arrival`` and
-    ``on_delivery``; ``generated == delivered + dropped + in_system`` holds
-    after every call.  Waiting updates sit in ``_waiting``, oldest first;
+    ``on_delivery``.  Waiting updates sit in ``_waiting``, oldest first;
     under replacement it holds at most one.
     """
 
@@ -42,9 +46,6 @@ class SourceQueue:
         "in_system",
         "_waiting",
         "_replace",
-        "generated",
-        "delivered",
-        "dropped",
     )
 
     def __init__(self, discipline: Discipline, source_id: int = 0):
@@ -53,23 +54,19 @@ class SourceQueue:
         self.in_system = 0
         self._waiting: deque[int] = deque()
         self._replace = discipline is Discipline.REPLACEMENT
-        self.generated = 0
-        self.delivered = 0
-        self.dropped = 0
 
     def occupancy(self) -> int:
         return self.in_system
 
-    def on_arrival(self, gen: int) -> None:
-        """Admit the update generated in slot ``gen``; it may evict the waiting one."""
-        self.generated += 1
+    def on_arrival(self, gen: int) -> bool:
+        """Take the update generated in slot ``gen``; False when it replaced the waiting one."""
         waiting = self._waiting
         if waiting and self._replace:
             waiting[0] = gen
-            self.dropped += 1
-        else:
-            waiting.append(gen)
-            self.in_system += 1
+            return False
+        waiting.append(gen)
+        self.in_system += 1
+        return True
 
     def begin_attempt(self) -> int | None:
         """Update to transmit in a granted slot, promoting one into service if idle."""
@@ -88,7 +85,6 @@ class SourceQueue:
             raise ProtocolError(
                 f"source {self.source_id}: delivery signalled with no update in service"
             )
-        self.delivered += 1
         self.in_system -= 1
         waiting = self._waiting
         self.in_service = waiting.popleft() if waiting else None

@@ -248,9 +248,10 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
     y_count = [0] * n
     informative = [0] * n
     obsolete = [0] * n
-    base_generated = [0] * n
-    base_delivered = [0] * n
-    base_dropped = [0] * n
+    # the window's arrivals, deliveries and arrivals that replaced a waiting update
+    generated = [0] * n
+    delivered = [0] * n
+    dropped = [0] * n
 
     rr = policy.kind is PolicyKind.ROUND_ROBIN
     wc = policy.kind is PolicyKind.WORK_CONSERVING
@@ -259,13 +260,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
 
     for slot in range(horizon):
         rec = slot >= warmup
-        if rec and slot == warmup and warmup:
-            for i in range(n):
-                q = queues[i]
-                base_generated[i] = q.generated
-                base_delivered[i] = q.delivered
-                base_dropped[i] = q.dropped
-
         if rec:
             for i in range(n):
                 o = queues[i].occupancy()
@@ -293,6 +287,8 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         delivered_now: list[int] = []
         for i in successes:
             gen = queues[i].on_delivery()
+            if rec:
+                delivered[i] += 1
             if stage is not None:
                 stage.inject((i, gen), slot, streams[i].delay)
                 if not measure_dest:
@@ -324,7 +320,11 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
         for i in range(n):
             lam = lambdas[i]
             if lam > 0.0 and streams[i].arrival.uniform() < lam:
-                queues[i].on_arrival(slot)
+                admitted = queues[i].on_arrival(slot)
+                if rec:
+                    generated[i] += 1
+                    if not admitted:
+                        dropped[i] += 1
                 prev = last_gen[i]
                 if rec and prev >= 0:
                     y = slot - prev
@@ -343,10 +343,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
 
     per_source = []
     for i in range(n):
-        q = queues[i]
-        generated = q.generated - base_generated[i]
-        delivered = q.delivered - base_delivered[i]
-        dropped = q.dropped - base_dropped[i]
         log = logs[i]
         m = len(log.gen_slots)
         if m >= 2:
@@ -370,14 +366,14 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[DeliveryLog]]:
             SourceMetrics(
                 source_id=i,
                 avg_aoi=trackers[i].age_sum / window,
-                generated=generated,
-                delivered=delivered,
-                dropped=dropped,
-                in_system_at_end=q.occupancy(),
+                generated=generated[i],
+                delivered=delivered[i],
+                dropped=dropped[i],
+                in_system_at_end=queues[i].occupancy(),
                 informative=informative[i],
                 obsolete=obsolete[i],
-                empirical_drop_prob=dropped / generated if generated else 0.0,
-                empirical_effective_rate=delivered / window,
+                empirical_drop_prob=dropped[i] / generated[i] if generated[i] else 0.0,
+                empirical_effective_rate=delivered[i] / window,
                 occupancy_hist=hist,
                 estimator_yt=est_yt,
                 estimator_zt=est_zt,

@@ -157,6 +157,17 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg]) == 2
         assert "arrival_rates[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, code", [(1e-17, 2), (1e-16, 0)])
+    def test_network_k_where_one_minus_k_rounds_to_one(self, tmp_path, capsys, k, code) -> None:
+        # at k <= 2**-54, 1 - k rounds to 1 and no delay can be drawn: the
+        # config is refused with the accepted range, not run into a traceback
+        cfg = write_config(tmp_path, minimal_doc(n_sources=1, network_k=k, horizon=200))
+        assert main(["simulate", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: network_k must be in (2**-54, 1]")
+
     def test_unwritable_out_exits_two(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, minimal_doc(horizon=200))
         out = tmp_path / "no" / "such" / "x.csv"

@@ -191,6 +191,56 @@ def test_fifo_delay_stage_and_warmup_across_blocks(name: str, measure_at: Measur
     assert_same_run(config)
 
 
+_EVENT_LOOP_SPAN_ENDS = {
+    "round_robin_replacement": (
+        Discipline.REPLACEMENT,
+        (0.1, 0.2, 0.25),
+        PolicyConfig(PolicyKind.ROUND_ROBIN),
+        ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+    ),
+    "random_access_replacement": (
+        Discipline.REPLACEMENT,
+        (0.02, 0.05, 0.08),
+        PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3, 0.4, 0.5)),
+        ChannelConfig(ChannelKind.COLLISION),
+    ),
+    **{
+        f"work_conserving_{discipline.value}": (
+            discipline,
+            (0.1, 0.2, 0.25),
+            PolicyConfig(PolicyKind.WORK_CONSERVING),
+            ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+        )
+        for discipline in Discipline
+    },
+}
+
+
+@pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(_EVENT_LOOP_SPAN_ENDS))
+def test_event_loop_across_span_ends_with_updates_in_flight(
+    name: str, measure_at: MeasurePoint
+) -> None:
+    # the event loop hands a span's arrivals and deliveries on at the span's
+    # end, slot 16,384, while the window is open and updates are in flight
+    # through the delay stage, so those updates, the occupancy and the
+    # arrivals a replacement queue admits all carry across it
+    discipline, lambdas, policy, channel = _EVENT_LOOP_SPAN_ENDS[name]
+    config = SimConfig(
+        n_sources=3,
+        lambdas=lambdas,
+        discipline=discipline,
+        policy=policy,
+        channel=channel,
+        network_k=0.3,
+        horizon=2 * _BLOCK + 500,
+        seed=59,
+        measure_at=measure_at,
+        warmup=_BLOCK // 2,
+    )
+    assert_same_run(config)
+
+
 def test_spans_grow_with_a_long_backlog(monkeypatch) -> None:
     # four saturated sources share a round robin, so more than two blocks
     # of updates wait after some 11,000 slots, and a span then covers more

@@ -23,8 +23,8 @@ class TestFifo:
     def test_serves_in_arrival_order(self) -> None:
         q = SourceQueue(Discipline.FIFO)
         for gen in (1, 2, 3):
-            q.on_arrival(gen)
-        assert q.dropped == 0
+            assert q.on_arrival(gen)  # admitted: nothing dropped
+        assert q.in_system == 3
         assert q.begin_attempt() == 1
         assert q.on_delivery() == 1
         assert q.begin_attempt() == 2
@@ -33,9 +33,7 @@ class TestFifo:
 
     def test_never_drops(self) -> None:
         q = SourceQueue(Discipline.FIFO)
-        for j in range(50):
-            q.on_arrival(j)
-        assert q.dropped == 0
+        assert all(q.on_arrival(j) for j in range(50))
         assert q.occupancy() == 50
 
     def test_successor_enters_service_on_delivery(self) -> None:
@@ -69,10 +67,8 @@ class TestReplacement:
         q = SourceQueue(Discipline.REPLACEMENT)
         q.on_arrival(1)
         assert q.begin_attempt() == 1
-        q.on_arrival(2)
-        assert q.dropped == 0
-        q.on_arrival(3)
-        assert q.dropped == 1
+        assert q.on_arrival(2)
+        assert not q.on_arrival(3)  # replaces 2, which is dropped
         assert q.occupancy() == 2
         assert q.on_delivery() == 1
         # the surviving waiting update is promoted at the delivery instant
@@ -90,10 +86,9 @@ class TestReplacement:
         q = SourceQueue(Discipline.REPLACEMENT)
         q.on_arrival(1)
         q.begin_attempt()
-        for j in range(2, 12):
-            q.on_arrival(j)
+        admitted = [q.on_arrival(j) for j in range(2, 12)]
         assert q.occupancy() == 2
-        assert q.dropped == 9
+        assert admitted.count(False) == 9
 
     def test_same_slot_arrival_waits_behind_promoted(self) -> None:
         q = SourceQueue(Discipline.REPLACEMENT)
@@ -102,9 +97,9 @@ class TestReplacement:
         q.on_arrival(2)
         q.on_delivery()
         assert q.in_service == 2
-        q.on_arrival(3)  # same slot as the delivery: waits, replaces nothing in service
+        # same slot as the delivery: waits, replaces nothing in service
+        assert q.on_arrival(3)
         assert q.occupancy() == 2
-        assert q.dropped == 0
 
 
 class TestProtocol:
@@ -119,24 +114,29 @@ class TestProtocol:
 
     @pytest.mark.parametrize("discipline", list(Discipline))
     def test_conservation_under_random_drive(self, discipline: Discipline) -> None:
+        # the queue keeps no counts, so the drive counts from its return values
         rng = random.Random(7)
         q = SourceQueue(discipline)
+        generated = delivered = dropped = 0
 
         def conserved() -> bool:
-            return q.occupancy() == q.generated - q.delivered - q.dropped
+            return q.in_system == generated - delivered - dropped
 
         for slot in range(5000):
             p = q.begin_attempt()
             assert conserved()
             if p is not None and rng.random() < 0.6:
-                q.on_delivery()
+                assert q.on_delivery() == p
+                delivered += 1
                 assert conserved()
             if rng.random() < 0.4:
-                q.on_arrival(slot)
+                generated += 1
+                if not q.on_arrival(slot):
+                    dropped += 1
                 assert conserved()
-        assert q.generated == q.delivered + q.dropped + q.occupancy()
+        assert generated == delivered + dropped + q.occupancy()
         if discipline is Discipline.FIFO:
-            assert q.dropped == 0
+            assert dropped == 0
 
 
 def drive(discipline: Discipline, lam: float, mu: float, seed: int) -> Counter:
