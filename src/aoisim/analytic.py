@@ -44,6 +44,12 @@ __all__ = [
 ]
 
 
+# The smallest rate the closed forms take: below it a power such as
+# lam**2 * mu**2 underflows to 0 and a form divides by it, while from it on
+# every form is finite
+_MIN_RATE = 1e-75
+
+
 @dataclass(frozen=True)
 class QueueParams:
     """Arrival rate and per-attempt success probability of one source."""
@@ -52,10 +58,10 @@ class QueueParams:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.lam < 1.0):
-            raise InvalidParamsError(f"lam must be in (0, 1), got {self.lam}")
-        if not (0.0 < self.mu <= 1.0):
-            raise InvalidParamsError(f"mu must be in (0, 1], got {self.mu}")
+        if not (_MIN_RATE <= self.lam < 1.0):
+            raise InvalidParamsError(f"lam must be in [1e-75, 1), got {self.lam}")
+        if not (_MIN_RATE <= self.mu <= 1.0):
+            raise InvalidParamsError(f"mu must be in [1e-75, 1], got {self.mu}")
 
     @property
     def rho(self) -> float:

@@ -16,55 +16,42 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 The average age reported for a run is the per-slot mean of those samples.
 
 Three implementations compute the queues; which one runs depends only on
-the policy and the discipline.  FIFO round robin, whatever the channel,
-delay stage, warm-up or measure point, visits no slot: a source's queue is a
-Geo/Geo/1 queue in the slots it owns, so its deliveries follow Lindley's
-recursion, which ``_fifo_round_robin`` computes a span of slots at a time
-with array operations, for all sources at once.  FIFO random access visits
-only the slots in which some source transmits: a FIFO source sends its
-oldest update whatever arrived since, so ``_fifo_random_access`` keeps a
-heap of the sources' next attempts and nothing else.  Packet management, on
-any policy, and FIFO work conserving run on the event loop, ``_event_loop``:
-the update a replacement queue sends next depends on what arrived during
-the last service, and work conserving grants a slot from every source's
-backlog.
+the policy and the discipline:
+
+* ``_fifo_round_robin``, FIFO round robin, visits no slot.  A source's
+  queue is a Geo/Geo/1 queue in the slots it owns, so its deliveries follow
+  Lindley's recursion, computed a span of slots at a time with array
+  operations, for all sources at once.
+* ``_attempts``, round robin with packet management and random access under
+  either discipline, visits only the slots in which a source's attempt is
+  resolved.  When a source transmits depends only on its own backlog and
+  draws, so the path keeps a heap of the backlogged sources' next resolved
+  attempts; a round robin's is drawn ahead to the owner's next success.
+* ``_event_loop``, work conserving, grants a slot from every source's
+  backlog, so it visits every slot while a source is backlogged, and the
+  slot of each arrival otherwise.
+
+A path hands each queue its events in the order of the slot's steps:
+arrivals before a slot go in before that slot's ``begin_attempt``, and the
+slot's own arrivals after its delivery.  ``_attempts`` hands a source's
+arrivals over lazily, in that order, and calls ``begin_attempt`` at the
+first attempt slot of every service (the first owned slot under round
+robin, every attempt under random access) whether or not an update is
+already in service, so which update a queue sends is decided in
+``SourceQueue`` alone.
 
 All three go a span of slots at a time and keep one span accounting:
-``_arrivals`` draws a span's arrivals and adds their interarrival moments,
-and ``_span`` takes the span's admitted arrivals and its deliveries as
-arrays.  It adds the window's deliveries, admitted arrivals, occupancy
-histogram and each delivery's left-empty flag, and passes the deliveries to
-``_receive``, which sends them through the delay stage (it never feeds back
-into the access point) and on to ``_fold``, which adds the receptions at the
-monitor point to the reception sums and the age area.  An arrival that
-replaces the waiting update is not admitted, so a run's drops are its
-arrivals less its admitted ones; under FIFO every arrival is admitted.
-
-The event loop only visits event slots: slots with an arrival, a grant to a
-backlogged source under work conserving or random access, or a round
-robin's successful attempt.  Each event slot runs steps 2 to 5 in order,
-touching only the sources involved, but for the delay stage's receptions;
-nothing changes in the slots between them.  The loop keeps no statistics: it collects the span's deliveries and
-the arrivals its queues did not admit, and hands them to ``_span`` at the
-span's end.  What it keeps is what decides the next events: the queues,
-whose occupancy decides the work-conserving grant and when a source's next
-grant is scheduled, and the pending grants.
-
-Arrivals do not depend on the system state, and a source's arrival stream
-takes one draw per slot, so the event loop takes the draws of a whole span
-of slots from every arrival stream at once and merges the arrival slots by
-(slot, source) into the arrival calendar.  Each kind of pending event has
-one owner: arrivals are on the calendar and grants on the loop's heap of
-``(slot, source)`` events; the next event slot is the earlier of the two.
-
-Under round robin only a slot's owner transmits and the channel draws are
-its own, so when an update enters service (its source becomes backlogged,
-or a delivery leaves a successor) the loop draws the owner's channel
-stream ahead over the slots it owns up to the first success, and schedules
-only that slot; the failed attempts in between change nothing but the
-draws.  An update that waits for its first owned slot enters service at the
-source's first visit at or after that slot, so that a newer arrival before
-it still replaces it under packet management.
+``_arrivals`` draws a span's arrivals, one draw per slot from every arrival
+stream at once, and adds their interarrival moments, and ``_span`` takes the
+span's admitted arrivals and its deliveries as arrays.  It adds the
+window's deliveries, admitted arrivals, occupancy histogram and each
+delivery's left-empty flag, and passes the deliveries to ``_receive``,
+which sends them through the delay stage (it never feeds back into the
+access point) and on to ``_fold``, which adds the receptions at the monitor
+point to the reception sums and the age area.  An arrival that replaces the
+waiting update is not admitted, so a run's drops are its arrivals less its
+admitted ones; under FIFO every arrival is admitted.  The paths keep no
+statistics of their own.
 
 Steps 1 and 6 are kept as sums: the occupancy histogram adds the time
 spent at each level between a span's arrivals and deliveries, and the age
@@ -76,7 +63,7 @@ every seed.
 """
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heappop, heappush
@@ -300,9 +287,12 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     carry[0] = carry[2] = -1
     # each source's window slot starts by occupancy
     occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    path = _event_loop
-    if config.discipline is Discipline.FIFO:
-        path = _FIFO_PATHS.get(config.policy.kind, _event_loop)
+    if config.policy.kind is PolicyKind.WORK_CONSERVING:
+        path = _event_loop
+    elif config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
+        path = _fifo_round_robin
+    else:
+        path = _attempts
     path(config, streams, stage, measure_dest, span, sums, carry, occupancy)
     sums[_ROW["in_system"]] = carry[4]
 
@@ -365,53 +355,34 @@ def _event_loop(
     carry: np.ndarray,
     occupancy: list[defaultdict[int, int]],
 ) -> None:
-    """Packet management, and FIFO work conserving, event slot by event slot.
+    """Work conserving, event slot by event slot.
 
     Goes a span of slots at a time: it draws the span's arrivals, merges
     them by (slot, source) into the arrival calendar, runs every event slot
     before the span's end, and hands the span's admitted arrivals and its
-    deliveries to ``_span``.  A span without arrivals merges into the next,
-    but for the last.
+    deliveries to ``_span``.  An event slot is an arrival's, or any slot
+    while some source is backlogged, which ``grant`` gives to one of them.
+    A span without arrivals merges into the next, but for the last.
     """
     n = config.n_sources
     lambdas = config.lambdas
     horizon = config.horizon
     warmup = config.warmup
-    policy = config.policy
-    channel = config.channel
-    per_slot_grant = policy.kind is PolicyKind.WORK_CONSERVING
-    round_robin = policy.kind is PolicyKind.ROUND_ROBIN
-    access_probs = policy.access_probs
-    attempt_probs = [channel.attempt_prob(i) for i in range(n)]
-    collision = channel.kind is ChannelKind.COLLISION
+    attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
+    collision = config.channel.kind is ChannelKind.COLLISION
 
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
     last_arrival = carry[0]
-    # work conserving is granted slot by slot from the backlogged sources;
-    # the other policies hold one pending grant event per backlogged source,
-    # and a round-robin source keeps its mark when no success is left
-    # before the horizon, so that it is never scheduled again
     backlogged = [False] * n
     n_backlogged = 0
-    grant_pending = [False] * n
-    # a round-robin update waiting for its first owned slot: that slot,
-    # until a visit at or after it moves the update into service
-    promote_at = [horizon] * n
     arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-    # grant events: (slot, source), a round robin's already known to succeed
-    grants: list[tuple[int, int]] = []
 
     slot = -1
     start = 0
     while start < horizon:
-        # a span without arrivals merges into the next, but for the last
-        end = start
-        while True:
-            stop = min(end + span, horizon)
-            a_src, a_slot = _arrivals(streams, lambdas, arriving, end, stop, warmup, last_arrival, sums)
-            end = stop
-            if len(a_src) or end == horizon:
-                break
+        end, a_src, a_slot = _arrival_span(
+            streams, lambdas, arriving, start, span, horizon, warmup, last_arrival, sums
+        )
         # the calendar: arrivals sorted by source, so a stable sort by slot
         # breaks ties by source; it ends with a sentinel, the span's end
         order = a_slot.argsort(kind="stable")
@@ -422,84 +393,160 @@ def _event_loop(
         sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
 
         while True:
-            if per_slot_grant and n_backlogged:
-                nxt = slot + 1
-            else:
-                nxt = cal_slots[ci]
-                if grants and grants[0][0] < nxt:
-                    nxt = grants[0][0]
+            nxt = slot + 1 if n_backlogged else cal_slots[ci]
             if nxt >= end:
                 break
             slot = nxt
 
-            if per_slot_grant:
-                granted = grant(slot, backlogged)
-            else:
-                granted = []
-                while grants and grants[0][0] == slot:
-                    i = heappop(grants)[1]
-                    granted.append(i)
-                    grant_pending[i] = False
-
-            # every granted source is backlogged, so each one transmits
+            # the granted source is backlogged, so it transmits
+            granted = grant(slot, backlogged)
             if granted:
-                for i in granted:
-                    queues[i].begin_attempt()
-                    promote_at[i] = horizon
-                if round_robin:
-                    # the owner's success, drawn when its update entered service
-                    delivered = granted
-                else:
-                    delivered = resolve(attempt_probs, granted, streams, collision)
-                for i in delivered:
+                queues[granted[0]].begin_attempt()
+                for i in resolve(attempt_probs, granted, streams, collision):
                     sent.append((i, queues[i].on_delivery(), slot))
 
             first = ci
             while cal_slots[ci] == slot:
-                i = cal_sources[ci]
-                q = queues[i]
-                if slot >= promote_at[i]:
-                    q.begin_attempt()
-                    promote_at[i] = horizon
-                if not q.on_arrival(slot):
+                if not queues[cal_sources[ci]].on_arrival(slot):
                     replacing.append(ci)
                 ci += 1
-            visits = granted + cal_sources[first:ci] if ci > first else granted
 
-            # the next slot starts: schedule grants (a source both granted
-            # and arriving is visited twice; the second visit changes nothing)
-            for i in visits:
-                o = queues[i].in_system
-                if per_slot_grant:
-                    if backlogged[i] != (o > 0):
-                        backlogged[i] = o > 0
-                        n_backlogged += 1 if o else -1
-                elif o and not grant_pending[i]:
-                    grant_pending[i] = True
-                    if round_robin:
-                        # an update enters service: draw ahead over the slots
-                        # the owner has left, from the next one, to the first
-                        # success; with none left nxt passes the horizon, and
-                        # the mark stays
-                        nxt = slot + 1 + (i - slot - 1) % n  # the next slot i owns
-                        if queues[i].in_service is None:
-                            promote_at[i] = nxt  # the update waits for that slot
-                        p = attempt_probs[i]
-                        if p < 1.0:
-                            left = (horizon - 1 - nxt) // n + 1
-                            nxt += n * streams[i].channel.skip_to_below(p, left)
-                    else:
-                        # random access: one access draw per backlogged slot
-                        nxt = slot + 1 + streams[i].access.skip_to_below(
-                            access_probs[i], horizon - slot - 1
-                        )
-                    if nxt < horizon:
-                        heappush(grants, (nxt, i))
+            # the next slot starts: update the backlog the grant reads
+            for i in granted + cal_sources[first:ci]:
+                o = queues[i].in_system > 0
+                if backlogged[i] != o:
+                    backlogged[i] = o
+                    n_backlogged += 1 if o else -1
 
         # an arrival that replaced the waiting update was not admitted
         at = order[replacing]
         _span(
             start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent),
+            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
+        )
+        start = end
+
+
+def _attempts(
+    config: SimConfig,
+    streams: list[SourceStreams],
+    stage: DelayStage | None,
+    measure_dest: bool,
+    span: int,
+    sums: np.ndarray,
+    carry: np.ndarray,
+    occupancy: list[defaultdict[int, int]],
+) -> None:
+    """Round robin and random access, attempt by attempt, under either discipline.
+
+    When an update enters service (its source is still backlogged after an
+    attempt, or an arrival ends its idle spell) the run draws the slot of
+    the source's next resolved attempt: under random access the first later
+    slot whose access draw is below q, one draw per slot; under round robin
+    the owner's first success over the slots it owns, drawn ahead, since the
+    failed attempts in between change nothing but the draws.  It keeps a
+    heap of those ``(slot, source)`` attempts and resolves each slot's
+    through ``resolve``; a round robin's are drawn to succeed.  Each queue
+    takes its arrivals lazily, in the order the module docstring gives, and
+    the run passes a span's admitted arrivals and deliveries to ``_span``.
+    """
+    n = config.n_sources
+    lambdas = config.lambdas
+    horizon = config.horizon
+    warmup = config.warmup
+    round_robin = config.policy.kind is PolicyKind.ROUND_ROBIN
+    access_probs = config.policy.access_probs
+    attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
+    collision = config.channel.kind is ChannelKind.COLLISION
+    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
+    queues = [SourceQueue(config.discipline, i) for i in range(n)]
+    # the first attempt slot of a source's scheduled service, until its
+    # begin_attempt has run; horizon when there is none
+    begins = [horizon] * n
+    attempts: list[tuple[int, int]] = []  # heap of (slot, source)
+    last_arrival = carry[0]
+
+    def schedule(i: int, after: int) -> None:
+        # the next service starts after slot `after`; with no attempt left
+        # before the horizon the source is never scheduled again
+        if round_robin:
+            begin = slot = after + 1 + (i - after - 1) % n  # the next slot i owns
+            p = attempt_probs[i]
+            if p < 1.0:
+                slot += n * streams[i].channel.skip_to_below(p, (horizon - 1 - begin) // n + 1)
+        else:
+            begin = slot = after + 1 + streams[i].access.skip_to_below(
+                access_probs[i], horizon - after - 1
+            )
+        begins[i] = begin
+        if slot < horizon:
+            heappush(attempts, (slot, i))
+
+    start = 0
+    while start < horizon:
+        end, a_src, a_slot = _arrival_span(
+            streams, lambdas, arriving, start, span, horizon, warmup, last_arrival, sums
+        )
+        slots = a_slot.tolist()
+        # each source's arrivals are slots[taken[i]:upto[i]], the first
+        # taken[i] of them handed to its queue
+        upto = np.cumsum(np.bincount(a_src, minlength=n)).tolist()
+        taken = [0] + upto[:-1]
+        replacing: list[int] = []  # indices of arrivals that replaced the waiting update
+        sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
+
+        def hand_over(i: int, until: int) -> None:
+            # source i's events before the arrivals of slot `until`: its
+            # arrivals before that slot and, at its first attempt slot if
+            # that is within the run, the scheduled service's begin_attempt
+            q = queues[i]
+            k = taken[i]
+            stop = upto[i]
+            begin = begins[i]
+            if begin <= until and begin < horizon:
+                while k < stop and slots[k] < begin:
+                    if not q.on_arrival(slots[k]):
+                        replacing.append(k)
+                    k += 1
+                q.begin_attempt()
+                begins[i] = horizon
+            while k < stop and slots[k] < until:
+                if not q.on_arrival(slots[k]):
+                    replacing.append(k)
+                k += 1
+            taken[i] = k
+
+        def wake(i: int) -> None:
+            # an empty source's next arrival schedules its next service
+            if taken[i] < upto[i]:
+                a = slots[taken[i]]
+                hand_over(i, a + 1)
+                schedule(i, a)
+
+        for i in arriving:
+            if not queues[i].in_system:
+                wake(i)
+        while attempts and attempts[0][0] < end:
+            slot, i = heappop(attempts)
+            granted = [i]
+            while attempts and attempts[0][0] == slot:
+                granted.append(heappop(attempts)[1])
+            for i in granted:
+                hand_over(i, slot)
+            delivered = granted if round_robin else resolve(attempt_probs, granted, streams, collision)
+            for i in delivered:
+                sent.append((i, queues[i].on_delivery(), slot))
+            for i in granted:
+                hand_over(i, slot + 1)
+                if queues[i].in_system:
+                    schedule(i, slot)
+                else:
+                    wake(i)
+        for i in arriving:
+            hand_over(i, end)
+
+        _span(
+            start, end, np.delete(a_src, replacing), np.delete(a_slot, replacing), _by_source(sent),
             stage, measure_dest, warmup, horizon, carry, occupancy, sums,
         )
         start = end
@@ -609,6 +656,32 @@ def _arrivals(
     return a_src, a_slot
 
 
+def _arrival_span(
+    streams: list[SourceStreams],
+    lambdas: tuple[float, ...],
+    arriving: list[int],
+    start: int,
+    span: int,
+    horizon: int,
+    warmup: int,
+    last_arrival: np.ndarray,
+    sums: np.ndarray,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The end of the span from ``start``, and its arrivals as ``_arrivals`` gives them.
+
+    A span is ``span`` slots; one without arrivals merges into the next,
+    but for the last, so a sparse run does not pay for the accounting of
+    empty spans.
+    """
+    end = start
+    while True:
+        stop = min(end + span, horizon)
+        a_src, a_slot = _arrivals(streams, lambdas, arriving, end, stop, warmup, last_arrival, sums)
+        end = stop
+        if len(a_src) or end == horizon:
+            return end, a_src, a_slot
+
+
 def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:
     """Deliveries (source, gen, slot) listed in slot order, as rows, sorted by source."""
     return np.array(sorted(sent, key=itemgetter(0)), np.int64).reshape(-1, 3).T
@@ -713,8 +786,8 @@ def _fifo_round_robin(
     ``np.maximum.accumulate`` takes for all sources at once after lifting
     each source's terms above those of the sources before it.
 
-    The run goes a span of slots at a time: the arrival calendar's span, or
-    a multiple of it while more than a block of updates wait.  A span takes
+    The run goes a span of slots at a time: the run's arrival span, or a
+    multiple of it while more than a block of updates wait.  A span takes
     every source's arrival draws, and the channel draws that the services ending before
     the span's end can spend, with ``take_below``: the same values a
     slot-by-slot loop draws.  Updates whose service may end later wait for
@@ -903,92 +976,6 @@ def _span(
         np.array((d_src, d_gen, d_slot, left_empty)), end - 1,
         stage, measure_dest, warmup, horizon, carry[1:4], sums,
     )
-
-
-def _fifo_random_access(
-    config: SimConfig,
-    streams: list[SourceStreams],
-    stage: DelayStage | None,
-    measure_dest: bool,
-    span: int,
-    sums: np.ndarray,
-    carry: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
-) -> None:
-    """FIFO random access: only the slots in which some source transmits.
-
-    A source sends its oldest update whatever arrived since, so an arrival
-    to a backlogged source changes nothing about when it transmits.  A
-    source attempts in the first slot after ``start`` whose access draw is
-    below its access probability, where ``start`` is the slot of its last
-    attempt, failed or delivering, when it is still backlogged at that
-    slot's end, and else the arrival that ends its idle spell.  The run
-    keeps a heap of those attempts and resolves the attempts of one slot
-    through ``resolve``; a source's k-th delivery carries its k-th arrival.
-    It goes a span of slots at a time: it draws the span's arrivals, resolves
-    the attempts before the span's end, and adds the span's statistics with
-    ``_span``, as the other paths do.
-    """
-    n = config.n_sources
-    lambdas = config.lambdas
-    horizon = config.horizon
-    warmup = config.warmup
-    access_probs = config.policy.access_probs
-    attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
-    collision = config.channel.kind is ChannelKind.COLLISION
-    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-    queued: list[deque[int]] = [deque() for _ in range(n)]  # undelivered gens, oldest first
-    idle = [True] * n  # empty, its next attempt drawn at its next arrival
-    attempts: list[tuple[int, int]] = []  # heap of (slot, source)
-    last_arrival = carry[0]
-
-    def attempt_after(i: int, start: int) -> None:
-        # one access draw per backlogged slot; none left before the horizon
-        # means no attempt, and the source is never scheduled again
-        nxt = start + 1 + streams[i].access.skip_to_below(access_probs[i], horizon - start - 1)
-        if nxt < horizon:
-            heappush(attempts, (nxt, i))
-
-    start = 0
-    while start < horizon:
-        end = min(start + span, horizon)
-        a_src, a_slot = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
-        slots = a_slot.tolist()
-        at = 0
-        for i, m in enumerate(np.bincount(a_src, minlength=n).tolist()):
-            if m:
-                if idle[i]:
-                    idle[i] = False
-                    attempt_after(i, slots[at])
-                queued[i].extend(slots[at:at + m])
-                at += m
-        sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
-        while attempts and attempts[0][0] < end:
-            slot, i = heappop(attempts)
-            granted = [i]
-            while attempts and attempts[0][0] == slot:
-                granted.append(heappop(attempts)[1])
-            for i in resolve(attempt_probs, granted, streams, collision):
-                sent.append((i, queued[i].popleft(), slot))
-            for i in granted:
-                waiting = queued[i]
-                if waiting:
-                    # from this slot, or from the arrival after it that the
-                    # delivery left waiting
-                    attempt_after(i, waiting[0] if waiting[0] > slot else slot)
-                else:
-                    idle[i] = True
-        _span(
-            start, end, a_src, a_slot, _by_source(sent),
-            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
-        )
-        start = end
-
-
-_FIFO_PATHS = {
-    PolicyKind.ROUND_ROBIN: _fifo_round_robin,
-    PolicyKind.RANDOM_ACCESS: _fifo_random_access,
-}
 
 
 def run(config: SimConfig) -> MetricsReport:

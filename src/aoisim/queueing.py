@@ -5,12 +5,18 @@ replacement buffer that keeps at most one waiting update, overwriting it
 when a newer update arrives.  A queue belongs to one source, so an update is
 just its generation slot.
 
-Within a slot the engine calls ``begin_attempt`` for granted sources before
-any ``on_arrival``, so an update can never be transmitted in its generation
-slot.  When a delivery completes, the successor (FIFO head or the waiting
-update) is moved into service immediately; an arrival later in the same slot
-therefore queues behind it instead of replacing it.  The update in service
-is never preempted or replaced.
+A caller hands a queue its events in slot order, and within a slot in the
+order of the slot's steps: ``begin_attempt`` when the source transmits,
+``on_delivery`` when that succeeds, then ``on_arrival``, so an update can
+never be transmitted in its generation slot.  Slots in which the source
+neither transmits nor gets an update may be skipped.  The engine calls
+``begin_attempt`` at the first attempt slot of every service, whether or
+not an update is in service, and never moves an update into service
+itself: the slot convention lives here alone.  When a delivery completes,
+the successor (FIFO head or the waiting update) is moved into service
+immediately; an arrival later in the same slot therefore queues behind it
+instead of replacing it.  The update in service is never preempted or
+replaced.
 
 A queue keeps no counts of its own: ``on_arrival`` returns whether the
 update was admitted (False when it replaced the waiting one, which leaves

@@ -252,6 +252,20 @@ class TestAnalyticCommand:
         assert main(["analytic", "--lambda", "0.9", "--mu", "0.5", "--model", "geo"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "lam, mu, err",
+        [
+            ("1e-200", "0.5", "error: lam must be in [1e-75, 1), got 1e-200\n"),
+            ("0.3", "1e-200", "error: mu must be in [1e-75, 1], got 1e-200\n"),
+        ],
+        ids=["lambda", "mu"],
+    )
+    def test_rate_below_the_closed_forms_floor_exits_two(self, capsys, lam, mu, err) -> None:
+        # lam**2 * mu**2 underflows to 0 below the floor, where the
+        # replacement forms divided by it into a traceback
+        assert main(["analytic", "--lambda", lam, "--mu", mu]) == 2
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("lam,mu", [("0.7", "0.3"), ("0.5", "0.5")])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_both_models_at_an_unstable_pair_print_replacement(
@@ -552,6 +566,13 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert out.splitlines()[-1].startswith("validate:")
+
+    def test_rate_below_the_closed_forms_floor_exits_two(self, tmp_path, capsys) -> None:
+        # the FIFO interarrival moment (2 - lam) / (lam * lam) divided by an
+        # underflowed 0 at this rate; the closed forms now refuse it first
+        cfg = write_config(tmp_path, dedicated_doc(discipline="fifo", arrival_rates=1e-200))
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: lam must be in [1e-75, 1), got 1e-200\n"
 
     def test_requires_single_source(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, minimal_doc())

@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 from datetime import timedelta
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -93,6 +94,25 @@ def configs(draw) -> SimConfig:
 @given(configs())
 def test_event_engine_equals_slot_loop(config: SimConfig) -> None:
     assert_same_run(config)
+
+
+@settings(
+    derandomize=True,
+    max_examples=150,
+    deadline=timedelta(seconds=5),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(configs())
+def test_fifo_round_robin_kernel_equals_attempt_path(config: SimConfig) -> None:
+    # FIFO round robin runs on the Lindley kernel; the attempt path, which
+    # runs round robin under packet management, gives the same run
+    config = dataclasses.replace(
+        config, discipline=Discipline.FIFO, policy=PolicyConfig(PolicyKind.ROUND_ROBIN)
+    )
+    kernel = engine.run_with_logs(config)
+    with mock.patch.object(engine, "_fifo_round_robin", engine._attempts):
+        attempts = engine.run_with_logs(config)
+    assert repr(attempts) == repr(kernel)
 
 
 @pytest.mark.parametrize(
@@ -221,8 +241,9 @@ _EVENT_LOOP_SPAN_ENDS = {
 def test_event_loop_across_span_ends_with_updates_in_flight(
     name: str, measure_at: MeasurePoint
 ) -> None:
-    # the event loop hands a span's arrivals and deliveries on at the span's
-    # end, slot 16,384, while the window is open and updates are in flight
+    # the attempt path (round robin and random access) and the event loop
+    # (work conserving) hand a span's arrivals and deliveries on at the
+    # span's end, slot 16,384, while the window is open and updates are in flight
     # through the delay stage, so those updates, the occupancy and the
     # arrivals a replacement queue admits all carry across it
     discipline, lambdas, policy, channel = _EVENT_LOOP_SPAN_ENDS[name]
@@ -326,8 +347,7 @@ _PYTHON_INTEGER_RUNS = {
 def test_fifo_sums_in_python_integers(name: str, monkeypatch) -> None:
     # from _INT64_HORIZON on, a run adds its terms as Python integers, which
     # int64 could not hold; a short run takes that path here, on the FIFO
-    # round-robin kernel, the FIFO random-access path and the event loop,
-    # which share the sums
+    # round-robin kernel and on the attempt path, which share the sums
     monkeypatch.setattr(engine, "_INT64_HORIZON", 1)
     assert_same_run(_PYTHON_INTEGER_RUNS[name])
 

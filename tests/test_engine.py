@@ -253,11 +253,11 @@ class TestMemory:
 
 class TestWork:
     def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
-        # when an update enters service the event loop draws the owner's
+        # when an update enters service the attempt path draws the owner's
         # channel stream ahead to the success slot in one step, so round
         # robin never runs the channel rule and skips once per service
         # rather than once per attempt (about 10 attempts per delivery at
-        # mu = 0.1); packet management keeps a round robin on the loop
+        # mu = 0.1); a round robin with packet management runs on that path
         resolves = skips = 0
         original_resolve = engine.resolve
         original_skip = UniformStream.skip_to_below
@@ -303,9 +303,13 @@ class TestWork:
         assert {role for _, role in stream_draws} == {Role.ARRIVAL, Role.CHANNEL}
         assert max(stream_draws.values()) <= h
 
-    def test_fifo_random_access_draws_arrivals_and_delays_block_wise(self, monkeypatch) -> None:
-        # FIFO random access takes a span's arrival draws at once, never one
-        # slot at a time, and one delay draw per delivery, across spans
+    @pytest.mark.parametrize("discipline", list(Discipline), ids=lambda d: d.value)
+    def test_fifo_random_access_draws_arrivals_and_delays_block_wise(
+        self, monkeypatch, discipline: Discipline
+    ) -> None:
+        # random access, with or without packet management, takes a span's
+        # arrival draws at once, never one slot at a time, and one delay
+        # draw per delivery, across spans
         uniform = UniformStream.uniform
         take = UniformStream._take
         delay_draws: Counter[int] = Counter()
@@ -326,7 +330,7 @@ class TestWork:
         c = config(
             n_sources=3,
             lambdas=(0.05, 0.1, 0.15),
-            discipline=Discipline.FIFO,
+            discipline=discipline,
             policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.4, 0.5, 0.6)),
             channel=ChannelConfig(ChannelKind.COLLISION),
             network_k=0.3,
