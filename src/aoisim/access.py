@@ -8,8 +8,10 @@ the slot index, and the per-source random streams.
 Round robin and random access grant each source on its own, so the engine
 computes when a backlogged source next transmits without visiting the slots
 in between: the next slot the source owns, or its first access draw below
-its access probability.  Work conserving depends on the whole backlog and
-is decided slot by slot by ``grant``.
+its access probability.  Work conserving depends on the whole backlog, so
+while a source is backlogged ``grant`` names the next slot's transmitter
+from the backlog at the end of each slot, and the engine puts that attempt
+on the same heap of next attempts.
 """
 from __future__ import annotations
 

@@ -120,8 +120,6 @@ def optimal_arrival_rate(mu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-
-
 def geo_values(params: QueueParams) -> dict[str, float]:
     """The FIFO queue's closed forms by name, in ``aoisim analytic``'s order
     (less the age-optimal rate, a bisection that depends on ``mu`` alone)."""

@@ -46,7 +46,7 @@ from .analytic import (
     replacement_values,
 )
 from .engine import MeasurePoint, SimConfig, SourceMetrics, mean_or_nan, run, run_with_logs
-from .errors import ConfigError, UnstableError
+from .errors import ConfigError, DomainError, UnstableError
 from .queueing import Discipline
 
 __all__ = ["main", "entry"]
@@ -341,10 +341,16 @@ def cmd_analytic(ns: argparse.Namespace) -> int:
             # the replacement forms hold at lam >= mu, so they are printed alone
             print(f"note: geo block left out: {exc}", file=sys.stderr)
         else:
-            geo["optimal_rate"] = optimal_arrival_rate(params.mu)
-            geo["optimal_aoi"] = (
-                2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(geo["optimal_rate"], params.mu))
-            )
+            try:
+                lam_star = optimal_arrival_rate(params.mu)
+            except DomainError as exc:
+                # the bisection needs room below mu; the other forms still hold
+                print(f"note: geo.optimal_rate and geo.optimal_aoi left out: {exc}", file=sys.stderr)
+            else:
+                geo["optimal_rate"] = lam_star
+                geo["optimal_aoi"] = (
+                    2.0 if params.mu == 1.0 else aoi_geo_geo_1(QueueParams(lam_star, params.mu))
+                )
     if ns.model in ("replacement", "all"):
         blocks["replacement"] = replacement_values(params)
 

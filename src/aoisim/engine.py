@@ -15,32 +15,28 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-Three implementations compute the queues; which one runs depends only on
+Two implementations compute the queues; which one runs depends only on
 the policy and the discipline:
 
 * ``_fifo_round_robin``, FIFO round robin, visits no slot.  A source's
   queue is a Geo/Geo/1 queue in the slots it owns, so its deliveries follow
   Lindley's recursion, computed a span of slots at a time with array
   operations, for all sources at once.
-* ``_attempts``, round robin with packet management and random access under
-  either discipline, visits only the slots in which a source's attempt is
-  resolved.  When a source transmits depends only on its own backlog and
-  draws, so the path keeps a heap of the backlogged sources' next resolved
-  attempts; a round robin's is drawn ahead to the owner's next success.
-* ``_event_loop``, work conserving, grants a slot from every source's
-  backlog, so it visits every slot while a source is backlogged, and the
-  slot of each arrival otherwise.
+* ``_attempts``, every other policy and discipline, visits only the slots
+  in which an update arrives or an attempt is resolved.  It keeps a heap of
+  the next attempts: a round robin's or random access's depends only on its
+  source's own backlog and draws (a round robin's is drawn ahead to the
+  owner's next success), and work conserving's is the next slot's
+  ``grant`` while any source is backlogged.
 
-A path hands each queue its events in the order of the slot's steps:
-arrivals before a slot go in before that slot's ``begin_attempt``, and the
-slot's own arrivals after its delivery.  ``_attempts`` hands a source's
-arrivals over lazily, in that order, and calls ``begin_attempt`` at the
-first attempt slot of every service (the first owned slot under round
-robin, every attempt under random access) whether or not an update is
-already in service, so which update a queue sends is decided in
-``SourceQueue`` alone.
+The attempt path hands each queue its events from the span's arrival
+calendar in the order of the slot's steps: a slot's ``begin_attempt`` and
+delivery before its arrivals.  It calls ``begin_attempt`` at the first
+attempt slot of every service (the first owned slot under round robin,
+every attempt otherwise) whether or not an update is already in service,
+so which update a queue sends is decided in ``SourceQueue`` alone.
 
-All three go a span of slots at a time and keep one span accounting:
+Both go a span of slots at a time and keep one span accounting:
 ``_arrivals`` draws a span's arrivals, one draw per slot from every arrival
 stream at once, and adds their interarrival moments, and ``_span`` takes the
 span's admitted arrivals and its deliveries as arrays.  It adds the
@@ -57,7 +53,7 @@ Steps 1 and 6 are kept as sums: the occupancy histogram adds the time
 spent at each level between a span's arrivals and deliveries, and the age
 area is the sum of ``slot + 1`` over the window less, for each reception,
 the rise of the newest generation times the window slots from the
-reception on.  All three implementations take the same values from every
+reception on.  Both implementations take the same values from every
 random stream as a slot-by-slot loop would, so results are the same at
 every seed.
 """
@@ -287,9 +283,7 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     carry[0] = carry[2] = -1
     # each source's window slot starts by occupancy
     occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-    if config.policy.kind is PolicyKind.WORK_CONSERVING:
-        path = _event_loop
-    elif config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
+    if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
         path = _fifo_round_robin
     else:
         path = _attempts
@@ -345,88 +339,6 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
     return report, stats
 
 
-def _event_loop(
-    config: SimConfig,
-    streams: list[SourceStreams],
-    stage: DelayStage | None,
-    measure_dest: bool,
-    span: int,
-    sums: np.ndarray,
-    carry: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
-) -> None:
-    """Work conserving, event slot by event slot.
-
-    Goes a span of slots at a time: it draws the span's arrivals, merges
-    them by (slot, source) into the arrival calendar, runs every event slot
-    before the span's end, and hands the span's admitted arrivals and its
-    deliveries to ``_span``.  An event slot is an arrival's, or any slot
-    while some source is backlogged, which ``grant`` gives to one of them.
-    A span without arrivals merges into the next, but for the last.
-    """
-    n = config.n_sources
-    lambdas = config.lambdas
-    horizon = config.horizon
-    warmup = config.warmup
-    attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
-    collision = config.channel.kind is ChannelKind.COLLISION
-
-    queues = [SourceQueue(config.discipline, i) for i in range(n)]
-    last_arrival = carry[0]
-    backlogged = [False] * n
-    n_backlogged = 0
-    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
-
-    slot = -1
-    start = 0
-    while start < horizon:
-        end, a_src, a_slot = _arrival_span(
-            streams, lambdas, arriving, start, span, horizon, warmup, last_arrival, sums
-        )
-        # the calendar: arrivals sorted by source, so a stable sort by slot
-        # breaks ties by source; it ends with a sentinel, the span's end
-        order = a_slot.argsort(kind="stable")
-        cal_slots = a_slot[order].tolist() + [end]
-        cal_sources = a_src[order].tolist()
-        ci = 0
-        replacing: list[int] = []  # calendar indices of arrivals that replaced the waiting update
-        sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
-
-        while True:
-            nxt = slot + 1 if n_backlogged else cal_slots[ci]
-            if nxt >= end:
-                break
-            slot = nxt
-
-            # the granted source is backlogged, so it transmits
-            granted = grant(slot, backlogged)
-            if granted:
-                queues[granted[0]].begin_attempt()
-                for i in resolve(attempt_probs, granted, streams, collision):
-                    sent.append((i, queues[i].on_delivery(), slot))
-
-            first = ci
-            while cal_slots[ci] == slot:
-                if not queues[cal_sources[ci]].on_arrival(slot):
-                    replacing.append(ci)
-                ci += 1
-
-            # the next slot starts: update the backlog the grant reads
-            for i in granted + cal_sources[first:ci]:
-                o = queues[i].in_system > 0
-                if backlogged[i] != o:
-                    backlogged[i] = o
-                    n_backlogged += 1 if o else -1
-
-        # an arrival that replaced the waiting update was not admitted
-        at = order[replacing]
-        _span(
-            start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent),
-            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
-        )
-        start = end
-
-
 def _attempts(
     config: SimConfig,
     streams: list[SourceStreams],
@@ -437,24 +349,28 @@ def _attempts(
     carry: np.ndarray,
     occupancy: list[defaultdict[int, int]],
 ) -> None:
-    """Round robin and random access, attempt by attempt, under either discipline.
+    """Every policy and discipline but FIFO round robin, event slot by event slot.
 
-    When an update enters service (its source is still backlogged after an
-    attempt, or an arrival ends its idle spell) the run draws the slot of
-    the source's next resolved attempt: under random access the first later
-    slot whose access draw is below q, one draw per slot; under round robin
-    the owner's first success over the slots it owns, drawn ahead, since the
-    failed attempts in between change nothing but the draws.  It keeps a
-    heap of those ``(slot, source)`` attempts and resolves each slot's
-    through ``resolve``; a round robin's are drawn to succeed.  Each queue
-    takes its arrivals lazily, in the order the module docstring gives, and
-    the run passes a span's admitted arrivals and deliveries to ``_span``.
+    Goes a span at a time: merges the span's arrivals by (slot, source) into
+    a calendar, and visits the earlier of the next calendar slot and the
+    next ``(slot, source)`` attempt on a heap.  A slot resolves its attempts
+    first; a round robin's are drawn to succeed.  A source still backlogged
+    after its attempt, or whose arrival finds its queue idle, then draws its
+    next attempt: under random access the first later slot whose access
+    draw is below q, one draw per slot; under round robin the owner's first
+    success over the slots it owns, since the failed attempts in between
+    change nothing but the draws.  An arrival in or after the first slot of
+    that service runs its ``begin_attempt`` first.  Work conserving draws
+    nothing: after the slot's arrivals ``grant`` puts the next slot's
+    attempt on the heap while any source is backlogged.  The span's admitted
+    arrivals and deliveries go to ``_span``.
     """
     n = config.n_sources
     lambdas = config.lambdas
     horizon = config.horizon
     warmup = config.warmup
     round_robin = config.policy.kind is PolicyKind.ROUND_ROBIN
+    conserving = config.policy.kind is PolicyKind.WORK_CONSERVING
     access_probs = config.policy.access_probs
     attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
     collision = config.channel.kind is ChannelKind.COLLISION
@@ -464,6 +380,8 @@ def _attempts(
     # begin_attempt has run; horizon when there is none
     begins = [horizon] * n
     attempts: list[tuple[int, int]] = []  # heap of (slot, source)
+    backlogged = [False] * n  # whether a queue holds an update, under work conserving
+    n_backlogged = 0
     last_arrival = carry[0]
 
     def schedule(i: int, after: int) -> None:
@@ -487,66 +405,65 @@ def _attempts(
         end, a_src, a_slot = _arrival_span(
             streams, lambdas, arriving, start, span, horizon, warmup, last_arrival, sums
         )
-        slots = a_slot.tolist()
-        # each source's arrivals are slots[taken[i]:upto[i]], the first
-        # taken[i] of them handed to its queue
-        upto = np.cumsum(np.bincount(a_src, minlength=n)).tolist()
-        taken = [0] + upto[:-1]
-        replacing: list[int] = []  # indices of arrivals that replaced the waiting update
+        # the calendar: arrivals sorted by source, so a stable sort by slot
+        # breaks ties by source; it ends with a sentinel, the span's end
+        order = a_slot.argsort(kind="stable")
+        cal_slots = a_slot[order].tolist() + [end]
+        cal_sources = a_src[order].tolist()
+        ci = 0
+        replacing: list[int] = []  # calendar indices of arrivals that replaced the waiting update
         sent: list[tuple[int, int, int]] = []  # (source, gen, slot)
 
-        def hand_over(i: int, until: int) -> None:
-            # source i's events before the arrivals of slot `until`: its
-            # arrivals before that slot and, at its first attempt slot if
-            # that is within the run, the scheduled service's begin_attempt
-            q = queues[i]
-            k = taken[i]
-            stop = upto[i]
-            begin = begins[i]
-            if begin <= until and begin < horizon:
-                while k < stop and slots[k] < begin:
-                    if not q.on_arrival(slots[k]):
-                        replacing.append(k)
-                    k += 1
-                q.begin_attempt()
-                begins[i] = horizon
-            while k < stop and slots[k] < until:
-                if not q.on_arrival(slots[k]):
-                    replacing.append(k)
-                k += 1
-            taken[i] = k
+        while True:
+            slot = cal_slots[ci]
+            if attempts and attempts[0][0] < slot:
+                slot = attempts[0][0]
+            if slot >= end:
+                break
 
-        def wake(i: int) -> None:
-            # an empty source's next arrival schedules its next service
-            if taken[i] < upto[i]:
-                a = slots[taken[i]]
-                hand_over(i, a + 1)
-                schedule(i, a)
-
-        for i in arriving:
-            if not queues[i].in_system:
-                wake(i)
-        while attempts and attempts[0][0] < end:
-            slot, i = heappop(attempts)
-            granted = [i]
+            granted = []
             while attempts and attempts[0][0] == slot:
-                granted.append(heappop(attempts)[1])
-            for i in granted:
-                hand_over(i, slot)
-            delivered = granted if round_robin else resolve(attempt_probs, granted, streams, collision)
-            for i in delivered:
-                sent.append((i, queues[i].on_delivery(), slot))
-            for i in granted:
-                hand_over(i, slot + 1)
-                if queues[i].in_system:
-                    schedule(i, slot)
-                else:
-                    wake(i)
-        for i in arriving:
-            hand_over(i, end)
+                i = heappop(attempts)[1]
+                queues[i].begin_attempt()
+                begins[i] = horizon
+                granted.append(i)
+            if granted:
+                delivered = granted if round_robin else resolve(attempt_probs, granted, streams, collision)
+                for i in delivered:
+                    sent.append((i, queues[i].on_delivery(), slot))
+                for i in granted:
+                    if queues[i].in_system:
+                        if not conserving:
+                            schedule(i, slot)
+                    elif conserving:
+                        backlogged[i] = False
+                        n_backlogged -= 1
 
+            while cal_slots[ci] == slot:
+                i = cal_sources[ci]
+                q = queues[i]
+                if begins[i] <= slot:
+                    q.begin_attempt()
+                    begins[i] = horizon
+                idle = not q.in_system
+                if not q.on_arrival(slot):
+                    replacing.append(ci)
+                elif idle:
+                    if conserving:
+                        backlogged[i] = True
+                        n_backlogged += 1
+                    else:
+                        schedule(i, slot)
+                ci += 1
+
+            # the grant reads the backlog at the slot's end, arrivals included
+            if conserving and n_backlogged:
+                heappush(attempts, (slot + 1, grant(slot + 1, backlogged)[0]))
+
+        # an arrival that replaced the waiting update was not admitted
+        at = order[replacing]
         _span(
-            start, end, np.delete(a_src, replacing), np.delete(a_slot, replacing), _by_source(sent),
+            start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent),
             stage, measure_dest, warmup, horizon, carry, occupancy, sums,
         )
         start = end

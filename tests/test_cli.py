@@ -266,6 +266,35 @@ class TestAnalyticCommand:
         assert main(["analytic", "--lambda", lam, "--mu", mu]) == 2
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize(
+        "mu, reason",
+        [
+            ("1e-06", "mu=1e-06 leaves no room for the bisection bracket"),
+            ("2.1e-06", "derivative does not bracket a root for mu=2.1e-06"),
+        ],
+        ids=["no_bracket", "no_root"],
+    )
+    @pytest.mark.parametrize("model", ["geo", "all"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_no_age_optimal_rate_leaves_out_only_its_two_rows(
+        self, capsys, mu: str, reason: str, model: str, as_json: bool
+    ) -> None:
+        # the bisection for the age-optimal rate fails at a tiny mu, where
+        # every other closed form still holds
+        argv = ["analytic", "--lambda", "1e-7", "--mu", mu, "--model", model]
+        assert main(argv + ["--json"] * as_json) == 0
+        out, err = capsys.readouterr()
+        assert err == f"note: geo.optimal_rate and geo.optimal_aoi left out: {reason}\n"
+        params = QueueParams(1e-7, float(mu))
+        expected = {"geo": geo_values(params)}
+        if model == "all":
+            expected["replacement"] = replacement_values(params)
+        if as_json:
+            assert json.loads(out) == expected
+        else:
+            keys = [line.split()[0] for line in out.splitlines()]
+            assert keys == [f"{m}.{k}" for m, vals in expected.items() for k in vals]
+
     @pytest.mark.parametrize("lam,mu", [("0.7", "0.3"), ("0.5", "0.5")])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_both_models_at_an_unstable_pair_print_replacement(

@@ -211,19 +211,25 @@ def test_fifo_delay_stage_and_warmup_across_blocks(name: str, measure_at: Measur
     assert_same_run(config)
 
 
-_EVENT_LOOP_SPAN_ENDS = {
-    "round_robin_replacement": (
-        Discipline.REPLACEMENT,
-        (0.1, 0.2, 0.25),
-        PolicyConfig(PolicyKind.ROUND_ROBIN),
-        ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
-    ),
-    "random_access_replacement": (
-        Discipline.REPLACEMENT,
-        (0.02, 0.05, 0.08),
-        PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3, 0.4, 0.5)),
-        ChannelConfig(ChannelKind.COLLISION),
-    ),
+_SPAN_END_CASES = {
+    **{
+        f"round_robin_{discipline.value}": (
+            discipline,
+            (0.1, 0.2, 0.25),
+            PolicyConfig(PolicyKind.ROUND_ROBIN),
+            ChannelConfig(ChannelKind.ERASURE, service_probs=(0.6, 0.8, 0.9)),
+        )
+        for discipline in Discipline
+    },
+    **{
+        f"random_access_{discipline.value}": (
+            discipline,
+            (0.02, 0.05, 0.08),
+            PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3, 0.4, 0.5)),
+            ChannelConfig(ChannelKind.COLLISION),
+        )
+        for discipline in Discipline
+    },
     **{
         f"work_conserving_{discipline.value}": (
             discipline,
@@ -237,16 +243,17 @@ _EVENT_LOOP_SPAN_ENDS = {
 
 
 @pytest.mark.parametrize("measure_at", list(MeasurePoint), ids=lambda m: m.value)
-@pytest.mark.parametrize("name", list(_EVENT_LOOP_SPAN_ENDS))
-def test_event_loop_across_span_ends_with_updates_in_flight(
+@pytest.mark.parametrize("name", list(_SPAN_END_CASES))
+def test_every_path_across_span_ends_with_updates_in_flight(
     name: str, measure_at: MeasurePoint
 ) -> None:
-    # the attempt path (round robin and random access) and the event loop
-    # (work conserving) hand a span's arrivals and deliveries on at the
-    # span's end, slot 16,384, while the window is open and updates are in flight
-    # through the delay stage, so those updates, the occupancy and the
-    # arrivals a replacement queue admits all carry across it
-    discipline, lambdas, policy, channel = _EVENT_LOOP_SPAN_ENDS[name]
+    # both paths, the Lindley kernel (FIFO round robin) and the attempt
+    # path (every other policy and discipline), hand a span's arrivals and
+    # deliveries on at the span's end, slot 16,384, while the window is open
+    # and updates are in flight through the delay stage, so those updates,
+    # the occupancy and the arrivals a replacement queue admits all carry
+    # across it
+    discipline, lambdas, policy, channel = _SPAN_END_CASES[name]
     config = SimConfig(
         n_sources=3,
         lambdas=lambdas,
