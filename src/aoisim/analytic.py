@@ -29,6 +29,7 @@ Slot conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParamsError, UnstableError
@@ -89,7 +90,6 @@ def _aoi_geo_derivative(lam: float, mu: float) -> float:
 
 
 _BISECTION_STEPS = 200
-_RATE_MARGIN = 1e-6
 
 
 def optimal_arrival_rate(mu: float) -> float:
@@ -97,16 +97,19 @@ def optimal_arrival_rate(mu: float) -> float:
 
     For mu < 1 the minimizer is the interior stationary point of the age
     formula, found by bisection on its derivative over
-    [1e-6, mu - 1e-6].  At mu = 1 the age is decreasing in lam, so the
-    optimum sits at the boundary lam -> 1.
+    [mu/4, mu - mu(1 - mu)/4], the upper end kept below mu: the root lies
+    near 0.531 mu for a small mu and near 1 - sqrt(1 - mu) as mu -> 1.  At
+    mu = 1 the age is decreasing in lam, so the optimum sits at the
+    boundary lam -> 1.  A rate below the closed forms' smallest, 1e-75, is
+    a ``DomainError``.
     """
     if not (0.0 < mu <= 1.0):
         raise DomainError(f"mu must be in (0, 1], got {mu}")
     if mu == 1.0:
         return 1.0
-    lo, hi = _RATE_MARGIN, mu - _RATE_MARGIN
-    if lo >= hi:
-        raise DomainError(f"mu={mu} leaves no room for the bisection bracket")
+    if mu < _MIN_RATE:
+        raise DomainError(f"mu={mu} is below 1e-75, and so is its age-optimal rate")
+    lo, hi = mu / 4, min(mu - mu * (1.0 - mu) / 4, math.nextafter(mu, 0.0))
     f_lo = _aoi_geo_derivative(lo, mu)
     f_hi = _aoi_geo_derivative(hi, mu)
     if f_lo >= 0.0 or f_hi <= 0.0:
@@ -117,7 +120,10 @@ def optimal_arrival_rate(mu: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    lam = 0.5 * (lo + hi)
+    if lam < _MIN_RATE:
+        raise DomainError(f"the age-optimal rate {lam:.6g} for mu={mu} is below 1e-75")
+    return lam
 
 
 def geo_values(params: QueueParams) -> dict[str, float]:

@@ -46,6 +46,7 @@ from .analytic import (
     replacement_values,
 )
 from .engine import MeasurePoint, SimConfig, SourceMetrics, mean_or_nan, run, run_with_logs
+from .engine import _MAX_SOURCES, _check_size
 from .errors import ConfigError, DomainError, UnstableError
 from .queueing import Discipline
 
@@ -173,6 +174,7 @@ def build_sim_config(doc: dict) -> SimConfig:
     if not _is_int(doc["n_sources"]):
         raise ConfigError(f"n_sources must be an integer, got {doc['n_sources']!r}")
     n = doc["n_sources"]
+    _check_size("n_sources", n, _MAX_SOURCES)  # before a tuple of n rates is built
 
     lambdas = _broadcast(doc, "arrival_rates", n)
     assert lambdas is not None
@@ -344,7 +346,8 @@ def cmd_analytic(ns: argparse.Namespace) -> int:
             try:
                 lam_star = optimal_arrival_rate(params.mu)
             except DomainError as exc:
-                # the bisection needs room below mu; the other forms still hold
+                # a tiny mu's age-optimal rate lies below the closed forms' floor;
+                # the other forms still hold
                 print(f"note: geo.optimal_rate and geo.optimal_aoi left out: {exc}", file=sys.stderr)
             else:
                 geo["optimal_rate"] = lam_star

@@ -36,18 +36,19 @@ attempt slot of every service (the first owned slot under round robin,
 every attempt otherwise) whether or not an update is already in service,
 so which update a queue sends is decided in ``SourceQueue`` alone.
 
-Both go a span of slots at a time and keep one span accounting:
-``_arrivals`` draws a span's arrivals, one draw per slot from every arrival
-stream at once, and adds their interarrival moments, and ``_span`` takes the
-span's admitted arrivals and its deliveries as arrays.  It adds the
-window's deliveries, admitted arrivals, occupancy histogram and each
-delivery's left-empty flag, and passes the deliveries to ``_receive``,
-which sends them through the delay stage (it never feeds back into the
-access point) and on to ``_fold``, which adds the receptions at the monitor
-point to the reception sums and the age area.  An arrival that replaces the
-waiting update is not admitted, so a run's drops are its arrivals less its
-admitted ones; under FIFO every arrival is admitted.  The paths keep no
-statistics of their own.
+Both go a span of slots at a time and share one span accounting, a
+``_Run``, which ``run_with_logs`` builds per run and passes to the path.  It
+holds the streams, the delay stage, the run's sums and the state carried
+from span to span.  ``_Run.arrivals`` draws a span's arrivals, one draw per
+slot from every arrival stream at once, and adds their interarrival
+moments, and ``_Run.add_span`` takes the span's admitted arrivals and its
+deliveries as arrays.  It adds the window's deliveries, admitted arrivals,
+occupancy histogram and each delivery's left-empty flag, and passes the
+deliveries through the delay stage (it never feeds back into the access
+point) and on to the reception sums and the age area at the monitor point.
+An arrival that replaces the waiting update is not admitted, so a run's
+drops are its arrivals less its admitted ones; under FIFO every arrival is
+admitted.  The paths keep no statistics of their own.
 
 Steps 1 and 6 are kept as sums: the occupancy histogram adds the time
 spent at each level between a span's arrivals and deliveries, and the age
@@ -102,6 +103,18 @@ class MeasurePoint(Enum):
     DESTINATION = "destination"
 
 
+# The largest run: its slot arithmetic in int64 (the FIFO round-robin
+# kernel's lift, a span's occupancy sort key) reaches about
+# 4 * n_sources * horizon, which these caps keep below 2**63
+_MAX_SOURCES = 1 << 16
+_MAX_HORIZON = 1 << 44
+
+
+def _check_size(name: str, value: int, top: int) -> None:
+    if not (1 <= value <= top):
+        raise ConfigError(f"{name} must be in [1, 2**{top.bit_length() - 1}], got {value}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Full description of one run; two equal configs give identical results.
@@ -124,8 +137,7 @@ class SimConfig:
     warmup: int = 0
 
     def validate(self) -> None:
-        if self.n_sources < 1:
-            raise ConfigError(f"n_sources must be >= 1, got {self.n_sources}")
+        _check_size("n_sources", self.n_sources, _MAX_SOURCES)
         if len(self.lambdas) != self.n_sources:
             raise ConfigError(
                 f"lambdas length {len(self.lambdas)} != n_sources {self.n_sources}"
@@ -133,8 +145,7 @@ class SimConfig:
         for i, lam in enumerate(self.lambdas):
             if not (0.0 <= lam <= 1.0):
                 raise ConfigError(f"lambdas[{i}] must be in [0, 1], got {lam}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        _check_size("horizon", self.horizon, _MAX_HORIZON)
         if not (0 <= self.warmup < self.horizon):
             raise ConfigError(
                 f"warmup must be in [0, horizon), got {self.warmup} with horizon {self.horizon}"
@@ -167,7 +178,7 @@ class ReceptionStats:
     """Sums over one source's receptions at the monitor point in the window.
 
     The engine adds them with array operations, a span of receptions at a
-    time (``_fold``), and builds this record once, at the end of the run.  A
+    time (``_Run._fold``), and builds this record once, at the run's end.  A
     reception at the access point is a delivery, and it left the queue empty
     when nothing was left behind at the end of its slot (arrivals of that
     slot included); a reception at the destination never counts as leaving
@@ -246,109 +257,316 @@ def _service_share(config: SimConfig, i: int) -> float:
     return att / n
 
 
-def _reception_stats(total: dict[str, list[int]], i: int) -> ReceptionStats:
-    """Source i's ``ReceptionStats``, from the run's sums by row name."""
-    return ReceptionStats(
-        count=total["count"][i],
-        t_sum=total["t_sum"][i],
-        yt2_sum=total["yt2_sum"][i],
-        zt2_sum=total["zt2_sum"][i],
-        tz_sum=total["tz_sum"][i],
-        left_empty=total["left_empty"][i],
-        after_empty=GapSums(*(total["empty_" + name][i] for name in GapSums.__slots__)),
-        after_busy=GapSums(*(total["busy_" + name][i] for name in GapSums.__slots__)),
-    )
-
-
 def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats]]:
     """Run one simulation, returning metrics and the per-source reception statistics."""
     config.validate()
-    n = config.n_sources
-    lambdas = config.lambdas
-    horizon = config.horizon
-    window = horizon - config.warmup
-    streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
-    stage = DelayStage(config.network_k, streams) if config.network_k is not None else None
-    measure_dest = stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
-    # arrivals are drawn `span` slots at a time: a block, or fewer when the
-    # rates add up to more than 1, so that a span expects no more than about
-    # _BLOCK arrivals
-    span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(lambdas)))))
-    sums = np.zeros((len(_SUMS), n), np.int64 if horizon < _INT64_HORIZON else object)
-    # carried from span to span, by source: the last arrival slot (-1 before
-    # the first), then the last reception at the monitor point: its gen (0
-    # before the first), its slot (-1 before the first) and whether it left
-    # the queue empty, then the occupancy at the span's start
-    carry = np.zeros((5, n), np.int64)
-    carry[0] = carry[2] = -1
-    # each source's window slot starts by occupancy
-    occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+    run = _Run(config)
     if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
-        path = _fifo_round_robin
+        _fifo_round_robin(config, run)
     else:
-        path = _attempts
-    path(config, streams, stage, measure_dest, span, sums, carry, occupancy)
-    sums[_ROW["in_system"]] = carry[4]
+        _attempts(config, run)
+    return run.report()
 
-    total = dict(zip(_SUMS, sums.tolist()))
-    # the window's ages, were nothing ever received: slot + 1 summed over it
-    total_age = (horizon * (horizon + 1) - config.warmup * (config.warmup + 1)) // 2
-    stats = [_reception_stats(total, i) for i in range(n)]
-    per_source = []
-    for i in range(n):
-        generated = total["generated"][i]
-        delivered = total["delivered"][i]
-        dropped = generated - total["admitted"][i]
-        y_count = total["y_count"][i]
-        rx = stats[i]
-        if rx.count >= 2:
-            # both estimates scale the mean age area per gap by the
-            # empirical reception rate
-            rate = rx.count / window
-            k = rx.count - 1
-            est_yt = rate * (rx.yt2_sum / 2) / k
-            est_zt = rate * (rx.zt2_sum / 2) / k
-        else:
-            est_yt = est_zt = _NAN
-        hist = occupancy[i]
-        per_source.append(
-            SourceMetrics(
-                source_id=i,
-                avg_aoi=(total_age - total["base_area"][i]) / window,
-                generated=generated,
-                delivered=delivered,
-                dropped=dropped,
-                in_system_at_end=total["in_system"][i],
-                informative=total["informative"][i],
-                obsolete=total["obsolete"][i],
-                empirical_drop_prob=dropped / generated if generated else 0.0,
-                empirical_effective_rate=delivered / window,
-                occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
-                estimator_yt=est_yt,
-                estimator_zt=est_zt,
-                mean_system_time=mean_or_nan(rx.t_sum, rx.count),
-                mean_interarrival=mean_or_nan(total["y_sum"][i], y_count),
-                mean_interarrival_sq=mean_or_nan(total["y2_sum"][i], y_count),
-                stability_warning=(
-                    config.discipline is Discipline.FIFO
-                    and lambdas[i] >= _service_share(config, i) - 1e-12
-                ),
-            )
+
+# From this horizon on, a run adds its terms, each below about
+# 3 * horizon**2, as Python integers, since int64 could overflow
+_INT64_HORIZON = 1 << 30
+
+# A run's tallies per source, by row.  _Run.arrivals adds the first four:
+# the window's arrivals, interarrival count, sum and sum of squares.
+# _Run._fold adds the next fifteen: the window's summed newest generation
+# at the monitor point, then ReceptionStats' sums, "empty" and "busy" being
+# its after_empty and after_busy.  _Run._receive counts the window's
+# informative and obsolete delay-stage receptions, and _Run.add_span the
+# window's deliveries and admitted arrivals (those that replaced no waiting
+# update).
+_SUMS = (
+    "generated", "y_count", "y_sum", "y2_sum",
+    "base_area", "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
+    "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
+    "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
+    "informative", "obsolete",
+    "delivered", "admitted",
+)
+_ROW = {name: j for j, name in enumerate(_SUMS)}
+
+
+class _Run:
+    """One run's span accounting: its streams, its sums and the state carried from span to span.
+
+    A queue path draws each span's arrivals through ``arrivals`` or
+    ``arrival_span`` and hands the span's admitted arrivals and deliveries
+    to ``add_span``; ``report`` builds the run's results from the sums.
+    """
+
+    def __init__(self, config: SimConfig) -> None:
+        n = config.n_sources
+        horizon = config.horizon
+        self.config = config
+        self.streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
+        self.stage = (
+            DelayStage(config.network_k, self.streams) if config.network_k is not None else None
         )
-    report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
-    return report, stats
+        self.measure_dest = (
+            self.stage is not None and config.resolved_measure_at() is MeasurePoint.DESTINATION
+        )
+        self.arriving = [i for i, lam in enumerate(config.lambdas) if lam > 0.0]
+        # arrivals are drawn `span` slots at a time: a block, or fewer when
+        # the rates add up to more than 1, so that a span expects no more
+        # than about _BLOCK arrivals
+        self.span = max(1, min(horizon, int(_BLOCK / max(1.0, sum(config.lambdas)))))
+        self.sums = np.zeros((len(_SUMS), n), np.int64 if horizon < _INT64_HORIZON else object)
+        # each source's window slot starts by occupancy
+        self.occupancy: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
+        # carried from span to span, by source: the last arrival slot (-1
+        # before the first); the last reception at the monitor point, as
+        # rows gen (0 before the first), slot (-1 before the first) and
+        # whether it left the queue empty; the occupancy at the span's start
+        self.last_arrival = np.full(n, -1, np.int64)
+        self.last_rx = np.zeros((3, n), np.int64)
+        self.last_rx[1] = -1
+        self.occ = np.zeros(n, np.int64)
+
+    def arrivals(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """The arrivals in the slots ``start <= slot < end``: sources and slots, sorted by source.
+
+        Takes ``end - start`` draws from the arrival stream of every source
+        with a positive rate, adds the window's arrivals and interarrival
+        moments and moves each source's last arrival on.
+        """
+        lambdas = self.config.lambdas
+        arriving = self.arriving
+        hits = [self.streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
+        if hits:
+            a_src = np.repeat(arriving, [len(h) for h in hits])
+            a_slot = np.concatenate(hits) + start
+        else:
+            a_src = a_slot = np.empty(0, np.int64)
+        first = _firsts(a_src)
+        prev = _previous(a_slot, first, a_src, self.last_arrival)
+        last = _lasts(first)
+        self.last_arrival[a_src[last]] = a_slot[last]
+        in_window = a_slot >= self.config.warmup
+        paired = in_window & (prev >= 0)
+        y = (a_slot - prev).astype(self.sums.dtype) * paired
+        _add_by_source(self.sums[:4], a_src, first, in_window, paired, y, y * y)
+        return a_src, a_slot
+
+    def arrival_span(self, start: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The end of the span from ``start``, and its arrivals as ``arrivals`` gives them.
+
+        A span is ``span`` slots; one without arrivals merges into the next,
+        but for the last, so a sparse run does not pay for the accounting of
+        empty spans.
+        """
+        horizon = self.config.horizon
+        end = start
+        while True:
+            stop = min(end + self.span, horizon)
+            a_src, a_slot = self.arrivals(end, stop)
+            end = stop
+            if len(a_src) or end == horizon:
+                return end, a_src, a_slot
+
+    def add_span(
+        self, start: int, end: int, a_src: np.ndarray, a_slot: np.ndarray, delivered: np.ndarray
+    ) -> None:
+        """Add the statistics of the run's slots ``start <= slot < end``.
+
+        ``a_src`` and ``a_slot`` are the span's admitted arrivals,
+        ``delivered`` its deliveries as rows source, gen and slot, each
+        sorted by source and, within a source, by slot.  Adds the window's
+        deliveries, admitted arrivals and slot starts by occupancy, moves
+        each source's occupancy on to the span's end, and passes the
+        deliveries, with whether each left its queue empty, to ``_receive``.
+        """
+        warmup = self.config.warmup
+        sums = self.sums
+        occ = self.occ
+        n = len(occ)
+        sources = np.arange(n)
+        d_src, d_gen, d_slot = delivered
+        sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
+        sums[_ROW["admitted"]] += np.bincount(a_src[a_slot >= warmup], minlength=n)
+
+        # occupancy: each source's level from the span's start, +1 at the
+        # slot after an arrival, -1 at the slot after a delivery, then back
+        # to 0 at the span's end; e_kind orders the events of one slot (the
+        # span's start, arrivals, deliveries, the span's end), so the level
+        # after a delivery is what it left behind, arrivals of its slot included
+        net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
+        n_a, n_d = len(a_src), len(d_src)
+        e_src = np.concatenate((sources, a_src, d_src, sources))
+        e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
+        e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
+        step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
+        key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
+        order = np.argsort(key, kind="stable")
+        e_src, e_kind = e_src.take(order), e_kind.take(order)
+        level = np.cumsum(step.take(order))
+        t = np.maximum(e_time.take(order), warmup)
+        held = np.zeros_like(t)
+        np.subtract(t[1:], t[:-1], out=held[:-1])
+        held[e_kind == 3] = 0
+        occ += net
+        left_empty = level[e_kind == 2] == 0
+        kept = held > 0
+        if kept.any():
+            # a source's levels in a span form a range, so each source
+            # counts its slots in its own slice of one bincount
+            h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
+            h_first = _firsts(h_src)
+            starts = h_first.nonzero()[0]
+            lo = np.minimum.reduceat(h_level, starts)
+            width = np.maximum.reduceat(h_level, starts) - lo + 1
+            offset = np.cumsum(width) - width
+            run = np.cumsum(h_first) - 1
+            tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
+            seen = tally.nonzero()[0]
+            run = np.searchsorted(offset, seen, "right") - 1
+            occupancy = self.occupancy
+            for i, o, slots in zip(
+                h_src[starts[run]].tolist(),
+                (lo[run] + seen - offset[run]).tolist(),
+                tally[seen].tolist(),
+            ):
+                occupancy[i][o] += int(slots)
+
+        self._receive(np.array((d_src, d_gen, d_slot, left_empty)), end - 1)
+
+    def _receive(self, delivered: np.ndarray, until: int) -> None:
+        """Add a span's deliveries, and what they make the monitor point receive, to the sums.
+
+        ``delivered`` has rows source, gen, slot and left empty, sorted by
+        source and, within a source, by slot.  A delay stage takes them and
+        hands out its receptions due by slot ``until``, whose informative and
+        obsolete ones in the window are counted; the receptions at the
+        monitor point, the deliveries or the informative receptions, are
+        then folded.
+        """
+        stage = self.stage
+        if stage is not None:
+            stage.inject(*delivered[:3])
+            deliver_due(stage, until)
+            received = stage.received
+            r_src, _, r_slot, fresh = received
+            in_window = r_slot >= self.config.warmup
+            _add_by_source(
+                self.sums[_ROW["informative"]:_ROW["obsolete"] + 1], r_src, _firsts(r_src),
+                in_window & (fresh == 1), in_window & (fresh == 0),
+            )
+            if self.measure_dest:
+                delivered = received.compress(fresh == 1, axis=1)
+                delivered[3] = 0  # a reception at the destination never left the queue empty
+        self._fold(delivered)
+
+    def _fold(self, received: np.ndarray) -> None:
+        """Add receptions at the monitor point to the reception sums.
+
+        ``received`` has rows source, gen, slot and left empty (1 when the
+        reception left the queue empty), sorted by source and, within a
+        source, by slot; each reception follows the source's last one,
+        which moves on.  A reception outside the window only raises the
+        newest generation.
+        """
+        warmup = self.config.warmup
+        r_src = received[0]
+        first = _firsts(r_src)
+        received = received[1:].astype(self.sums.dtype)
+        prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, self.last_rx)
+        last = _lasts(first)
+        self.last_rx[:, r_src[last]] = received[:, last]
+        r_gen, r_slot, left_empty = received
+        # the window's receptions are a suffix of each source's, so a gap
+        # lies in the window when the reception that opens it does
+        in_window = r_slot >= warmup
+        paired = prev_slot >= warmup
+        after_empty = paired & (prev_empty == 1)
+        after_busy = paired & (prev_empty == 0)
+        t = r_slot - r_gen
+        y = (r_gen - prev_gen) * paired
+        z = (r_slot - prev_slot) * paired
+        t_prev = prev_slot - prev_gen
+        _add_by_source(
+            self.sums[4:19], r_src, first,
+            # each reception raises the newest generation for the rest of the window
+            (r_gen - prev_gen) * (self.config.horizon - np.maximum(r_slot, warmup)),
+            in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
+            left_empty * in_window,
+            after_empty, z * after_empty, z * z * after_empty, t * after_empty,
+            after_busy, z * after_busy, z * z * after_busy, t * after_busy,
+        )
+
+    def report(self) -> tuple[MetricsReport, list[ReceptionStats]]:
+        """The run's metrics and per-source reception statistics, from its sums."""
+        config = self.config
+        horizon = config.horizon
+        warmup = config.warmup
+        window = horizon - warmup
+        # the window's ages, were nothing ever received: slot + 1 summed over it
+        total_age = (horizon * (horizon + 1) - warmup * (warmup + 1)) // 2
+        total = dict(zip(_SUMS, self.sums.tolist()))
+        # each source's GapSums fields, after an empty and after a busy queue
+        gaps = [
+            list(zip(*(total[f"{kind}_{name}"] for name in GapSums.__slots__)))
+            for kind in ("empty", "busy")
+        ]
+        stats = []
+        per_source = []
+        for i, (in_system, hist) in enumerate(zip(self.occ.tolist(), self.occupancy)):
+            rx = ReceptionStats(
+                count=total["count"][i],
+                t_sum=total["t_sum"][i],
+                yt2_sum=total["yt2_sum"][i],
+                zt2_sum=total["zt2_sum"][i],
+                tz_sum=total["tz_sum"][i],
+                left_empty=total["left_empty"][i],
+                after_empty=GapSums(*gaps[0][i]),
+                after_busy=GapSums(*gaps[1][i]),
+            )
+            stats.append(rx)
+            generated = total["generated"][i]
+            delivered = total["delivered"][i]
+            dropped = generated - total["admitted"][i]
+            y_count = total["y_count"][i]
+            if rx.count >= 2:
+                # both estimates scale the mean age area per gap by the
+                # empirical reception rate
+                rate = rx.count / window
+                k = rx.count - 1
+                est_yt = rate * (rx.yt2_sum / 2) / k
+                est_zt = rate * (rx.zt2_sum / 2) / k
+            else:
+                est_yt = est_zt = _NAN
+            per_source.append(
+                SourceMetrics(
+                    source_id=i,
+                    avg_aoi=(total_age - total["base_area"][i]) / window,
+                    generated=generated,
+                    delivered=delivered,
+                    dropped=dropped,
+                    in_system_at_end=in_system,
+                    informative=total["informative"][i],
+                    obsolete=total["obsolete"][i],
+                    empirical_drop_prob=dropped / generated if generated else 0.0,
+                    empirical_effective_rate=delivered / window,
+                    occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
+                    estimator_yt=est_yt,
+                    estimator_zt=est_zt,
+                    mean_system_time=mean_or_nan(rx.t_sum, rx.count),
+                    mean_interarrival=mean_or_nan(total["y_sum"][i], y_count),
+                    mean_interarrival_sq=mean_or_nan(total["y2_sum"][i], y_count),
+                    stability_warning=(
+                        config.discipline is Discipline.FIFO
+                        and config.lambdas[i] >= _service_share(config, i) - 1e-12
+                    ),
+                )
+            )
+        report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
+        return report, stats
 
 
-def _attempts(
-    config: SimConfig,
-    streams: list[SourceStreams],
-    stage: DelayStage | None,
-    measure_dest: bool,
-    span: int,
-    sums: np.ndarray,
-    carry: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
-) -> None:
+def _attempts(config: SimConfig, run: _Run) -> None:
     """Every policy and discipline but FIFO round robin, event slot by event slot.
 
     Goes a span at a time: merges the span's arrivals by (slot, source) into
@@ -363,18 +581,16 @@ def _attempts(
     that service runs its ``begin_attempt`` first.  Work conserving draws
     nothing: after the slot's arrivals ``grant`` puts the next slot's
     attempt on the heap while any source is backlogged.  The span's admitted
-    arrivals and deliveries go to ``_span``.
+    arrivals and deliveries go to ``run.add_span``.
     """
     n = config.n_sources
-    lambdas = config.lambdas
     horizon = config.horizon
-    warmup = config.warmup
+    streams = run.streams
     round_robin = config.policy.kind is PolicyKind.ROUND_ROBIN
     conserving = config.policy.kind is PolicyKind.WORK_CONSERVING
     access_probs = config.policy.access_probs
     attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
     collision = config.channel.kind is ChannelKind.COLLISION
-    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
     # the first attempt slot of a source's scheduled service, until its
     # begin_attempt has run; horizon when there is none
@@ -382,7 +598,6 @@ def _attempts(
     attempts: list[tuple[int, int]] = []  # heap of (slot, source)
     backlogged = [False] * n  # whether a queue holds an update, under work conserving
     n_backlogged = 0
-    last_arrival = carry[0]
 
     def schedule(i: int, after: int) -> None:
         # the next service starts after slot `after`; with no attempt left
@@ -402,9 +617,7 @@ def _attempts(
 
     start = 0
     while start < horizon:
-        end, a_src, a_slot = _arrival_span(
-            streams, lambdas, arriving, start, span, horizon, warmup, last_arrival, sums
-        )
+        end, a_src, a_slot = run.arrival_span(start)
         # the calendar: arrivals sorted by source, so a stable sort by slot
         # breaks ties by source; it ends with a sentinel, the span's end
         order = a_slot.argsort(kind="stable")
@@ -462,231 +675,11 @@ def _attempts(
 
         # an arrival that replaced the waiting update was not admitted
         at = order[replacing]
-        _span(
-            start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent),
-            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
-        )
+        run.add_span(start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent))
         start = end
 
 
-def _firsts(src: np.ndarray) -> np.ndarray:
-    """Where each source's run starts in ``src``, an array sorted by source."""
-    first = np.empty(len(src), bool)
-    first[:1] = True
-    np.not_equal(src[1:], src[:-1], out=first[1:])
-    return first
-
-
-def _lasts(first: np.ndarray) -> np.ndarray:
-    """Where each source's run ends, given where each starts."""
-    last = np.empty_like(first)
-    last[:-1] = first[1:]
-    last[-1:] = True
-    return last
-
-
-def _previous(
-    values: np.ndarray, first: np.ndarray, src: np.ndarray, carried: np.ndarray
-) -> np.ndarray:
-    """Each value's predecessor of the same source, along the last axis.
-
-    A source's first value takes the source's entry of ``carried``.
-    """
-    prev = np.empty_like(values)
-    prev[..., 1:] = values[..., :-1]
-    prev[..., first] = carried[..., src[first]]
-    return prev
-
-
-def _add_by_source(
-    totals: np.ndarray, src: np.ndarray, first: np.ndarray, *rows: np.ndarray
-) -> None:
-    """Add row j's values into ``totals[j]``, by source; ``src`` is sorted."""
-    if len(src):
-        starts = first.nonzero()[0]
-        totals[:, src[starts]] += np.add.reduceat(np.array(rows), starts, axis=1)
-
-
-def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The columns of ``a`` and ``b``, each sorted by row 0 (the source), merged by source.
-
-    A source's columns from ``b`` follow its columns from ``a``.
-    """
-    if not a.shape[1]:
-        return b
-    return np.insert(a, np.searchsorted(a[0], b[0], "right"), b, axis=1)
-
-
-# From this horizon on, a run adds its terms, each below about
-# 3 * horizon**2, as Python integers, since int64 could overflow
-_INT64_HORIZON = 1 << 30
-
-# A run's tallies per source, by row.  _arrivals adds the first four: the
-# window's arrivals, interarrival count, sum and sum of squares.  _fold adds
-# the next fifteen: the window's summed newest generation at the monitor
-# point, then ReceptionStats' sums, "empty" and "busy" being its after_empty
-# and after_busy.  _receive counts the window's informative and obsolete
-# delay-stage receptions.  _span counts the window's deliveries and admitted
-# arrivals (those that replaced no waiting update), and run_with_logs writes
-# the occupancy at the horizon.
-_SUMS = (
-    "generated", "y_count", "y_sum", "y2_sum",
-    "base_area", "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
-    "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
-    "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
-    "informative", "obsolete",
-    "delivered", "admitted", "in_system",
-)
-_ROW = {name: j for j, name in enumerate(_SUMS)}
-
-
-def _arrivals(
-    streams: list[SourceStreams],
-    lambdas: tuple[float, ...],
-    arriving: list[int],
-    start: int,
-    end: int,
-    warmup: int,
-    last_arrival: np.ndarray,
-    sums: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The arrivals in the slots ``start <= slot < end``: sources and slots, sorted by source.
-
-    Takes ``end - start`` draws from the arrival stream of every source in
-    ``arriving``, adds the window's arrivals and interarrival moments to
-    ``sums`` and moves each source's ``last_arrival`` on.
-    """
-    hits = [streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
-    if hits:
-        a_src = np.repeat(arriving, [len(h) for h in hits])
-        a_slot = np.concatenate(hits) + start
-    else:
-        a_src = a_slot = np.empty(0, np.int64)
-    first = _firsts(a_src)
-    prev = _previous(a_slot, first, a_src, last_arrival)
-    last = _lasts(first)
-    last_arrival[a_src[last]] = a_slot[last]
-    in_window = a_slot >= warmup
-    paired = in_window & (prev >= 0)
-    y = (a_slot - prev).astype(sums.dtype) * paired
-    _add_by_source(sums[:4], a_src, first, in_window, paired, y, y * y)
-    return a_src, a_slot
-
-
-def _arrival_span(
-    streams: list[SourceStreams],
-    lambdas: tuple[float, ...],
-    arriving: list[int],
-    start: int,
-    span: int,
-    horizon: int,
-    warmup: int,
-    last_arrival: np.ndarray,
-    sums: np.ndarray,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """The end of the span from ``start``, and its arrivals as ``_arrivals`` gives them.
-
-    A span is ``span`` slots; one without arrivals merges into the next,
-    but for the last, so a sparse run does not pay for the accounting of
-    empty spans.
-    """
-    end = start
-    while True:
-        stop = min(end + span, horizon)
-        a_src, a_slot = _arrivals(streams, lambdas, arriving, end, stop, warmup, last_arrival, sums)
-        end = stop
-        if len(a_src) or end == horizon:
-            return end, a_src, a_slot
-
-
-def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:
-    """Deliveries (source, gen, slot) listed in slot order, as rows, sorted by source."""
-    return np.array(sorted(sent, key=itemgetter(0)), np.int64).reshape(-1, 3).T
-
-
-def _receive(
-    delivered: np.ndarray,
-    until: int,
-    stage: DelayStage | None,
-    measure_dest: bool,
-    warmup: int,
-    horizon: int,
-    last_rx: np.ndarray,
-    sums: np.ndarray,
-) -> None:
-    """Add a span's deliveries, and what they make the monitor point receive, to ``sums``.
-
-    ``delivered`` has rows source, gen, slot and left empty, sorted by
-    source and, within a source, by slot.  A delay stage takes them and
-    hands out its receptions due by slot ``until``, whose informative and
-    obsolete ones in the window are counted; the receptions at the monitor
-    point, the deliveries or the informative receptions, are then folded.
-    """
-    if stage is not None:
-        stage.inject(*delivered[:3])
-        deliver_due(stage, until)
-        received = stage.received
-        r_src, _, r_slot, fresh = received
-        in_window = r_slot >= warmup
-        _add_by_source(
-            sums[_ROW["informative"]:_ROW["obsolete"] + 1], r_src, _firsts(r_src),
-            in_window & (fresh == 1), in_window & (fresh == 0),
-        )
-        if measure_dest:
-            delivered = received.compress(fresh == 1, axis=1)
-            delivered[3] = 0  # a reception at the destination never left the queue empty
-    _fold(delivered, warmup, horizon, last_rx, sums)
-
-
-def _fold(
-    received: np.ndarray, warmup: int, horizon: int, last_rx: np.ndarray, sums: np.ndarray
-) -> None:
-    """Add receptions at the monitor point to the reception sums.
-
-    ``received`` has rows source, gen, slot and left empty (1 when the
-    reception left the queue empty), sorted by source and, within a source,
-    by slot; each reception follows ``last_rx``, the source's last one (gen,
-    slot, left empty), which moves on.  A reception outside the window only
-    raises the newest generation.
-    """
-    r_src = received[0]
-    first = _firsts(r_src)
-    received = received[1:].astype(sums.dtype)
-    prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, last_rx)
-    last = _lasts(first)
-    last_rx[:, r_src[last]] = received[:, last]
-    r_gen, r_slot, left_empty = received
-    # the window's receptions are a suffix of each source's, so a gap
-    # lies in the window when the reception that opens it does
-    in_window = r_slot >= warmup
-    paired = prev_slot >= warmup
-    after_empty = paired & (prev_empty == 1)
-    after_busy = paired & (prev_empty == 0)
-    t = r_slot - r_gen
-    y = (r_gen - prev_gen) * paired
-    z = (r_slot - prev_slot) * paired
-    t_prev = prev_slot - prev_gen
-    _add_by_source(
-        sums[4:19], r_src, first,
-        # each reception raises the newest generation for the rest of the window
-        (r_gen - prev_gen) * (horizon - np.maximum(r_slot, warmup)),
-        in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
-        left_empty * in_window,
-        after_empty, z * after_empty, z * z * after_empty, t * after_empty,
-        after_busy, z * after_busy, z * z * after_busy, t * after_busy,
-    )
-
-
-def _fifo_round_robin(
-    config: SimConfig,
-    streams: list[SourceStreams],
-    stage: DelayStage | None,
-    measure_dest: bool,
-    span: int,
-    sums: np.ndarray,
-    carry: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
-) -> None:
+def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
     """FIFO round robin: each source's deliveries from one Lindley recursion.
 
     Source i owns the slots i + n·d; d is the owned index.  Its channel
@@ -709,15 +702,13 @@ def _fifo_round_robin(
     the span's end can spend, with ``take_below``: the same values a
     slot-by-slot loop draws.  Updates whose service may end later wait for
     a later span.  The span's arrivals and the deliveries before its end
-    then go to ``_span``, as on the other paths.  The arrays a span holds
-    are sorted by source, and carry the source in row 0.
+    then go to ``run.add_span``, as on the other path.  The arrays a span
+    holds are sorted by source, and carry the source in row 0.
     """
     n = config.n_sources
-    lambdas = config.lambdas
     horizon = config.horizon
-    warmup = config.warmup
+    streams = run.streams
     probs = [config.channel.attempt_prob(i) for i in range(n)]
-    arriving = [i for i, lam in enumerate(lambdas) if lam > 0.0]
     failing = np.array([p < 1.0 for p in probs])  # sources whose attempts can fail
     sources = np.arange(n)
     # a source's recursion terms lie in [-horizon - 1, horizon], so adding
@@ -737,16 +728,15 @@ def _fifo_round_robin(
         n_waiting,
     ) = state
     lag[:] = -1
-    last_arrival = carry[0]
 
     start = 0
     while start < horizon:
         # a span copies the waiting updates once, so it grows with them, to
         # about as many arrivals as they are: the copying stays in proportion
         # to the arrivals, and the memory to the waiting updates
-        end = min(start + span * max(1, waiting.shape[1] // _BLOCK), horizon)
+        end = min(start + run.span * max(1, waiting.shape[1] // _BLOCK), horizon)
 
-        a_src, a_slot = _arrivals(streams, lambdas, arriving, start, end, warmup, last_arrival, sums)
+        a_src, a_slot = run.arrivals(start, end)
 
         # give delivery slots to the waiting updates whose service can end
         # before `end`: the next service starts at owned index `begin` or
@@ -809,90 +799,61 @@ def _fifo_round_robin(
         due = scheduled[2] < end
         delivered = scheduled.compress(due, axis=1)
         scheduled = scheduled.compress(~due, axis=1)
-        _span(
-            start, end, a_src, a_slot, delivered,
-            stage, measure_dest, warmup, horizon, carry, occupancy, sums,
-        )
+        run.add_span(start, end, a_src, a_slot, delivered)
         start = end
 
 
-def _span(
-    start: int,
-    end: int,
-    a_src: np.ndarray,
-    a_slot: np.ndarray,
-    delivered: np.ndarray,
-    stage: DelayStage | None,
-    measure_dest: bool,
-    warmup: int,
-    horizon: int,
-    carry: np.ndarray,
-    occupancy: list[defaultdict[int, int]],
-    sums: np.ndarray,
-) -> None:
-    """Add the statistics of a run's slots ``start <= slot < end``.
+def _firsts(src: np.ndarray) -> np.ndarray:
+    """Where each source's run starts in ``src``, an array sorted by source."""
+    first = np.empty(len(src), bool)
+    first[:1] = True
+    np.not_equal(src[1:], src[:-1], out=first[1:])
+    return first
 
-    ``a_src`` and ``a_slot`` are the span's admitted arrivals, ``delivered``
-    its deliveries as rows source, gen and slot, each sorted by source and,
-    within a source, by slot.  ``carry`` holds each source's reception
-    state in rows 1 to 3 and its occupancy at the span's start in row 4,
-    which moves on to the span's end.  Adds the window's deliveries,
-    admitted arrivals and slot starts by occupancy, and passes the
-    deliveries, with whether each left its queue empty, to ``_receive``.
+
+def _lasts(first: np.ndarray) -> np.ndarray:
+    """Where each source's run ends, given where each starts."""
+    last = np.empty_like(first)
+    last[:-1] = first[1:]
+    last[-1:] = True
+    return last
+
+
+def _previous(
+    values: np.ndarray, first: np.ndarray, src: np.ndarray, carried: np.ndarray
+) -> np.ndarray:
+    """Each value's predecessor of the same source, along the last axis.
+
+    A source's first value takes the source's entry of ``carried``.
     """
-    n = len(occupancy)
-    sources = np.arange(n)
-    occ = carry[4]
-    d_src, d_gen, d_slot = delivered
-    sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
-    sums[_ROW["admitted"]] += np.bincount(a_src[a_slot >= warmup], minlength=n)
+    prev = np.empty_like(values)
+    prev[..., 1:] = values[..., :-1]
+    prev[..., first] = carried[..., src[first]]
+    return prev
 
-    # occupancy: each source's level from the span's start, +1 at the
-    # slot after an arrival, -1 at the slot after a delivery, then back
-    # to 0 at the span's end; e_kind orders the events of one slot (the
-    # span's start, arrivals, deliveries, the span's end), so the level
-    # after a delivery is what it left behind, arrivals of its slot included
-    net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
-    n_a, n_d = len(a_src), len(d_src)
-    e_src = np.concatenate((sources, a_src, d_src, sources))
-    e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
-    e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
-    step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
-    key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
-    order = np.argsort(key, kind="stable")
-    e_src, e_kind = e_src.take(order), e_kind.take(order)
-    level = np.cumsum(step.take(order))
-    t = np.maximum(e_time.take(order), warmup)
-    held = np.zeros_like(t)
-    np.subtract(t[1:], t[:-1], out=held[:-1])
-    held[e_kind == 3] = 0
-    occ += net
-    left_empty = level[e_kind == 2] == 0
-    kept = held > 0
-    if kept.any():
-        # a source's levels in a span form a range, so each source
-        # counts its slots in its own slice of one bincount
-        h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
-        h_first = _firsts(h_src)
-        starts = h_first.nonzero()[0]
-        lo = np.minimum.reduceat(h_level, starts)
-        width = np.maximum.reduceat(h_level, starts) - lo + 1
-        offset = np.cumsum(width) - width
-        run = np.cumsum(h_first) - 1
-        tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
-        seen = tally.nonzero()[0]
-        run = np.searchsorted(offset, seen, "right") - 1
-        for i, o, slots in zip(
-            h_src[starts[run]].tolist(),
-            (lo[run] + seen - offset[run]).tolist(),
-            tally[seen].tolist(),
-        ):
-            occupancy[i][o] += int(slots)
 
-    _receive(
-        np.array((d_src, d_gen, d_slot, left_empty)), end - 1,
-        stage, measure_dest, warmup, horizon, carry[1:4], sums,
-    )
+def _add_by_source(
+    totals: np.ndarray, src: np.ndarray, first: np.ndarray, *rows: np.ndarray
+) -> None:
+    """Add row j's values into ``totals[j]``, by source; ``src`` is sorted."""
+    if len(src):
+        starts = first.nonzero()[0]
+        totals[:, src[starts]] += np.add.reduceat(np.array(rows), starts, axis=1)
+
+
+def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The columns of ``a`` and ``b``, each sorted by row 0 (the source), merged by source.
+
+    A source's columns from ``b`` follow its columns from ``a``.
+    """
+    if not a.shape[1]:
+        return b
+    return np.insert(a, np.searchsorted(a[0], b[0], "right"), b, axis=1)
+
+
+def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:
+    """Deliveries (source, gen, slot) listed in slot order, as rows, sorted by source."""
+    return np.array(sorted(sent, key=itemgetter(0)), np.int64).reshape(-1, 3).T
 
 
 def run(config: SimConfig) -> MetricsReport:

@@ -7,6 +7,7 @@ either route shows up as a disagreement.
 """
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 
@@ -169,11 +170,23 @@ class TestOptimalRate:
         best = min(grid, key=lambda lam: aoi_geo_geo_1(QueueParams(lam, mu)))
         assert optimal_arrival_rate(mu) == pytest.approx(best, abs=5e-6)
 
+    @pytest.mark.parametrize("mu", [2e-75, 1e-6, 2.1e-6, 1 - 1e-12, 1 - 2**-53])
+    def test_bracket_scales_with_mu(self, mu: float) -> None:
+        # lam* / mu runs from about 0.531 at a tiny mu up to 1 as mu -> 1,
+        # where lam* is about 1 - sqrt(1 - mu)
+        lam_star = optimal_arrival_rate(mu)
+        assert 0.0 < lam_star < mu
+        if mu < 1e-5:
+            assert lam_star / mu == pytest.approx(0.5310, abs=1e-4)
+        else:
+            assert lam_star == pytest.approx(1 - math.sqrt(1 - mu), rel=1e-3)
+
     def test_rejects_bad_mu(self) -> None:
-        with pytest.raises(DomainError):
-            optimal_arrival_rate(0.0)
-        with pytest.raises(DomainError):
-            optimal_arrival_rate(1.5)
+        # below mu = 1.88e-75 the age-optimal rate falls below the closed
+        # forms' floor of 1e-75
+        for mu in (0.0, 1.5, 5e-324, 1.5e-75):
+            with pytest.raises(DomainError):
+                optimal_arrival_rate(mu)
 
 
 class TestStationaryReplacement:

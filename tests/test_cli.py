@@ -168,6 +168,19 @@ class TestSimulateCommand:
         if code:
             assert err.startswith("error: network_k must be in (2**-54, 1]")
 
+    def test_huge_n_sources_exits_two_before_broadcasting(self, tmp_path, capsys) -> None:
+        # a tuple of 10**30 rates overflowed in the broadcast into a traceback
+        cfg = write_config(tmp_path, minimal_doc(n_sources=10**30))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: n_sources must be in [1, 2**16], got {10**30}\n"
+
+    def test_horizon_beyond_int64_slot_arithmetic_exits_two(self, tmp_path, capsys) -> None:
+        # FIFO round robin's kernel overflowed int64 at this horizon; the
+        # config is refused before a run starts
+        cfg = write_config(tmp_path, minimal_doc(horizon=2**62))
+        assert main(["simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: horizon must be in [1, 2**44], got {2**62}\n"
+
     def test_unwritable_out_exits_two(self, tmp_path, capsys) -> None:
         cfg = write_config(tmp_path, minimal_doc(horizon=200))
         out = tmp_path / "no" / "such" / "x.csv"
@@ -266,26 +279,19 @@ class TestAnalyticCommand:
         assert main(["analytic", "--lambda", lam, "--mu", mu]) == 2
         assert capsys.readouterr().err == err
 
-    @pytest.mark.parametrize(
-        "mu, reason",
-        [
-            ("1e-06", "mu=1e-06 leaves no room for the bisection bracket"),
-            ("2.1e-06", "derivative does not bracket a root for mu=2.1e-06"),
-        ],
-        ids=["no_bracket", "no_root"],
-    )
     @pytest.mark.parametrize("model", ["geo", "all"])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
     def test_no_age_optimal_rate_leaves_out_only_its_two_rows(
-        self, capsys, mu: str, reason: str, model: str, as_json: bool
+        self, capsys, model: str, as_json: bool
     ) -> None:
-        # the bisection for the age-optimal rate fails at a tiny mu, where
-        # every other closed form still holds
-        argv = ["analytic", "--lambda", "1e-7", "--mu", mu, "--model", model]
+        # the age-optimal rate of a mu below about 1.88e-75 lies below the
+        # closed forms' floor, where every other closed form still holds
+        argv = ["analytic", "--lambda", "1e-75", "--mu", "1.5e-75", "--model", model]
         assert main(argv + ["--json"] * as_json) == 0
         out, err = capsys.readouterr()
+        reason = "the age-optimal rate 7.96515e-76 for mu=1.5e-75 is below 1e-75"
         assert err == f"note: geo.optimal_rate and geo.optimal_aoi left out: {reason}\n"
-        params = QueueParams(1e-7, float(mu))
+        params = QueueParams(1e-75, 1.5e-75)
         expected = {"geo": geo_values(params)}
         if model == "all":
             expected["replacement"] = replacement_values(params)
@@ -294,6 +300,22 @@ class TestAnalyticCommand:
         else:
             keys = [line.split()[0] for line in out.splitlines()]
             assert keys == [f"{m}.{k}" for m, vals in expected.items() for k in vals]
+
+    @pytest.mark.parametrize(
+        "lam, mu", [("1e-7", "1e-06"), ("1e-7", "2.1e-06"), ("0.5", "0.999999999999")]
+    )
+    def test_age_optimal_rate_is_printed_at_a_mu_near_either_end(
+        self, capsys, lam: str, mu: str
+    ) -> None:
+        # the bisection's bracket scales with mu, so it holds a root near 0 and near 1
+        assert main(["analytic", "--lambda", lam, "--mu", mu, "--model", "geo", "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        geo = json.loads(out)["geo"]
+        lam_star = optimal_arrival_rate(float(mu))
+        assert 0.0 < lam_star < float(mu)
+        assert geo["optimal_rate"] == lam_star
+        assert geo["optimal_aoi"] == aoi_geo_geo_1(QueueParams(lam_star, float(mu)))
 
     @pytest.mark.parametrize("lam,mu", [("0.7", "0.3"), ("0.5", "0.5")])
     @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
@@ -535,6 +557,15 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}:")
         assert calls == []  # the output is opened before the first job
+
+    def test_sweep_to_a_huge_n_exits_two(self, tmp_path, capsys, monkeypatch) -> None:
+        monkeypatch.setattr(cli, "_sweep_job", lambda config: pytest.fail("a job ran"))
+        cfg = write_config(tmp_path, minimal_doc(horizon=200))
+        rc = main(
+            ["sweep", "--config", cfg, "--axis", "N", "--from", "1", "--to", "1e30", "--steps", "2"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n_sources must be in [1, 2**16], got 1")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, monkeypatch, workers) -> None:

@@ -92,11 +92,10 @@ def engine_folds(trace: list[tuple[int, int, bool]]) -> list[ReceptionStats]:
     horizon = trace[-1][1] + 1
     folds = []
     for k in range(len(trace) + 1):
-        sums = np.zeros((len(engine._SUMS), 1), np.int64)
-        last_rx = np.array([[0], [-1], [0]])  # nothing received yet
+        run = engine._Run(config(horizon=horizon))  # nothing received yet
         for part in (rows[:k], rows[k:]):
-            engine._fold(part.reshape(-1, 4).T, 0, horizon, last_rx, sums)
-        folds.append(engine._reception_stats(dict(zip(engine._SUMS, sums.tolist())), 0))
+            run._fold(part.reshape(-1, 4).T)
+        folds.append(run.report()[1][0])
     return folds
 
 
