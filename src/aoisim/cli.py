@@ -367,14 +367,24 @@ def cmd_analytic(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _axis_values(ns: argparse.Namespace) -> list[float]:
+# the most jobs, points times seeds, that one sweep runs
+_MAX_JOBS = 100_000
+
+
+def _axis_values(ns: argparse.Namespace, n_seeds: int) -> list[float]:
+    """The sweep's points, once the jobs they make with ``n_seeds`` seeds are within the cap."""
     if ns.steps < 2:
         raise ConfigError(f"--steps must be >= 2, got {ns.steps}")
     span = ns.stop - ns.start
+    for flag, value in (("--from", ns.start), ("--to", ns.stop), ("--to - --from", span)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
+    if ns.steps * n_seeds > _MAX_JOBS:
+        raise ConfigError(f"{ns.steps} points x {n_seeds} seeds is more than {_MAX_JOBS} jobs")
     return [ns.start + span * j / (ns.steps - 1) for j in range(ns.steps)]
 
 
-def _parse_seeds(text: str, base_seed: int) -> list[int]:
+def _parse_seeds(text: str, base_seed: int) -> Sequence[int]:
     """Either a count (``5`` means base seed plus the next four) or an
     explicit comma-separated list (``3,7,11``)."""
     try:
@@ -383,9 +393,9 @@ def _parse_seeds(text: str, base_seed: int) -> list[int]:
         count = int(text)
     except ValueError:
         raise ConfigError(f"--seeds must be a count or a comma-separated list, got {text!r}") from None
-    if count < 1:
-        raise ConfigError(f"--seeds count must be >= 1, got {count}")
-    return [base_seed + j for j in range(count)]
+    if not (1 <= count <= _MAX_JOBS):
+        raise ConfigError(f"--seeds count must be in [1, {_MAX_JOBS}], got {count}")
+    return range(base_seed, base_seed + count)
 
 
 def _apply_axis(doc: dict, axis: str, value: float) -> dict:
@@ -491,10 +501,10 @@ def _run_jobs(configs: list[SimConfig], workers: int) -> list[list[dict[str, Any
 def cmd_sweep(ns: argparse.Namespace) -> int:
     doc = _load_doc(ns.config)
     base = build_sim_config(doc)  # fail fast before sweeping
-    values = _axis_values(ns)
+    seeds = _parse_seeds(ns.seeds, base.seed)
+    values = _axis_values(ns, len(seeds))
     if ns.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {ns.workers}")
-    seeds = _parse_seeds(ns.seeds, base.seed)
 
     configs: list[SimConfig] = []
     for v in values:

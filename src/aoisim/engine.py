@@ -272,6 +272,12 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats
 # 3 * horizon**2, as Python integers, since int64 could overflow
 _INT64_HORIZON = 1 << 30
 
+# Each stream buffers a block of draws between spans, so a run's streams of
+# one role share about this many values (16 MB), in blocks of at least the
+# floor; runs of up to 128 sources keep whole blocks
+_STREAM_BUDGET = 1 << 21
+_MIN_STREAM_BLOCK = 1 << 8
+
 # A run's tallies per source, by row.  _Run.arrivals adds the first four:
 # the window's arrivals, interarrival count, sum and sum of squares.
 # _Run._fold adds the next fifteen: the window's summed newest generation
@@ -303,7 +309,8 @@ class _Run:
         n = config.n_sources
         horizon = config.horizon
         self.config = config
-        self.streams = [SourceStreams(config.seed, i, horizon) for i in range(n)]
+        block = min(_BLOCK, max(_MIN_STREAM_BLOCK, _STREAM_BUDGET // n))
+        self.streams = [SourceStreams(config.seed, i, horizon, block) for i in range(n)]
         self.stage = (
             DelayStage(config.network_k, self.streams) if config.network_k is not None else None
         )
@@ -685,7 +692,7 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
     Source i owns the slots i + n·d; d is the owned index.  Its channel
     stream takes one draw in each owned slot in which it transmits, so its
     k-th service ends with the stream's k-th success, at draw S_k, and has
-    spent C_k = S_k + 1 draws by then (C_k = k + 1 when every attempt
+    spent C_k = S_k + 1 draws by then (C_k = k when every attempt
     succeeds).  Update k, generated in slot a_k, can first be sent at owned
     index u_k = (a_k - i) // n + 1, so it is delivered at owned index
 
@@ -696,14 +703,15 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
     ``np.maximum.accumulate`` takes for all sources at once after lifting
     each source's terms above those of the sources before it.
 
-    The run goes a span of slots at a time: the run's arrival span, or a
-    multiple of it while more than a block of updates wait.  A span takes
-    every source's arrival draws, and the channel draws that the services ending before
-    the span's end can spend, with ``take_below``: the same values a
-    slot-by-slot loop draws.  Updates whose service may end later wait for
-    a later span.  The span's arrivals and the deliveries before its end
-    then go to ``run.add_span``, as on the other path.  The arrays a span
-    holds are sorted by source, and carry the source in row 0.
+    Each update gets its delivery slot in the span it arrives in.  A draw's
+    value does not depend on when it is taken, so a source takes channel
+    draws, with ``take_below``, when a span's arrivals need more successes
+    than it holds unspent, but never past the slots it owns before the
+    horizon; an update left without a success is delivered after the
+    horizon.  Deliveries at or after the horizon are dropped at once and
+    the rest kept until their span.  A span is the run's arrival span, or
+    a multiple of it while more than a block of deliveries are kept.  The
+    arrays a span holds are sorted by source.
     """
     n = config.n_sources
     horizon = config.horizon
@@ -711,95 +719,64 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
     probs = [config.channel.attempt_prob(i) for i in range(n)]
     failing = np.array([p < 1.0 for p in probs])  # sources whose attempts can fail
     sources = np.arange(n)
+    owned = (horizon - sources + n - 1) // n  # slots each source owns before the horizon
     # a source's recursion terms lie in [-horizon - 1, horizon], so adding
     # lift[i] to source i's puts them above those of every source before it
     lift = (2 * horizon + 8) * sources
-    none = np.empty((3, 0), np.int64)
-
-    waiting = none  # updates without a delivery slot: source, gen, u
-    scheduled = none  # updates delivered at or after the span's start: source, gen, slot
-    successes = none[:2]  # channel successes drawn: source, draw
-    state = np.zeros((5, n), np.int64)
-    (
-        spent,  # C of the last update given a slot
-        lag,  # that update's owned index minus spent
-        drawn,  # channel draws taken
-        used,  # leading successes of the source in `successes` spent
-        n_waiting,
-    ) = state
-    lag[:] = -1
+    scheduled = np.empty((3, 0), np.int64)  # deliveries from the span's start: source, gen, slot
+    spare = np.empty(0, np.int64)  # unspent channel successes, as draw positions, by source
+    n_spare = np.zeros(n, np.int64)
+    drawn = np.zeros(n, np.int64)  # channel draws taken
+    spent = np.zeros(n, np.int64)  # C of the source's last update
+    lag = np.full(n, -1, np.int64)  # that update's owned index minus spent
 
     start = 0
     while start < horizon:
-        # a span copies the waiting updates once, so it grows with them, to
-        # about as many arrivals as they are: the copying stays in proportion
-        # to the arrivals, and the memory to the waiting updates
-        end = min(start + run.span * max(1, waiting.shape[1] // _BLOCK), horizon)
-
+        # a span copies the scheduled deliveries once, so it grows with them:
+        # the copying stays in proportion to the arrivals
+        end = min(start + run.span * max(1, scheduled.shape[1] // _BLOCK), horizon)
         a_src, a_slot = run.arrivals(start, end)
-
-        # give delivery slots to the waiting updates whose service can end
-        # before `end`: the next service starts at owned index `begin` or
-        # later and each takes an owned slot or more, so at most `room` of
-        # them do, spending at most `room` channel draws
         if len(a_src):
-            waiting = _merge(waiting, np.array((a_src, a_slot, (a_slot - a_src) // n + 1)))
-            n_waiting += np.bincount(a_src, minlength=n)
-        total_given = 0
-        if waiting.shape[1]:
-            w_start = np.cumsum(n_waiting) - n_waiting
-            u_first = waiting[2].take(np.minimum(w_start, waiting.shape[1] - 1))
-            begin = np.maximum(spent + lag + 1, u_first)
-            room = np.maximum((end - sources + n - 1) // n - begin, 0)
-            n_given = np.minimum(n_waiting, room)
-            target = spent + room
-            to_draw = (failing & (n_given > 0) & (target > drawn)).nonzero()[0].tolist()
-            if to_draw:
-                if used.any():
-                    s_src = successes[0]
-                    n_drawn = np.bincount(s_src, minlength=n)
-                    s_rank = np.arange(len(s_src)) - (np.cumsum(n_drawn) - n_drawn)[s_src]
-                    successes = successes.compress(s_rank >= used[s_src], axis=1)
-                    used[:] = 0
-                new = []
-                for i in to_draw:
-                    k = int(drawn[i])
-                    hit = streams[i].channel.take_below(probs[i], int(target[i]) - k)
-                    new.append(np.array((np.full(len(hit), i), hit + k)))
-                    drawn[i] = target[i]
-                successes = _merge(successes, np.concatenate(new, axis=1))
-            n_drawn = np.bincount(successes[0], minlength=n)
-            n_given = np.where(failing, np.minimum(n_given, n_drawn - used), n_given)
-            total_given = int(n_given.sum())
-        if total_given:
-            # each source's first n_given waiting updates
-            g_rank = np.arange(total_given) - np.repeat(np.cumsum(n_given) - n_given, n_given)
-            at = np.repeat(w_start, n_given) + g_rank
-            g_src, g_gen, g_u = waiting.take(at, axis=1)
-            g_spent = spent[g_src] + g_rank + 1
-            fail = failing[g_src]
-            if fail.any():
-                f_src = g_src[fail]
-                unspent = np.cumsum(n_drawn) - n_drawn + used  # each source's first unspent success
-                g_spent[fail] = successes[1].take(unspent[f_src] + g_rank[fail]) + 1
-                used += n_given * failing
-            first = g_rank == 0
-            v = g_u - 1 - _previous(g_spent, first, g_src, spent)
-            v[first] = np.maximum(v[first], lag[g_src[first]])
-            g_lag = np.maximum.accumulate(v + lift[g_src]) - lift[g_src]
+            count = np.bincount(a_src, minlength=n)
+            rank = np.arange(len(a_src)) - (np.cumsum(count) - count)[a_src]
+            need = count * failing
+            while short := ((need > n_spare) & (drawn < owned)).nonzero()[0].tolist():
+                hits = []
+                for i in short:
+                    # about twice the draws the missing successes need, 64 to a block
+                    p, missing = probs[i], int(need[i] - n_spare[i])
+                    want = 2 * missing / p if p else _BLOCK
+                    size = int(min(_BLOCK, max(64, want), owned[i] - drawn[i]))
+                    hits.append(streams[i].channel.take_below(p, size) + drawn[i])
+                    drawn[i] += size
+                gained = [len(h) for h in hits]
+                # a stable sort by source, so a source's new successes follow its spare ones
+                by = np.concatenate((np.repeat(sources, n_spare), np.repeat(short, gained)))
+                spare = np.concatenate((spare, *hits)).take(by.argsort(kind="stable"))
+                n_spare[short] += gained
+            g_spent = spent[a_src] + rank + 1
+            fail = failing[a_src].nonzero()[0]
+            g_spent[fail] = owned[a_src[fail]] + 1  # no success left: delivered after the horizon
+            first_spare = np.cumsum(n_spare) - n_spare
+            got = fail[rank[fail] < n_spare[a_src[fail]]]
+            g_spent[got] = spare[first_spare[a_src[got]] + rank[got]] + 1
+            taken = np.minimum(need, n_spare)
+            spare = spare[np.arange(len(spare)) >= np.repeat(first_spare + taken, n_spare)]
+            n_spare -= taken
+            first = _firsts(a_src)
+            v = (a_slot - a_src) // n - _previous(g_spent, first, a_src, spent)
+            v[first] = np.maximum(v[first], lag[a_src[first]])
+            g_lag = np.maximum.accumulate(v + lift[a_src]) - lift[a_src]
             last = _lasts(first)
-            spent[g_src[last]] = g_spent[last]
-            lag[g_src[last]] = g_lag[last]
-            delivered = g_src + n * (g_spent + g_lag)
-            scheduled = _merge(scheduled, np.array((g_src, g_gen, delivered)))
-            keep = np.ones(waiting.shape[1], bool)
-            keep[at] = False
-            waiting = waiting.compress(keep, axis=1)
-            n_waiting -= n_given
+            spent[a_src[last]] = g_spent[last]
+            lag[a_src[last]] = g_lag[last]
+            given = np.array((a_src, a_slot, a_src + n * (g_spent + g_lag)))
+            given = np.concatenate((scheduled, given.compress(given[2] < horizon, axis=1)), axis=1)
+            # a stable sort by source, so a source's new deliveries follow its scheduled ones
+            scheduled = given.take(given[0].argsort(kind="stable"), axis=1)
         due = scheduled[2] < end
-        delivered = scheduled.compress(due, axis=1)
+        run.add_span(start, end, a_src, a_slot, scheduled.compress(due, axis=1))
         scheduled = scheduled.compress(~due, axis=1)
-        run.add_span(start, end, a_src, a_slot, delivered)
         start = end
 
 
@@ -839,16 +816,6 @@ def _add_by_source(
     if len(src):
         starts = first.nonzero()[0]
         totals[:, src[starts]] += np.add.reduceat(np.array(rows), starts, axis=1)
-
-
-def _merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The columns of ``a`` and ``b``, each sorted by row 0 (the source), merged by source.
-
-    A source's columns from ``b`` follow its columns from ``a``.
-    """
-    if not a.shape[1]:
-        return b
-    return np.insert(a, np.searchsorted(a[0], b[0], "right"), b, axis=1)
 
 
 def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:

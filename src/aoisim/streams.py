@@ -22,10 +22,12 @@ A source builds a role's stream on first use.  A stream builds its generator
 and draws its first block of uniforms on first use, so a source's unused
 roles cost nothing; a first use that says how many draws it may take
 (``skip_to_below``, ``take_below``, ``geometric``) draws no more than that.  Later blocks
-hold ``_BLOCK`` values.  A stream made for a run of known horizon draws no
-more than ``horizon`` values in all, its last block holding what is left:
-no stream takes more than one draw per slot, so a run never needs more.
-Block sizes never change which values are drawn, only when.
+hold ``block`` values, ``_BLOCK`` unless the stream is made with fewer; a
+take of more than a block past the block's end is drawn whole and not kept.
+A stream made for a run of known horizon draws no more than ``horizon``
+values in all, its last block holding what is left: no stream takes more
+than one draw per slot, so a run never needs more.  Block sizes never
+change which values are drawn, only when.
 """
 from __future__ import annotations
 
@@ -166,13 +168,17 @@ class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
     __slots__ = (
-        "_seed", "_key", "_left", "_gen", "_buf", "_idx", "_end", "_below", "_below_p", "_next"
+        "_seed", "_key", "_left", "_block", "_gen", "_buf", "_idx", "_end", "_below", "_below_p",
+        "_next",
     )
 
-    def __init__(self, seed: int, key: tuple[int, ...], horizon: int | None = None):
+    def __init__(
+        self, seed: int, key: tuple[int, ...], horizon: int | None = None, block: int = _BLOCK
+    ):
         self._seed = seed
         self._key = key
         self._left = horizon  # values the stream may still draw; None: no bound
+        self._block = block  # values drawn at a time
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
@@ -183,11 +189,17 @@ class UniformStream:
         self._next = 0
 
     def _refill(self, first_size: int = _BLOCK) -> None:
+        size = self._block if self._gen is not None else min(first_size, self._block)
+        self._buf = self._draw(size)
+        self._idx = 0
+        self._end = len(self._buf)
+        self._below_p = None
+
+    def _draw(self, size: int) -> np.ndarray:
+        """The generator's next ``size`` values, or as many as the stream has left."""
         gen = self._gen
-        size = _BLOCK
         if gen is None:
             gen = self._gen = _generator(self._seed, self._key)
-            size = min(first_size, size)
         left = self._left
         if left is not None:
             if not left:
@@ -196,10 +208,7 @@ class UniformStream:
                 )
             size = min(size, left)
             self._left = left - size
-        self._buf = gen.random(size)
-        self._idx = 0
-        self._end = size
-        self._below_p = None
+        return gen.random(size)
 
     def uniform(self) -> float:
         if self._idx == self._end:
@@ -269,11 +278,15 @@ class UniformStream:
         return (logs / scale).astype(np.int64) + 1
 
     def _take(self, count: int) -> np.ndarray:
-        """The next ``count`` draws, taken a block at a time."""
+        """The next ``count`` draws, taken a block at a time, or whole past a block."""
         parts = []
         taken = 0
         while taken < count:
             if self._idx == self._end:
+                if count - taken > self._block:  # drawn whole and not kept
+                    parts.append(self._draw(count - taken))
+                    taken += len(parts[-1])
+                    continue
                 self._refill(count - taken)
             i = self._idx
             stop = min(self._end, i + count - taken)
@@ -290,21 +303,26 @@ class SourceStreams:
 
     Each role's stream (``arrival``, ``channel``, ``access``, ``delay``) is
     built on first use.  Given the run's ``horizon``, each stream draws at
-    most ``horizon`` values.
+    most ``horizon`` values; each draws ``block`` values at a time.
     """
 
-    __slots__ = ("_seed", "_source_id", "_horizon", "arrival", "channel", "access", "delay")
+    __slots__ = (
+        "_seed", "_source_id", "_horizon", "_block", "arrival", "channel", "access", "delay"
+    )
 
-    def __init__(self, seed: int, source_id: int, horizon: int | None = None):
+    def __init__(
+        self, seed: int, source_id: int, horizon: int | None = None, block: int = _BLOCK
+    ):
         self._seed = seed
         self._source_id = source_id
         self._horizon = horizon
+        self._block = block
 
     def __getattr__(self, name: str) -> UniformStream:
         # reached only while a role's slot is unset: build its stream there
         role = _ROLES.get(name)
         if role is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        stream = UniformStream(self._seed, (self._source_id, role), self._horizon)
+        stream = UniformStream(self._seed, (self._source_id, role), self._horizon, self._block)
         setattr(self, name, stream)
         return stream

@@ -12,11 +12,12 @@ from aoisim.streams import UniformStream
 def stream_draws(monkeypatch) -> defaultdict[tuple[int, ...], int]:
     """Values each stream draws from its generator, by key ``(source, role)``."""
     drawn: defaultdict[tuple[int, ...], int] = defaultdict(int)
-    refill = UniformStream._refill
+    draw = UniformStream._draw
 
-    def counting(self, *args) -> None:
-        refill(self, *args)
-        drawn[self._key] += len(self._buf)
+    def counting(self, size):
+        values = draw(self, size)
+        drawn[self._key] += len(values)
+        return values
 
-    monkeypatch.setattr(UniformStream, "_refill", counting)
+    monkeypatch.setattr(UniformStream, "_draw", counting)
     return drawn

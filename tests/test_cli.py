@@ -567,6 +567,49 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: n_sources must be in [1, 2**16], got 1")
 
+    @pytest.mark.parametrize(
+        "axis, start, stop, flag",
+        [
+            ("lambda", "0.1", "inf", "--to"),
+            ("N", "1", "inf", "--to"),
+            ("lambda", "nan", "0.2", "--from"),
+            ("k", "-inf", "0.5", "--from"),
+            ("lambda", "-1e308", "1e308", "--to - --from"),
+        ],
+    )
+    def test_sweep_with_a_non_finite_bound_exits_two_naming_it(
+        self, tmp_path, capsys, monkeypatch, axis, start, stop, flag
+    ) -> None:
+        # the first point would be start + inf * 0, a NaN the user never gave
+        monkeypatch.setattr(cli, "_sweep_job", lambda config: pytest.fail("a job ran"))
+        cfg = write_config(tmp_path, minimal_doc(horizon=200))
+        rc = main(
+            ["sweep", "--config", cfg, "--axis", axis,
+             f"--from={start}", f"--to={stop}", "--steps", "2"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} must be finite, got ")
+
+    @pytest.mark.parametrize(
+        "steps, seeds, message",
+        [
+            ("100001", "1", "100001 points x 1 seeds is more than 100000 jobs"),
+            ("400", "400", "400 points x 400 seeds is more than 100000 jobs"),
+            ("2", "100001", "--seeds count must be in [1, 100000], got 100001"),
+        ],
+    )
+    def test_more_jobs_than_the_cap_exit_two_before_any_is_built(
+        self, tmp_path, capsys, monkeypatch, steps, seeds, message
+    ) -> None:
+        monkeypatch.setattr(cli, "_apply_axis", lambda *args: pytest.fail("a point was built"))
+        cfg = write_config(tmp_path, minimal_doc(horizon=200))
+        rc = main(
+            ["sweep", "--config", cfg, "--axis", "lambda", "--from", "0.1", "--to", "0.2",
+             "--steps", steps, "--seeds", seeds]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_two(self, tmp_path, capsys, monkeypatch, workers) -> None:
         monkeypatch.setattr(cli, "_sweep_job", lambda config: pytest.fail("a job ran"))

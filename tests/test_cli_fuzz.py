@@ -3,9 +3,10 @@
 Configs cover every policy, discipline and channel with up to four
 sources, horizons up to 10**5 with any warm-up below them, and rates and
 probabilities at the edges of their ranges.  ``simulate``, ``validate
---json`` and ``analytic --json`` run in-process; each must return 0, 2 or
-3 without an exception, and every number in a JSON output must be finite
-or null.
+--json``, ``analytic --json`` and ``sweep`` run in-process; each must
+return 0, 2 or 3 without an exception, and every number in a JSON output
+must be finite or null.  A sweep's bounds also take the infinities, NaN and
+±1e308, and a sweep that exits 0 writes a row per point, seed and source.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aoisim.cli import main
+from aoisim.cli import SWEEP_AXES, main
 from aoisim.streams import _BLOCK
 
 # the rates and probabilities at the edges of [0, 1] and of float64
@@ -42,11 +43,14 @@ def rates(n: int) -> st.SearchStrategy:
     return st.one_of(value, st.lists(value, min_size=n, max_size=n))
 
 
+# short horizons, those across a span's end, and the longest
+HORIZONS = st.one_of(st.integers(1, 300), st.sampled_from((_BLOCK, _BLOCK + 1, 10**5)))
+
+
 @st.composite
-def config_docs(draw) -> dict:
+def config_docs(draw, horizons: st.SearchStrategy = HORIZONS) -> dict:
     n = draw(st.integers(1, 4))
-    # short horizons, those across a span's end, and the longest
-    horizon = draw(st.one_of(st.integers(1, 300), st.sampled_from((_BLOCK, _BLOCK + 1, 10**5))))
+    horizon = draw(horizons)
     doc = {
         "schema_version": 1,
         "n_sources": n,
@@ -120,3 +124,42 @@ def test_analytic_ends_in_an_exit_code(lam: float, mu: float, model: str) -> Non
     code, out = run_main(argv)
     if code == 0:
         finite_or_null(out)
+
+
+# a sweep's bounds: the edges of [0, 1] and of float64, and past them
+BOUNDS = EDGES + (math.inf, -math.inf, math.nan, 1e308, -1e308)
+
+
+@settings(FUZZ, max_examples=80)
+@given(
+    config_docs(st.integers(1, 300)),
+    st.sampled_from(SWEEP_AXES),
+    st.sampled_from(BOUNDS),
+    st.sampled_from(BOUNDS),
+    st.integers(2, 3),
+    st.one_of(
+        st.sampled_from(("1", "2")),
+        st.lists(st.integers(0, 3), min_size=2, max_size=3).map(lambda s: ",".join(map(str, s))),
+    ),
+)
+def test_sweep_ends_in_an_exit_code(
+    config_path: Path, doc: dict, axis: str, start: float, stop: float, steps: int, seeds: str
+) -> None:
+    # q and p sweep only a random access and an erasure channel
+    if axis == "q":
+        doc = dict(doc, policy="random_access", access_probs=doc.get("access_probs", 0.5))
+    elif axis == "p":
+        doc = dict(doc, channel="erasure", collision_thinning=False)
+    config_path.write_text(json.dumps(doc))
+    argv = [
+        "sweep", "--config", str(config_path), "--axis", axis,
+        f"--from={start!r}", f"--to={stop!r}", "--steps", str(steps),
+        "--seeds", seeds, "--workers", "1",
+    ]
+    code, out = run_main(argv)
+    assert code in (0, 2)
+    if code == 0:
+        n_seeds = len(seeds.split(",")) if "," in seeds else int(seeds)
+        points = [start + (stop - start) * j / (steps - 1) for j in range(steps)]
+        sources = [round(v) if axis == "N" else doc["n_sources"] for v in points]
+        assert len(out.splitlines()) == 1 + n_seeds * sum(sources)

@@ -115,6 +115,83 @@ def test_fifo_round_robin_kernel_equals_attempt_path(config: SimConfig) -> None:
     assert repr(attempts) == repr(kernel)
 
 
+def _fifo_round_robin_config(lambdas, channel, horizon, warmup=0, seed=61) -> SimConfig:
+    return SimConfig(
+        n_sources=len(lambdas),
+        lambdas=lambdas,
+        discipline=Discipline.FIFO,
+        policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
+        channel=channel,
+        horizon=horizon,
+        seed=seed,
+        warmup=warmup,
+    )
+
+
+_KERNEL_EDGES = {
+    # a service takes about 100 attempts, so the saturated source spends
+    # every draw it owns and most of its updates get no success
+    "successes_run_out": _fifo_round_robin_config(
+        (1.0, 0.3), ChannelConfig(ChannelKind.ERASURE, service_probs=(0.01, 0.6)), 3000
+    ),
+    # about one arrival per span, so a take of about twice the draws one
+    # success needs finds none now and then, and the source draws again
+    "successes_drawn_again": _fifo_round_robin_config(
+        (1e-4, 2e-4),
+        ChannelConfig(ChannelKind.ERASURE, service_probs=(0.01, 0.005)),
+        200_000,
+        seed=2,
+    ),
+    "deliveries_past_the_horizon": _fifo_round_robin_config(
+        (1.0, 0.7), ChannelConfig(ChannelKind.PERFECT), 5000
+    ),
+    "silent_next_to_saturated": _fifo_round_robin_config(
+        (0.0, 1.0), ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 0.4)), 4000
+    ),
+    "warmup_past_the_first_span": _fifo_round_robin_config(
+        (0.1, 0.45, 0.3),
+        ChannelConfig(ChannelKind.ERASURE, service_probs=(0.3, 0.9, 0.05)),
+        2 * _BLOCK + 500,
+        warmup=_BLOCK + 250,
+    ),
+    "one_slot": _fifo_round_robin_config(
+        (1.0, 1.0, 0.5), ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 1.0, 0.2)), 1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_EDGES))
+def test_fifo_round_robin_kernel_edges_equal_attempt_path(name: str) -> None:
+    # the kernel draws channel successes only when a span's arrivals need
+    # them, and drops a delivery at or after the horizon at once
+    config = _KERNEL_EDGES[name]
+    kernel = engine.run_with_logs(config)
+    with mock.patch.object(engine, "_fifo_round_robin", engine._attempts):
+        attempts = engine.run_with_logs(config)
+    assert repr(attempts) == repr(kernel)
+
+
+def test_fifo_round_robin_draws_no_more_than_its_owned_slots(monkeypatch) -> None:
+    # a source's channel draws stop at the slots it owns before the
+    # horizon, which the saturated sources at low mu reach
+    draws: dict[int, int] = {}
+    take_below = UniformStream.take_below
+
+    def counting(self, p, count):
+        if self._key[1] == Role.CHANNEL:
+            draws[self._key[0]] = draws.get(self._key[0], 0) + count
+        return take_below(self, p, count)
+
+    monkeypatch.setattr(UniformStream, "take_below", counting)
+    n, horizon = 3, 10_000
+    channel = ChannelConfig(ChannelKind.ERASURE, service_probs=(0.01, 0.5, 0.05))
+    config = _fifo_round_robin_config((1.0, 0.2, 1.0), channel, horizon)
+    engine.run(config)
+    owned = {i: (horizon - i + n - 1) // n for i in range(n)}
+    assert all(draws[i] <= owned[i] for i in draws)
+    assert draws[0] == owned[0] and draws[2] == owned[2]
+
+
 @pytest.mark.parametrize(
     "policy",
     [PolicyConfig(PolicyKind.ROUND_ROBIN), PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.5,))],
@@ -271,8 +348,8 @@ def test_every_path_across_span_ends_with_updates_in_flight(
 
 def test_spans_grow_with_a_long_backlog(monkeypatch) -> None:
     # four saturated sources share a round robin, so more than two blocks
-    # of updates wait after some 11,000 slots, and a span then covers more
-    # slots than the arrival calendar's 4,096
+    # of deliveries are scheduled after some 16,000 slots, and a span then
+    # covers more slots than the arrival calendar's 4,096
     spans = []
     take_below = UniformStream.take_below
 
@@ -288,7 +365,7 @@ def test_spans_grow_with_a_long_backlog(monkeypatch) -> None:
         discipline=Discipline.FIFO,
         policy=PolicyConfig(PolicyKind.ROUND_ROBIN),
         channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5, 0.9, 1.0, 0.3)),
-        horizon=20_000,
+        horizon=80_000,
         seed=41,
         warmup=3000,
     )

@@ -250,6 +250,43 @@ class TestMemory:
         assert peak(4 * _BLOCK) - peak(2 * _BLOCK) < 100_000
 
 
+    @pytest.mark.parametrize(
+        "policy, discipline",
+        [
+            (RR, Discipline.FIFO),
+            (PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3,) * 64), Discipline.REPLACEMENT),
+        ],
+        ids=["fifo_round_robin", "random_access"],
+    )
+    def test_stream_blocks_shrink_with_the_sources(
+        self, monkeypatch, policy: PolicyConfig, discipline: Discipline
+    ) -> None:
+        # a run's streams of one role share a budget of buffered draws, so
+        # with a small budget each of 64 streams buffers a block of budget /
+        # 64 values; block sizes change when values are drawn, never which
+        c = config(
+            n_sources=64,
+            lambdas=(0.004,) * 64,
+            discipline=discipline,
+            policy=policy,
+            channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5,) * 64),
+            network_k=0.5,
+            horizon=20_000,
+        )
+        expected = repr(run_with_logs(c))
+        buffered = []
+        refill = UniformStream._refill
+
+        def recording(self, *args) -> None:
+            refill(self, *args)
+            buffered.append(len(self._buf))
+
+        monkeypatch.setattr(UniformStream, "_refill", recording)
+        monkeypatch.setattr(engine, "_STREAM_BUDGET", 64 * 300)
+        assert repr(run_with_logs(c)) == expected
+        assert max(buffered) == 300
+
+
 class TestWork:
     def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
         # when an update enters service the attempt path draws the owner's
