@@ -50,13 +50,18 @@ An arrival that replaces the waiting update is not admitted, so a run's
 drops are its arrivals less its admitted ones; under FIFO every arrival is
 admitted.  The paths keep no statistics of their own.
 
-Steps 1 and 6 are kept as sums: the occupancy histogram adds the time
-spent at each level between a span's arrivals and deliveries, and the age
-area is the sum of ``slot + 1`` over the window less, for each reception,
-the rise of the newest generation times the window slots from the
-reception on.  Both implementations take the same values from every
-random stream as a slot-by-slot loop would, so results are the same at
-every seed.
+Steps 1 and 6 are kept as sums, with work in proportion to a span's
+events rather than to N.  For the occupancy histogram a span merges its
+admitted arrivals (+1 from the next slot) with its deliveries (-1 from the
+next slot), both already sorted by source and slot; at each event a
+source adds the window slots since its previous one at the level it held,
+and the run's last span adds each source's last level up to the horizon.
+The age area is the sum of ``slot + 1`` over the window less, for each
+reception, the rise of the newest generation times the window slots from
+the reception on; it and the reception sums are written as rows of one
+array per span of receptions and added by source at once.  Both
+implementations take the same values from every random stream as a
+slot-by-slot loop would, so results are the same at every seed.
 """
 from __future__ import annotations
 
@@ -96,6 +101,7 @@ __all__ = [
 ]
 
 _NAN = float("nan")
+_NONE = np.empty(0, np.int64)
 
 
 class MeasurePoint(Enum):
@@ -104,8 +110,8 @@ class MeasurePoint(Enum):
 
 
 # The largest run: its slot arithmetic in int64 (the FIFO round-robin
-# kernel's lift, a span's occupancy sort key) reaches about
-# 4 * n_sources * horizon, which these caps keep below 2**63
+# kernel's lift, a span's event keys) reaches about 2 * n_sources *
+# horizon, which these caps keep below 2**63
 _MAX_SOURCES = 1 << 16
 _MAX_HORIZON = 1 << 44
 
@@ -328,38 +334,39 @@ class _Run:
         # carried from span to span, by source: the last arrival slot (-1
         # before the first); the last reception at the monitor point, as
         # rows gen (0 before the first), slot (-1 before the first) and
-        # whether it left the queue empty; the occupancy at the span's start
+        # whether it left the queue empty; the occupancy after the last
+        # event, and the first window slot at it not yet in ``occupancy``
         self.last_arrival = np.full(n, -1, np.int64)
         self.last_rx = np.zeros((3, n), np.int64)
         self.last_rx[1] = -1
         self.occ = np.zeros(n, np.int64)
+        self.since = np.full(n, config.warmup, np.int64)
 
-    def arrivals(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray]:
-        """The arrivals in the slots ``start <= slot < end``: sources and slots, sorted by source.
+    def arrivals(self, start: int, end: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """The arrivals in the slots ``start <= slot < end``, sorted by source.
 
-        Takes ``end - start`` draws from the arrival stream of every source
-        with a positive rate, adds the window's arrivals and interarrival
-        moments and moves each source's last arrival on.
+        Returns their sources, their slots and their runs by source
+        (``_runs``).  Takes ``end - start`` draws from the arrival stream of
+        every source with a positive rate, adds the window's arrivals and
+        interarrival moments and moves each source's last arrival on.
         """
         lambdas = self.config.lambdas
-        arriving = self.arriving
-        hits = [self.streams[i].arrival.take_below(lambdas[i], end - start) for i in arriving]
-        if hits:
-            a_src = np.repeat(arriving, [len(h) for h in hits])
-            a_slot = np.concatenate(hits) + start
-        else:
-            a_src = a_slot = np.empty(0, np.int64)
-        first = _firsts(a_src)
-        prev = _previous(a_slot, first, a_src, self.last_arrival)
-        last = _lasts(first)
-        self.last_arrival[a_src[last]] = a_slot[last]
+        hits = [self.streams[i].arrival.take_below(lambdas[i], end - start) for i in self.arriving]
+        counts = [len(h) for h in hits]
+        if not any(counts):
+            return _NONE, _NONE, (_NONE, _NONE)
+        a_src = np.repeat(self.arriving, counts)
+        a_slot = np.concatenate(hits) + start
+        runs = starts, ends = _runs(a_src)
+        prev = _previous(a_slot, starts, a_src, self.last_arrival)
+        self.last_arrival[a_src[ends]] = a_slot[ends]
         in_window = a_slot >= self.config.warmup
         paired = in_window & (prev >= 0)
         y = (a_slot - prev).astype(self.sums.dtype) * paired
-        _add_by_source(self.sums[:4], a_src, first, in_window, paired, y, y * y)
-        return a_src, a_slot
+        _add_by_source(self.sums[:4], a_src, starts, np.array((in_window, paired, y, y * y)))
+        return a_src, a_slot, runs
 
-    def arrival_span(self, start: int) -> tuple[int, np.ndarray, np.ndarray]:
+    def arrival_span(self, start: int) -> tuple[int, np.ndarray, np.ndarray, tuple]:
         """The end of the span from ``start``, and its arrivals as ``arrivals`` gives them.
 
         A span is ``span`` slots; one without arrivals merges into the next,
@@ -370,76 +377,82 @@ class _Run:
         end = start
         while True:
             stop = min(end + self.span, horizon)
-            a_src, a_slot = self.arrivals(end, stop)
+            a_src, a_slot, runs = self.arrivals(end, stop)
             end = stop
             if len(a_src) or end == horizon:
-                return end, a_src, a_slot
+                return end, a_src, a_slot, runs
 
     def add_span(
-        self, start: int, end: int, a_src: np.ndarray, a_slot: np.ndarray, delivered: np.ndarray
+        self, end: int, a_src: np.ndarray, a_slot: np.ndarray, delivered: np.ndarray
     ) -> None:
-        """Add the statistics of the run's slots ``start <= slot < end``.
+        """Add the statistics of the run's slots up to ``end``, the end of a span.
 
         ``a_src`` and ``a_slot`` are the span's admitted arrivals,
         ``delivered`` its deliveries as rows source, gen and slot, each
         sorted by source and, within a source, by slot.  Adds the window's
-        deliveries, admitted arrivals and slot starts by occupancy, moves
-        each source's occupancy on to the span's end, and passes the
-        deliveries, with whether each left its queue empty, to ``_receive``.
+        deliveries, admitted arrivals and slot starts by occupancy, and
+        passes the deliveries, with whether each left its queue empty, to
+        ``_receive``.  A source's slots at one occupancy are added at the
+        event that ends them, or at the horizon, in the run's last span.
         """
         warmup = self.config.warmup
-        sums = self.sums
         occ = self.occ
-        n = len(occ)
-        sources = np.arange(n)
+        since = self.since
         d_src, d_gen, d_slot = delivered
-        sums[_ROW["delivered"]] += np.bincount(d_src[d_slot >= warmup], minlength=n)
-        sums[_ROW["admitted"]] += np.bincount(a_src[a_slot >= warmup], minlength=n)
-
-        # occupancy: each source's level from the span's start, +1 at the
-        # slot after an arrival, -1 at the slot after a delivery, then back
-        # to 0 at the span's end; e_kind orders the events of one slot (the
-        # span's start, arrivals, deliveries, the span's end), so the level
-        # after a delivery is what it left behind, arrivals of its slot included
-        net = np.bincount(a_src, minlength=n) - np.bincount(d_src, minlength=n)
-        n_a, n_d = len(a_src), len(d_src)
-        e_src = np.concatenate((sources, a_src, d_src, sources))
-        e_time = np.concatenate((np.full(n, start), a_slot + 1, d_slot + 1, np.full(n, end)))
-        e_kind = np.repeat(np.arange(4), (n, n_a, n_d, n))
-        step = np.concatenate((occ, np.ones(n_a, np.int64), np.full(n_d, -1), -occ - net))
-        key = (e_src * (end - start + 2) + e_time - start) * 4 + e_kind
-        order = np.argsort(key, kind="stable")
-        e_src, e_kind = e_src.take(order), e_kind.take(order)
-        level = np.cumsum(step.take(order))
-        t = np.maximum(e_time.take(order), warmup)
-        held = np.zeros_like(t)
-        np.subtract(t[1:], t[:-1], out=held[:-1])
-        held[e_kind == 3] = 0
-        occ += net
-        left_empty = level[e_kind == 2] == 0
-        kept = held > 0
-        if kept.any():
-            # a source's levels in a span form a range, so each source
-            # counts its slots in its own slice of one bincount
-            h_src, h_level, h_slots = np.array((e_src, level, held)).compress(kept, axis=1)
-            h_first = _firsts(h_src)
-            starts = h_first.nonzero()[0]
-            lo = np.minimum.reduceat(h_level, starts)
-            width = np.maximum.reduceat(h_level, starts) - lo + 1
+        n_a = len(a_src)
+        left_empty = _NONE
+        if n_a or len(d_src):
+            # the events by source and slot, a slot's arrivals first, so the
+            # level after a delivery is what it left behind, arrivals of its
+            # slot included; both runs are sorted, so the stable sort merges them
+            keys = np.concatenate((a_src * end + a_slot, d_src * end + d_slot))
+            order = keys.argsort(kind="stable")
+            e_src = np.concatenate((a_src, d_src)).take(order)
+            t = np.concatenate((a_slot, d_slot)).take(order)  # the event's slot
+            is_d = order >= n_a
+            step = is_d * -2 + 1  # +1 for an arrival, -1 for a delivery
+            starts, ends = _runs(e_src)
+            g_src = e_src[starts]
+            # each event's index among the span's sources
+            group = np.repeat(np.arange(len(starts)), ends - starts + 1)
+            counted = np.array((is_d, ~is_d)) & (t >= warmup)
+            self.sums[_ROW["delivered"]:_ROW["admitted"] + 1, g_src] += np.add.reduceat(
+                counted, starts, axis=1
+            )
+            # each source's level after each event, from its level before the first
+            level = step.cumsum()
+            level += (occ[g_src] - level[starts] + step[starts])[group]
+            left_empty = level.compress(is_d) == 0
+            occ[g_src] = level[ends]
+            level -= step
+            # the window's slots from a source's previous event on, at the
+            # level before the event; an event in slot s changes the level
+            # from slot s + 1 on
+            np.maximum(t, warmup - 1, out=t)
+            held = np.empty_like(t)
+            np.subtract(t[1:], t[:-1], out=held[1:])
+            held[starts] = t[starts] + 1 - since[g_src]
+            since[g_src] = t[ends] + 1
+            # a source's levels form a range, so each source counts its
+            # slots in its own slice of one bincount
+            lo = np.minimum.reduceat(level, starts)
+            width = np.maximum.reduceat(level, starts) - lo + 1
             offset = np.cumsum(width) - width
-            run = np.cumsum(h_first) - 1
-            tally = np.bincount(offset[run] + h_level - lo[run], weights=h_slots)
+            tally = np.bincount((offset - lo)[group] + level, weights=held)
             seen = tally.nonzero()[0]
-            run = np.searchsorted(offset, seen, "right") - 1
-            occupancy = self.occupancy
-            for i, o, slots in zip(
-                h_src[starts[run]].tolist(),
-                (lo[run] + seen - offset[run]).tolist(),
-                tally[seen].tolist(),
-            ):
-                occupancy[i][o] += int(slots)
-
+            group = np.searchsorted(offset, seen, "right") - 1
+            self._tally(g_src[group], lo[group] + seen - offset[group], tally[seen])
+        if end == self.config.horizon:
+            # each source's last level, from its last event to the horizon
+            self._tally(np.arange(len(occ)), occ, end - since)
         self._receive(np.array((d_src, d_gen, d_slot, left_empty)), end - 1)
+
+    def _tally(self, src: np.ndarray, level: np.ndarray, slots: np.ndarray) -> None:
+        """Add ``slots[j]`` slot starts at occupancy ``level[j]`` to source ``src[j]``."""
+        occupancy = self.occupancy
+        for i, o, k in zip(src.tolist(), level.tolist(), slots.tolist()):
+            if k:
+                occupancy[i][o] += int(k)
 
     def _receive(self, delivered: np.ndarray, until: int) -> None:
         """Add a span's deliveries, and what they make the monitor point receive, to the sums.
@@ -459,8 +472,8 @@ class _Run:
             r_src, _, r_slot, fresh = received
             in_window = r_slot >= self.config.warmup
             _add_by_source(
-                self.sums[_ROW["informative"]:_ROW["obsolete"] + 1], r_src, _firsts(r_src),
-                in_window & (fresh == 1), in_window & (fresh == 0),
+                self.sums[_ROW["informative"]:_ROW["obsolete"] + 1], r_src, _runs(r_src)[0],
+                np.array((in_window & (fresh == 1), in_window & (fresh == 0))),
             )
             if self.measure_dest:
                 delivered = received.compress(fresh == 1, axis=1)
@@ -476,33 +489,52 @@ class _Run:
         which moves on.  A reception outside the window only raises the
         newest generation.
         """
-        warmup = self.config.warmup
         r_src = received[0]
-        first = _firsts(r_src)
-        received = received[1:].astype(self.sums.dtype)
-        prev_gen, prev_slot, prev_empty = _previous(received, first, r_src, self.last_rx)
-        last = _lasts(first)
-        self.last_rx[:, r_src[last]] = received[:, last]
-        r_gen, r_slot, left_empty = received
+        if not len(r_src):
+            return
+        warmup = self.config.warmup
+        starts, ends = _runs(r_src)
+        gen, slot, left_empty = rx = received[1:].astype(self.sums.dtype, copy=False)
+        prev_gen, prev_slot, prev_empty = _previous(rx, starts, r_src, self.last_rx)
+        self.last_rx[:, r_src[ends]] = received[1:, ends]
+        # rows as in _SUMS from "base_area": the last four, the gaps after a
+        # busy queue, first hold the sums of every gap, from which the four
+        # before them, those after an empty queue, are taken out once added
+        # by source
+        terms = np.empty((15, len(r_src)), rx.dtype)
+        base, count, t_sum, yt2, zt2, tz, empty_left, *_, paired, z, z2, t_paired = terms
         # the window's receptions are a suffix of each source's, so a gap
         # lies in the window when the reception that opens it does
-        in_window = r_slot >= warmup
-        paired = prev_slot >= warmup
-        after_empty = paired & (prev_empty == 1)
-        after_busy = paired & (prev_empty == 0)
-        t = r_slot - r_gen
-        y = (r_gen - prev_gen) * paired
-        z = (r_slot - prev_slot) * paired
-        t_prev = prev_slot - prev_gen
-        _add_by_source(
-            self.sums[4:19], r_src, first,
-            # each reception raises the newest generation for the rest of the window
-            (r_gen - prev_gen) * (self.config.horizon - np.maximum(r_slot, warmup)),
-            in_window, t * in_window, (2 * t + y + 1) * y, (2 * t_prev + z + 1) * z, t_prev * z,
-            left_empty * in_window,
-            after_empty, z * after_empty, z * z * after_empty, t * after_empty,
-            after_busy, z * after_busy, z * z * after_busy, t * after_busy,
-        )
+        np.greater_equal(slot, warmup, out=count)
+        np.greater_equal(prev_slot, warmup, out=paired)
+        # each reception raises the newest generation for the rest of the window
+        y = gen - prev_gen
+        np.maximum(slot, warmup, out=base)
+        np.subtract(self.config.horizon, base, out=base)
+        base *= y
+        y *= paired
+        np.subtract(slot, prev_slot, out=z)
+        z *= paired
+        np.subtract(slot, gen, out=t_sum)  # T
+        np.subtract(prev_slot, prev_gen, out=tz)  # T₋
+        # 2YT + Y² + Y and 2T₋Z + Z² + Z
+        np.multiply(t_sum, 2, out=yt2)
+        yt2 += y
+        yt2 += 1
+        yt2 *= y
+        np.multiply(tz, 2, out=zt2)
+        zt2 += z
+        zt2 += 1
+        zt2 *= z
+        tz *= z
+        np.multiply(z, z, out=z2)
+        np.multiply(t_sum, paired, out=t_paired)
+        t_sum *= count
+        np.multiply(left_empty, count, out=empty_left)
+        np.multiply(terms[11:], paired * prev_empty, out=terms[7:11])
+        added = np.add.reduceat(terms, starts, axis=1)
+        added[11:] -= added[7:11]
+        self.sums[4:19, r_src[starts]] += added
 
     def report(self) -> tuple[MetricsReport, list[ReceptionStats]]:
         """The run's metrics and per-source reception statistics, from its sums."""
@@ -624,7 +656,7 @@ def _attempts(config: SimConfig, run: _Run) -> None:
 
     start = 0
     while start < horizon:
-        end, a_src, a_slot = run.arrival_span(start)
+        end, a_src, a_slot, _ = run.arrival_span(start)
         # the calendar: arrivals sorted by source, so a stable sort by slot
         # breaks ties by source; it ends with a sentinel, the span's end
         order = a_slot.argsort(kind="stable")
@@ -682,7 +714,7 @@ def _attempts(config: SimConfig, run: _Run) -> None:
 
         # an arrival that replaced the waiting update was not admitted
         at = order[replacing]
-        run.add_span(start, end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent))
+        run.add_span(end, np.delete(a_src, at), np.delete(a_slot, at), _by_source(sent))
         start = end
 
 
@@ -732,10 +764,13 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
 
     start = 0
     while start < horizon:
-        # a span copies the scheduled deliveries once, so it grows with them:
-        # the copying stays in proportion to the arrivals
-        end = min(start + run.span * max(1, scheduled.shape[1] // _BLOCK), horizon)
-        a_src, a_slot = run.arrivals(start, end)
+        if scheduled.shape[1]:
+            # a span copies the scheduled deliveries once, so it grows with
+            # them: the copying stays in proportion to the arrivals
+            end = min(start + run.span * max(1, scheduled.shape[1] // _BLOCK), horizon)
+            a_src, a_slot, (starts, ends) = run.arrivals(start, end)
+        else:
+            end, a_src, a_slot, (starts, ends) = run.arrival_span(start)
         if len(a_src):
             count = np.bincount(a_src, minlength=n)
             rank = np.arange(len(a_src)) - (np.cumsum(count) - count)[a_src]
@@ -763,59 +798,53 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
             taken = np.minimum(need, n_spare)
             spare = spare[np.arange(len(spare)) >= np.repeat(first_spare + taken, n_spare)]
             n_spare -= taken
-            first = _firsts(a_src)
-            v = (a_slot - a_src) // n - _previous(g_spent, first, a_src, spent)
-            v[first] = np.maximum(v[first], lag[a_src[first]])
+            v = (a_slot - a_src) // n - _previous(g_spent, starts, a_src, spent)
+            v[starts] = np.maximum(v[starts], lag[a_src[starts]])
             g_lag = np.maximum.accumulate(v + lift[a_src]) - lift[a_src]
-            last = _lasts(first)
-            spent[a_src[last]] = g_spent[last]
-            lag[a_src[last]] = g_lag[last]
+            spent[a_src[ends]] = g_spent[ends]
+            lag[a_src[ends]] = g_lag[ends]
             given = np.array((a_src, a_slot, a_src + n * (g_spent + g_lag)))
             given = np.concatenate((scheduled, given.compress(given[2] < horizon, axis=1)), axis=1)
             # a stable sort by source, so a source's new deliveries follow its scheduled ones
             scheduled = given.take(given[0].argsort(kind="stable"), axis=1)
         due = scheduled[2] < end
-        run.add_span(start, end, a_src, a_slot, scheduled.compress(due, axis=1))
+        run.add_span(end, a_src, a_slot, scheduled.compress(due, axis=1))
         scheduled = scheduled.compress(~due, axis=1)
         start = end
 
 
-def _firsts(src: np.ndarray) -> np.ndarray:
-    """Where each source's run starts in ``src``, an array sorted by source."""
-    first = np.empty(len(src), bool)
-    first[:1] = True
-    np.not_equal(src[1:], src[:-1], out=first[1:])
-    return first
-
-
-def _lasts(first: np.ndarray) -> np.ndarray:
-    """Where each source's run ends, given where each starts."""
-    last = np.empty_like(first)
-    last[:-1] = first[1:]
-    last[-1:] = True
-    return last
+def _runs(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each source's run in ``src``, an array sorted by source, starts and where it ends."""
+    edge = np.empty(len(src) + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(src[1:], src[:-1], out=edge[1:-1])
+    bounds = edge.nonzero()[0]
+    return bounds[:-1], bounds[1:] - 1
 
 
 def _previous(
-    values: np.ndarray, first: np.ndarray, src: np.ndarray, carried: np.ndarray
+    values: np.ndarray, starts: np.ndarray, src: np.ndarray, carried: np.ndarray
 ) -> np.ndarray:
     """Each value's predecessor of the same source, along the last axis.
 
-    A source's first value takes the source's entry of ``carried``.
+    A source's first value, at its run's start, takes the source's entry of
+    ``carried``.
     """
     prev = np.empty_like(values)
     prev[..., 1:] = values[..., :-1]
-    prev[..., first] = carried[..., src[first]]
+    prev[..., starts] = carried[..., src[starts]]
     return prev
 
 
 def _add_by_source(
-    totals: np.ndarray, src: np.ndarray, first: np.ndarray, *rows: np.ndarray
+    totals: np.ndarray, src: np.ndarray, starts: np.ndarray, rows: np.ndarray
 ) -> None:
-    """Add row j's values into ``totals[j]``, by source; ``src`` is sorted."""
+    """Add row j of ``rows`` into ``totals[j]``, by source.
+
+    ``src`` is sorted by source, and its runs start at ``starts``.
+    """
     if len(src):
-        starts = first.nonzero()[0]
-        totals[:, src[starts]] += np.add.reduceat(np.array(rows), starts, axis=1)
+        totals[:, src[starts]] += np.add.reduceat(rows, starts, axis=1)
 
 
 def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:

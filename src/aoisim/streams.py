@@ -32,6 +32,7 @@ change which values are drawn, only when.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left
 from functools import cache, lru_cache
 
@@ -182,7 +183,8 @@ class UniformStream:
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
-        self._below: list[int] = []  # positions in the block of draws below _below_p
+        # positions in the block of draws below _below_p, 8 bytes each
+        self._below = array("q")
         self._below_p: float | None = None
         # index into _below of the first position >= _idx whenever that
         # position is >= _idx (_idx only grows within a block)
@@ -238,7 +240,8 @@ class UniformStream:
             if self._idx == self._end:
                 self._refill(limit - skipped)
             if self._below_p != p:
-                self._below = (self._buf < p).nonzero()[0].tolist()
+                below = (self._buf < p).nonzero()[0].astype(np.int64, copy=False)
+                self._below = array("q", below.tobytes())
                 self._below_p = p
                 self._next = 0
             i = self._idx

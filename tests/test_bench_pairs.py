@@ -16,7 +16,7 @@ SPEC = [
 ]
 
 
-def stdout(rate: float, p50: float, failed: int = 0) -> str:
+def stdout(rate: float, p50: float, failed: int = 0, reps: int = 40) -> str:
     """A benchmark run's stdout: report lines, then the JSON result line."""
     result = {
         "correct": not failed,
@@ -27,7 +27,10 @@ def stdout(rate: float, p50: float, failed: int = 0) -> str:
             "run_s.p50": {"value": p50, "unit": "s"},
         },
     }
-    return f"workload            rr_n100\nfail_frac           {failed}/10\n{json.dumps(result)}\n"
+    return (
+        f"workload            rr_n100\nfail_frac           {failed}/10\n"
+        f"replications        {reps}\ntraced replications 3\n{json.dumps(result)}\n"
+    )
 
 
 def row(lines: list[str], name: str) -> list[str]:
@@ -76,3 +79,26 @@ def test_fewer_than_one_pair_exits_two_before_the_export(monkeypatch, capsys) ->
     monkeypatch.setattr(bench_pairs, "export", no_export)
     assert bench_pairs.main(["--base", "HEAD", "--workload", "rr_n100", "--pairs", "0"]) == 2
     assert capsys.readouterr().err == "error: --pairs must be >= 1, got 0\n"
+
+
+def test_replication_counts_are_reported_next_to_the_metrics() -> None:
+    # a run lasts a fixed time, so a faster change makes more replications,
+    # and what the benchmark keeps per replication shows in peak_rss_mb
+    pairs = [
+        (bench_pairs.parse_result(stdout(1.0e7, 0.01, reps=b)),
+         bench_pairs.parse_result(stdout(1.2e7, 0.01, reps=c)))
+        for b, c in [(100, 120), (110, 130), (90, 125), (105, 135)]
+    ]
+    assert pairs[0][0]["replications"] == 100
+    lines, ok = bench_pairs.summarize(pairs, SPEC)
+    assert ok
+    # statistics.quantiles' default method on [90, 100, 105, 110]: q1 92.5, q3 108.75
+    assert row(lines, "replications") == [
+        "replications", "102.5", "[92.5,", "108.75]", "127.5", "[121.25,", "133.75]", "1.2439",
+    ]
+    # a run that reports no replication count leaves the row without a pair
+    bare = bench_pairs.parse_result(stdout(1.0e7, 0.01).replace("replications        40\n", ""))
+    assert "replications" not in bare
+    lines, ok = bench_pairs.summarize([(bare, pairs[0][1])], SPEC)
+    assert ok
+    assert row(lines, "replications") == ["replications", "no", "complete", "pair"]

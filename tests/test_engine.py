@@ -99,6 +99,32 @@ def engine_folds(trace: list[tuple[int, int, bool]]) -> list[ReceptionStats]:
     return folds
 
 
+def engine_occupancy(
+    traces: list[tuple[list[int], list[tuple[int, int]]]], horizon: int, warmup: int
+) -> list[list[tuple[dict[int, float], int]]]:
+    """The engine's occupancy of sources given as traces of their arrivals and deliveries.
+
+    Each trace is the source's arrival slots and its ``(gen, delivery
+    slot)`` pairs.  One result per split of the run into two spans, the
+    first ending at slot 1, 2, ..., ``horizon - 1``: each source's
+    ``occupancy_hist`` and ``in_system_at_end``.
+    """
+    arrivals = np.array([(i, a) for i, (slots, _) in enumerate(traces) for a in slots], np.int64)
+    deliveries = np.array(
+        [(i, gen, d) for i, (_, sent) in enumerate(traces) for gen, d in sent], np.int64
+    )
+    splits = []
+    for cut in range(1, horizon):
+        run = engine._Run(config(n_sources=len(traces), lambdas=(0.5,) * len(traces),
+                                 horizon=horizon, warmup=warmup))
+        for start, end in ((0, cut), (cut, horizon)):
+            a = arrivals[(start <= arrivals[:, 1]) & (arrivals[:, 1] < end)]
+            d = deliveries[(start <= deliveries[:, 2]) & (deliveries[:, 2] < end)]
+            run.add_span(end, a[:, 0], a[:, 1], d.T)
+        splits.append([(m.occupancy_hist, m.in_system_at_end) for m in run.report()[0].per_source])
+    return splits
+
+
 class TestEstimators:
     def test_constant_trace(self) -> None:
         # gen 0, 2, 4, ..., each received one slot later: Y=2, T=1, Z=2 every
@@ -220,6 +246,31 @@ class TestAccounting:
         assert at_warmup.in_system_at_end > 0
         assert m.generated + at_warmup.in_system_at_end == m.delivered + m.dropped + m.in_system_at_end
 
+    def test_occupancy_does_not_depend_on_where_spans_split(self) -> None:
+        # a slot's arrivals come before its deliveries, and each source's
+        # level carries from span to span: source 0 has an arrival and a
+        # delivery together in slot 6, the first span's last for one split,
+        # and in slot 11, the run's last; the warm-up boundary, slot 3, lies
+        # inside the first span or the second
+        horizon, warmup = 12, 3
+        traces = [
+            ([0, 1, 4, 6, 10, 11], [(0, 3), (1, 5), (4, 6), (6, 9), (10, 11)]),
+            ([3, 5, 7], [(3, 5), (7, 10)]),
+        ]
+        expected = []
+        for slots, sent in traces:
+            # each window slot by the updates that arrived, and were not
+            # delivered, before it
+            level = Counter(
+                sum(a < s for a in slots) - sum(d < s for _, d in sent)
+                for s in range(warmup, horizon)
+            )
+            window = horizon - warmup
+            expected.append(({o: c / window for o, c in sorted(level.items())},
+                             len(slots) - len(sent)))
+        assert expected[0] == ({0: 1 / 9, 1: 6 / 9, 2: 2 / 9}, 1)
+        assert engine_occupancy(traces, horizon, warmup) == [expected] * (horizon - 1)
+
     def test_interarrival_moments(self) -> None:
         lam = 0.3
         r = dedicated_channel_run(QueueParams(lam, 0.8), Discipline.FIFO, horizon=200_000, seed=7)
@@ -318,6 +369,28 @@ class TestWork:
         assert delivered > 500
         assert resolves == 0
         assert 0 < skips <= delivered + 1
+
+    def test_sparse_fifo_round_robin_merges_empty_spans(self, monkeypatch) -> None:
+        # a span with no arrivals and no deliveries due merges into the
+        # next, so a source at lambda 1e-5 pays the accounting of about
+        # one span per update, not of all 62 spans of its million slots;
+        # the run is the attempt path's, which merges them too
+        c = config(lambdas=(1e-5,), discipline=Discipline.FIFO, horizon=1_000_000, seed=4,
+                   channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5,)))
+        spans = 0
+        add_span = engine._Run.add_span
+
+        def counting(self, *args) -> None:
+            nonlocal spans
+            spans += 1
+            add_span(self, *args)
+
+        monkeypatch.setattr(engine._Run, "add_span", counting)
+        kernel = run_with_logs(c)
+        generated = kernel[0].per_source[0].generated
+        assert 5 <= generated and spans <= 2 * generated + 1
+        monkeypatch.setattr(engine, "_fifo_round_robin", engine._attempts)
+        assert repr(run_with_logs(c)) == repr(kernel)
 
     def test_fifo_round_robin_takes_its_draws_block_wise(self, monkeypatch, stream_draws) -> None:
         # FIFO round robin takes arrival and channel draws only through

@@ -136,6 +136,24 @@ def test_skip_to_below_limit() -> None:
     assert s.skip_to_below(0.5, 0) == 0
 
 
+def test_skip_to_below_caches_eight_bytes_per_position() -> None:
+    # a skip caches the block's positions below p; at p = 0.9 that is about
+    # 14,700 of a 16,384-draw block, which a list of ints would hold at
+    # about 36 bytes each.  The cache answers the later skips, the same as
+    # drawing one value at a time.
+    fast = UniformStream(6, (2, 2))
+    slow = UniformStream(6, (2, 2))
+    for limit in [_BLOCK] + [1000] * 200:
+        taken = 0
+        while taken < limit and not slow.uniform() < 0.9:
+            taken += 1
+        assert fast.skip_to_below(0.9, limit) == taken
+        positions = len(fast._below)
+        assert positions > 14_000
+        # 8 bytes a position, and the array's growth slack of an eighth
+        assert sys.getsizeof(fast._below) <= 9 * positions + 128
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     p=st.one_of(st.just(1.0), st.floats(0.001, 0.9)),

@@ -11,10 +11,12 @@ drift of the host's speed weighs on both sides alike.
 For every end-to-end metric of the working tree's ``BENCHMARK.json`` it
 prints the base and change medians with their quartiles [q1, q3], the
 change/base ratio of the medians, and in how many pairs the change was
-better; then the failed-check counts of each side.  It exits non-zero if any
-run failed a check or gave no result.  Standard library only; it writes only
-to the temporary directory and to ``.perfbench_work/``, where the working
-tree's benchmark keeps its files.
+better; then the same for the number of replications each run made (its
+``replications`` line), since a run lasts a fixed time and what it keeps
+grows with its replications; then the failed-check counts of each side.
+It exits non-zero if any run failed a check or gave no result.  Standard
+library only; it writes only to the temporary directory and to
+``.perfbench_work/``, where the working tree's benchmark keeps its files.
 """
 from __future__ import annotations
 
@@ -30,7 +32,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_result(stdout: str) -> dict | None:
-    """The JSON object on the last line of a benchmark run's stdout, if any."""
+    """The JSON object on the last line of a benchmark run's stdout, if any.
+
+    The run's replication count, from its ``replications`` line, is added
+    as ``"replications"`` when the run reports one.
+    """
     lines = stdout.strip().splitlines()
     if not lines:
         return None
@@ -38,7 +44,13 @@ def parse_result(stdout: str) -> dict | None:
         result = json.loads(lines[-1])
     except json.JSONDecodeError:
         return None
-    return result if isinstance(result, dict) and "metrics" in result else None
+    if not (isinstance(result, dict) and "metrics" in result):
+        return None
+    for line in lines:
+        words = line.split()
+        if len(words) == 2 and words[0] == "replications" and words[1].isdigit():
+            result["replications"] = int(words[1])
+    return result
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -61,20 +73,14 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: list[dict]) ->
     complete = [(b, c) for b, c in pairs if b is not None and c is not None]
     for metric in spec:
         name = metric["name"]
-        base = [b["metrics"][name]["value"] for b, _ in complete]
-        change = [c["metrics"][name]["value"] for _, c in complete]
-        if not complete:
-            lines.append(f"{name:<20} no complete pair")
-            continue
-        higher = metric["better"] == "higher"
-        wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
-        bq1, bmed, bq3 = quartiles(base)
-        cq1, cmed, cq3 = quartiles(change)
-        ratio = f"{cmed / bmed:.4f}" if bmed else "n/a"
-        lines.append(
-            f"{name:<20} {f'{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]':<40} "
-            f"{f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {ratio:>11}  {wins}/{len(complete)}"
-        )
+        lines.append(_row(
+            name,
+            [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in complete],
+            metric["better"] == "higher",
+        ))
+    counted = [(b["replications"], c["replications"]) for b, c in complete
+               if "replications" in b and "replications" in c]
+    lines.append(_row("replications", counted, None))
     ok = True
     for side, results in (("base", [b for b, _ in pairs]), ("change", [c for _, c in pairs])):
         done = [r for r in results if r is not None]
@@ -87,6 +93,28 @@ def summarize(pairs: list[tuple[dict | None, dict | None]], spec: list[dict]) ->
         )
         ok = ok and not failed and not missing
     return lines, ok
+
+
+def _row(name: str, pairs: list[tuple[float, float]], higher: bool | None) -> str:
+    """A report line of (base, change) values: both medians [q1, q3] and their ratio.
+
+    When ``higher`` says which way is better, the line ends with the
+    change's wins.
+    """
+    if not pairs:
+        return f"{name:<20} no complete pair"
+    base, change = (list(side) for side in zip(*pairs))
+    bq1, bmed, bq3 = quartiles(base)
+    cq1, cmed, cq3 = quartiles(change)
+    ratio = f"{cmed / bmed:.4f}" if bmed else "n/a"
+    line = (
+        f"{name:<20} {f'{bmed:.6g} [{bq1:.6g}, {bq3:.6g}]':<40} "
+        f"{f'{cmed:.6g} [{cq1:.6g}, {cq3:.6g}]':<40} {ratio:>11}"
+    )
+    if higher is None:
+        return line
+    wins = sum((c > b) if higher else (c < b) for b, c in pairs)
+    return f"{line}  {wins}/{len(pairs)}"
 
 
 def export(rev: str, dest: Path) -> None:
