@@ -628,28 +628,28 @@ def validation_rows(config: SimConfig, tolerances: dict[str, float]) -> list[Che
     else:
         refs = replacement_values(params)
 
-    report, (rx,) = run_with_logs(config)
+    report, sums = run_with_logs(config)
     m = report.per_source[0]
-    e, b = rx.after_empty, rx.after_busy
-    gaps = e.count + b.count
+    rx = {name: column[0] for name, column in sums.items()}
+    gaps = rx["empty_count"] + rx["busy_count"]
     sims = {
         "avg_aoi": m.avg_aoi,
         **{f"occupancy_pi{n}": m.occupancy_hist.get(n, 0.0) for n in range(3)},
         "mean_system_time": m.mean_system_time,
         "mean_interarrival": m.mean_interarrival,
         "mean_interarrival_sq": m.mean_interarrival_sq,
-        "gap_mean_after_empty": mean_or_nan(e.z_sum, e.count),
-        "gap_mean_after_busy": mean_or_nan(b.z_sum, b.count),
-        "gap_sq_after_empty": mean_or_nan(e.z2_sum, e.count),
-        "gap_sq_after_busy": mean_or_nan(b.z2_sum, b.count),
-        "gap_mean": mean_or_nan(e.z_sum + b.z_sum, gaps),
-        "gap_sq": mean_or_nan(e.z2_sum + b.z2_sum, gaps),
-        "system_time_after_empty": mean_or_nan(e.t_sum, e.count),
-        "system_time_after_busy": mean_or_nan(b.t_sum, b.count),
-        "system_time_gap_cross": mean_or_nan(rx.tz_sum, gaps),
+        "gap_mean_after_empty": mean_or_nan(rx["empty_z_sum"], rx["empty_count"]),
+        "gap_mean_after_busy": mean_or_nan(rx["busy_z_sum"], rx["busy_count"]),
+        "gap_sq_after_empty": mean_or_nan(rx["empty_z2_sum"], rx["empty_count"]),
+        "gap_sq_after_busy": mean_or_nan(rx["busy_z2_sum"], rx["busy_count"]),
+        "gap_mean": mean_or_nan(rx["empty_z_sum"] + rx["busy_z_sum"], gaps),
+        "gap_sq": mean_or_nan(rx["empty_z2_sum"] + rx["busy_z2_sum"], gaps),
+        "system_time_after_empty": mean_or_nan(rx["empty_t_sum"], rx["empty_count"]),
+        "system_time_after_busy": mean_or_nan(rx["busy_t_sum"], rx["busy_count"]),
+        "system_time_gap_cross": mean_or_nan(rx["tz_sum"], gaps),
         "drop_prob": m.empirical_drop_prob,
         "effective_rate": m.empirical_effective_rate,
-        "leave_empty_prob": mean_or_nan(rx.left_empty, rx.count),
+        "leave_empty_prob": mean_or_nan(rx["left_empty"], rx["count"]),
         "estimator_yt": m.estimator_yt,
         "estimator_zt": m.estimator_zt,
     }

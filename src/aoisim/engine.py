@@ -48,7 +48,10 @@ deliveries through the delay stage (it never feeds back into the access
 point) and on to the reception sums and the age area at the monitor point.
 An arrival that replaces the waiting update is not admitted, so a run's
 drops are its arrivals less its admitted ones; under FIFO every arrival is
-admitted.  The paths keep no statistics of their own.
+admitted.  The paths keep no statistics of their own.  The sums are one
+table, a row per name in ``_SUMS`` and a column per source, which
+``run_with_logs`` returns by name; ``_Run.report`` computes each metric
+from it as a column over the sources.
 
 Steps 1 and 6 are kept as sums, with work in proportion to a span's
 events rather than to N.  For the occupancy histogram a span merges its
@@ -66,10 +69,11 @@ slot-by-slot loop would, so results are the same at every seed.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from operator import itemgetter
+from itertools import chain
+from operator import sub
 
 import numpy as np
 
@@ -90,8 +94,6 @@ from .streams import _BLOCK, SourceStreams
 __all__ = [
     "MeasurePoint",
     "SimConfig",
-    "GapSums",
-    "ReceptionStats",
     "SourceMetrics",
     "MetricsReport",
     "mean_or_nan",
@@ -169,45 +171,6 @@ class SimConfig:
         return MeasurePoint.DESTINATION if self.network_k is not None else MeasurePoint.AP
 
 
-@dataclass(slots=True)
-class GapSums:
-    """Sums over the inter-reception gaps Z that share one condition."""
-
-    count: int = 0
-    z_sum: int = 0
-    z2_sum: int = 0
-    t_sum: int = 0  # system time of the reception that closes each gap
-
-
-@dataclass(slots=True)
-class ReceptionStats:
-    """Sums over one source's receptions at the monitor point in the window.
-
-    The engine adds them with array operations, a span of receptions at a
-    time (``_Run._fold``), and builds this record once, at the run's end.  A
-    reception at the access point is a delivery, and it left the queue empty
-    when nothing was left behind at the end of its slot (arrivals of that
-    slot included); a reception at the destination never counts as leaving
-    it empty.  Every reception after the window's first closes a gap with
-    interarrival gap Y, system time T, inter-reception gap Z and previous
-    system time T₋; these are the terms of the age-area decomposition (Kaul,
-    Yates & Gruteser, "Real-time status: How often should one update?",
-    INFOCOM 2012).  Each sum is an integer, so the statistics derived from
-    them are exact up to one final division, and the memory used does not
-    grow with the horizon.
-    """
-
-    count: int = 0
-    t_sum: int = 0
-    yt2_sum: int = 0  # sum of 2YT + Y² + Y, twice the age area of each gap
-    zt2_sum: int = 0  # sum of 2T₋Z + Z² + Z
-    tz_sum: int = 0  # sum of T₋Z
-    left_empty: int = 0  # receptions that left the queue empty
-    # gaps split by whether the reception that opened them left the queue empty
-    after_empty: GapSums = field(default_factory=GapSums)
-    after_busy: GapSums = field(default_factory=GapSums)
-
-
 def mean_or_nan(total: int, count: int) -> float:
     """``total / count``, or NaN when there is nothing to average."""
     return total / count if count else _NAN
@@ -263,8 +226,33 @@ def _service_share(config: SimConfig, i: int) -> float:
     return att / n
 
 
-def run_with_logs(config: SimConfig) -> tuple[MetricsReport, list[ReceptionStats]]:
-    """Run one simulation, returning metrics and the per-source reception statistics."""
+def run_with_logs(config: SimConfig) -> tuple[MetricsReport, dict[str, list[int]]]:
+    """Run one simulation, returning its metrics and its sums by name, one int per source.
+
+    The sums count the window only.  ``generated``, ``delivered`` and
+    ``admitted`` count arrivals, deliveries and the arrivals that replaced
+    no waiting update; ``y_count``, ``y_sum`` and ``y2_sum`` the
+    interarrival gaps and their moments; ``informative`` and ``obsolete``
+    the delay stage's receptions.  The rest sum over the receptions at the
+    monitor point: ``base_area`` the rise of the newest generation times
+    the window slots from the reception on (the age area is the window's
+    ``slot + 1`` summed, less it).
+    A reception at the access point is a delivery, and it left the queue
+    empty when nothing was left behind at the end of its slot (arrivals of
+    that slot included); a reception at the destination never does.  Every
+    reception after the window's first closes a gap with interarrival gap
+    Y, system time T, inter-reception gap Z and previous system time T₋,
+    the terms of the age-area decomposition (Kaul, Yates & Gruteser,
+    "Real-time status: How often should one update?", INFOCOM 2012):
+    ``count`` and ``t_sum`` count the receptions and sum T, ``yt2_sum`` sums
+    2YT + Y² + Y (twice each gap's age area), ``zt2_sum`` 2T₋Z + Z² + Z,
+    ``tz_sum`` T₋Z and ``left_empty`` counts the receptions that left the
+    queue empty.  ``empty_count``, ``empty_z_sum``, ``empty_z2_sum`` and
+    ``empty_t_sum`` count the gaps opened by such a reception and sum their
+    Z, Z² and closing T; the ``busy_`` four do so for the other gaps.  Each
+    sum is an integer, so what is derived from them is exact up to one
+    final division, and their memory does not grow with the horizon.
+    """
     config.validate()
     run = _Run(config)
     if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
@@ -286,9 +274,9 @@ _MIN_STREAM_BLOCK = 1 << 8
 
 # A run's tallies per source, by row.  _Run.arrivals adds the first four:
 # the window's arrivals, interarrival count, sum and sum of squares.
-# _Run._fold adds the next fifteen: the window's summed newest generation
-# at the monitor point, then ReceptionStats' sums, "empty" and "busy" being
-# its after_empty and after_busy.  _Run._receive counts the window's
+# _Run._fold adds the next fifteen: the window's age area term and the
+# reception sums, "empty" and "busy" the gaps after an empty and a busy
+# queue (run_with_logs names them all).  _Run._receive counts the window's
 # informative and obsolete delay-stage receptions, and _Run.add_span the
 # window's deliveries and admitted arrivals (those that replaced no waiting
 # update).
@@ -536,73 +524,58 @@ class _Run:
         added[11:] -= added[7:11]
         self.sums[4:19, r_src[starts]] += added
 
-    def report(self) -> tuple[MetricsReport, list[ReceptionStats]]:
-        """The run's metrics and per-source reception statistics, from its sums."""
+    def report(self) -> tuple[MetricsReport, dict[str, list[int]]]:
+        """The run's metrics, and its sums by ``_SUMS`` name, one Python int per source.
+
+        Each metric is computed as a column over the sources from the sums
+        as Python ints, so every quotient is correctly rounded.
+        """
         config = self.config
         horizon = config.horizon
         warmup = config.warmup
         window = horizon - warmup
         # the window's ages, were nothing ever received: slot + 1 summed over it
         total_age = (horizon * (horizon + 1) - warmup * (warmup + 1)) // 2
-        total = dict(zip(_SUMS, self.sums.tolist()))
-        # each source's GapSums fields, after an empty and after a busy queue
-        gaps = [
-            list(zip(*(total[f"{kind}_{name}"] for name in GapSums.__slots__)))
-            for kind in ("empty", "busy")
-        ]
-        stats = []
-        per_source = []
-        for i, (in_system, hist) in enumerate(zip(self.occ.tolist(), self.occupancy)):
-            rx = ReceptionStats(
-                count=total["count"][i],
-                t_sum=total["t_sum"][i],
-                yt2_sum=total["yt2_sum"][i],
-                zt2_sum=total["zt2_sum"][i],
-                tz_sum=total["tz_sum"][i],
-                left_empty=total["left_empty"][i],
-                after_empty=GapSums(*gaps[0][i]),
-                after_busy=GapSums(*gaps[1][i]),
-            )
-            stats.append(rx)
-            generated = total["generated"][i]
-            delivered = total["delivered"][i]
-            dropped = generated - total["admitted"][i]
-            y_count = total["y_count"][i]
-            if rx.count >= 2:
-                # both estimates scale the mean age area per gap by the
-                # empirical reception rate
-                rate = rx.count / window
-                k = rx.count - 1
-                est_yt = rate * (rx.yt2_sum / 2) / k
-                est_zt = rate * (rx.zt2_sum / 2) / k
-            else:
-                est_yt = est_zt = _NAN
-            per_source.append(
-                SourceMetrics(
-                    source_id=i,
-                    avg_aoi=(total_age - total["base_area"][i]) / window,
-                    generated=generated,
-                    delivered=delivered,
-                    dropped=dropped,
-                    in_system_at_end=in_system,
-                    informative=total["informative"][i],
-                    obsolete=total["obsolete"][i],
-                    empirical_drop_prob=dropped / generated if generated else 0.0,
-                    empirical_effective_rate=delivered / window,
-                    occupancy_hist={o: c / window for o, c in sorted(hist.items()) if c},
-                    estimator_yt=est_yt,
-                    estimator_zt=est_zt,
-                    mean_system_time=mean_or_nan(rx.t_sum, rx.count),
-                    mean_interarrival=mean_or_nan(total["y_sum"][i], y_count),
-                    mean_interarrival_sq=mean_or_nan(total["y2_sum"][i], y_count),
-                    stability_warning=(
-                        config.discipline is Discipline.FIFO
-                        and config.lambdas[i] >= _service_share(config, i) - 1e-12
-                    ),
-                )
-            )
-        report = MetricsReport(config=config, window=window, per_source=tuple(per_source))
-        return report, stats
+        sums = dict(zip(_SUMS, self.sums.tolist()))
+        count = sums["count"]
+        generated = sums["generated"]
+        delivered = sums["delivered"]
+        dropped = list(map(sub, generated, sums["admitted"]))
+        y_count = sums["y_count"]
+        fifo = config.discipline is Discipline.FIFO
+        # the columns in the order of SourceMetrics' fields
+        per_source = tuple(map(
+            SourceMetrics,
+            range(config.n_sources),
+            [(total_age - area) / window for area in sums["base_area"]],
+            generated,
+            delivered,
+            dropped,
+            self.occ.tolist(),
+            sums["informative"],
+            sums["obsolete"],
+            [d / g if g else 0.0 for d, g in zip(dropped, generated)],
+            [d / window for d in delivered],
+            [{o: c / window for o, c in sorted(hist.items()) if c} for hist in self.occupancy],
+            [_estimate(area, k, window) for area, k in zip(sums["yt2_sum"], count)],
+            [_estimate(area, k, window) for area, k in zip(sums["zt2_sum"], count)],
+            list(map(mean_or_nan, sums["t_sum"], count)),
+            list(map(mean_or_nan, sums["y_sum"], y_count)),
+            list(map(mean_or_nan, sums["y2_sum"], y_count)),
+            [
+                fifo and lam >= _service_share(config, i) - 1e-12
+                for i, lam in enumerate(config.lambdas)
+            ],
+        ))
+        return MetricsReport(config=config, window=window, per_source=per_source), sums
+
+
+def _estimate(area2: int, count: int, window: int) -> float:
+    """An age estimate from twice the age area of a source's gaps: NaN below two receptions.
+
+    The mean age area per gap, scaled by the empirical reception rate.
+    """
+    return count / window * (area2 / 2) / (count - 1) if count >= 2 else _NAN
 
 
 def _attempts(config: SimConfig, run: _Run) -> None:
@@ -849,7 +822,8 @@ def _add_by_source(
 
 def _by_source(sent: list[tuple[int, int, int]]) -> np.ndarray:
     """Deliveries (source, gen, slot) listed in slot order, as rows, sorted by source."""
-    return np.array(sorted(sent, key=itemgetter(0)), np.int64).reshape(-1, 3).T
+    rows = np.fromiter(chain.from_iterable(sent), np.int64, 3 * len(sent)).reshape(-1, 3).T
+    return rows.take(rows[0].argsort(kind="stable"), axis=1)
 
 
 def run(config: SimConfig) -> MetricsReport:

@@ -9,8 +9,9 @@ rule, ``DelayStage``, ``DestState`` and ``deliver_due``, a slot-wise delay
 stage that sorts each slot's receptions, ``DeliveryLog`` and
 ``sample_path_estimators``, which keep every reception and compute the two
 area-decomposition estimates from the whole trace, and ``ReceptionFold`` and
-``fold_trace``, which add a trace's reception sums one reception at a time.
-Only the tests import it.
+``fold_trace``, which add a trace's reception sums one reception at a time,
+by the names ``RECEPTION_SUMS`` of the engine's sums.  Only the tests
+import it.
 """
 from __future__ import annotations
 
@@ -20,10 +21,8 @@ from typing import Iterable, Sequence
 
 from aoisim.access import ChannelKind, PolicyKind, grant, resolve
 from aoisim.engine import (
-    GapSums,
     MeasurePoint,
     MetricsReport,
-    ReceptionStats,
     SimConfig,
     SourceMetrics,
     _service_share,
@@ -117,6 +116,14 @@ class DeliveryLog:
     left_empty: list[bool] = field(default_factory=list)
 
 
+# the sums over a source's receptions, by the names aoisim.engine.run_with_logs gives them
+RECEPTION_SUMS = (
+    "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
+    "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
+    "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
+)
+
+
 @dataclass
 class ReceptionFold:
     """A source's reception sums, added one reception at a time.
@@ -127,46 +134,47 @@ class ReceptionFold:
     ``mark_left_empty`` when that delivery left the source queue empty.
     """
 
-    stats: ReceptionStats = field(default_factory=ReceptionStats)
+    sums: dict[str, int] = field(default_factory=lambda: dict.fromkeys(RECEPTION_SUMS, 0))
     last_gen: int = 0
     last_recv: int = 0
     last_left_empty: bool = False
 
     def add(self, gen: int, recv: int) -> None:
-        stats = self.stats
+        sums = self.sums
         t = recv - gen
-        if stats.count:
+        if sums["count"]:
             y = gen - self.last_gen
             z = recv - self.last_recv
             t_prev = self.last_recv - self.last_gen
-            stats.yt2_sum += (2 * t + y + 1) * y
-            stats.zt2_sum += (2 * t_prev + z + 1) * z
-            stats.tz_sum += t_prev * z
-            gaps: GapSums = stats.after_empty if self.last_left_empty else stats.after_busy
-            gaps.count += 1
-            gaps.z_sum += z
-            gaps.z2_sum += z * z
-            gaps.t_sum += t
-        stats.count += 1
-        stats.t_sum += t
+            sums["yt2_sum"] += (2 * t + y + 1) * y
+            sums["zt2_sum"] += (2 * t_prev + z + 1) * z
+            sums["tz_sum"] += t_prev * z
+            # the gap's sums, by whether the reception that opened it left the queue empty
+            gaps = "empty_" if self.last_left_empty else "busy_"
+            sums[gaps + "count"] += 1
+            sums[gaps + "z_sum"] += z
+            sums[gaps + "z2_sum"] += z * z
+            sums[gaps + "t_sum"] += t
+        sums["count"] += 1
+        sums["t_sum"] += t
         self.last_gen = gen
         self.last_recv = recv
         self.last_left_empty = False
 
     def mark_left_empty(self) -> None:
         """The latest reception left the source queue empty."""
-        self.stats.left_empty += 1
+        self.sums["left_empty"] += 1
         self.last_left_empty = True
 
 
-def fold_trace(trace: Iterable[tuple[int, int, bool]]) -> ReceptionStats:
-    """The reception sums of ``(gen, recv, left empty)`` triples, in reception order."""
+def fold_trace(trace: Iterable[tuple[int, int, bool]]) -> dict[str, int]:
+    """The reception sums of ``(gen, recv, left empty)`` triples, in reception order, by name."""
     fold = ReceptionFold()
     for gen, recv, left_empty in trace:
         fold.add(gen, recv)
         if left_empty:
             fold.mark_left_empty()
-    return fold.stats
+    return fold.sums
 
 
 def sample_path_estimators(log: DeliveryLog, window: int) -> tuple[float, float]:

@@ -99,9 +99,9 @@ def replacement_run():
         ChannelConfig(ChannelKind.ERASURE, service_probs=(REFERENCE.mu,)),
         DEDICATED_HORIZON, REPLACEMENT_SEED,
     )
-    report, stats = run_with_logs(config)
+    report, sums = run_with_logs(config)
     _register("dedicated replacement", report)
-    return config, report, stats[0]
+    return config, report, {name: column[0] for name, column in sums.items()}
 
 
 @pytest.fixture(scope="module")
@@ -383,12 +383,11 @@ def test_criterion_4_replacement_dedicated_run(replacement_run, capsys) -> None:
         if abs(sim - ref) > 0.005:
             failures.append(f"occupancy pi{n} {sim:.4f} vs {ref:.4f} beyond 0.005")
 
-    e, b = rx.after_empty, rx.after_busy
     conditional = (
-        ("gap mean after empty", e.z_sum / e.count, 7.0),
-        ("gap mean after busy", b.z_sum / b.count, 2.0),
-        ("gap second moment after empty", e.z2_sum / e.count, 71.0),
-        ("gap second moment after busy", b.z2_sum / b.count, 6.0),
+        ("gap mean after empty", rx["empty_z_sum"] / rx["empty_count"], 7.0),
+        ("gap mean after busy", rx["busy_z_sum"] / rx["busy_count"], 2.0),
+        ("gap second moment after empty", rx["empty_z2_sum"] / rx["empty_count"], 71.0),
+        ("gap second moment after busy", rx["busy_z2_sum"] / rx["busy_count"], 6.0),
     )
     for name, sim, ref in conditional:
         if _rel(sim, ref) > 0.02:

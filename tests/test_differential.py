@@ -23,22 +23,24 @@ import reference_engine
 from aoisim import engine
 from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.cli import build_sim_config, main
-from aoisim.engine import MeasurePoint, ReceptionStats, SimConfig
+from aoisim.engine import MeasurePoint, SimConfig
 from aoisim.queueing import Discipline
 from aoisim.streams import _BLOCK, Role, UniformStream
 
 
-def stats_of_trace(log: reference_engine.DeliveryLog) -> ReceptionStats:
+def stats_of_trace(log: reference_engine.DeliveryLog) -> dict[str, int]:
     """Fold a reference reception trace, left-empty marks included, one reception at a time."""
     marks = log.left_empty or [False] * len(log.gen_slots)
     return reference_engine.fold_trace(zip(log.gen_slots, log.recv_slots, marks))
 
 
 def assert_same_run(config: SimConfig) -> None:
-    report, stats = engine.run_with_logs(config)
+    report, sums = engine.run_with_logs(config)
     ref_report, ref_logs = reference_engine.run_with_logs(config)
     assert repr(report) == repr(ref_report)
-    assert stats == [stats_of_trace(log) for log in ref_logs]
+    folds = [stats_of_trace(log) for log in ref_logs]
+    for name in reference_engine.RECEPTION_SUMS:
+        assert sums[name] == [fold[name] for fold in folds], name
     # the reference marks every delivery at the access point, or none
     for log in ref_logs:
         assert len(log.left_empty) in (0, len(log.gen_slots))

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from aoisim import engine
 from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.analytic import QueueParams
 from aoisim.engine import (
-    GapSums,
     MeasurePoint,
-    ReceptionStats,
     SimConfig,
     dedicated_channel_run,
     run,
@@ -78,11 +77,16 @@ class TestCalibrationTraces:
         c = config(lambdas=(0.7,), horizon=5000)
         _, logs = reference_engine.run_with_logs(c)
         assert all(r > g for g, r in zip(logs[0].gen_slots, logs[0].recv_slots))
-        _, stats = run_with_logs(c)
-        assert stats[0].count == len(logs[0].gen_slots) > 0
+        _, sums = run_with_logs(c)
+        assert sums["count"][0] == len(logs[0].gen_slots) > 0
 
 
-def engine_folds(trace: list[tuple[int, int, bool]]) -> list[ReceptionStats]:
+def gaps(sums: dict[str, int], kind: str) -> list[int]:
+    """The count, Z, Z² and T sums of the gaps after an ``"empty"`` or a ``"busy"`` queue."""
+    return [sums[f"{kind}_{name}"] for name in ("count", "z_sum", "z2_sum", "t_sum")]
+
+
+def engine_folds(trace: list[tuple[int, int, bool]]) -> list[dict[str, int]]:
     """The engine's array fold of one source's ``(gen, recv, left empty)`` trace.
 
     One result per split of the trace into two spans, the first holding
@@ -95,7 +99,8 @@ def engine_folds(trace: list[tuple[int, int, bool]]) -> list[ReceptionStats]:
         run = engine._Run(config(horizon=horizon))  # nothing received yet
         for part in (rows[:k], rows[k:]):
             run._fold(part.reshape(-1, 4).T)
-        folds.append(run.report()[1][0])
+        sums = run.report()[1]
+        folds.append({name: sums[name][0] for name in reference_engine.RECEPTION_SUMS})
     return folds
 
 
@@ -132,23 +137,23 @@ class TestEstimators:
         trace = [(2 * j, 2 * j + 1, j % 3 == 0) for j in range(50)]
         stats = reference_engine.fold_trace(trace)
         # 49 gaps; those opened by deliveries 0, 3, ..., 48 follow an empty queue
-        assert stats == ReceptionStats(
+        assert stats == dict(
             count=50,
             t_sum=50,
             yt2_sum=49 * (2 * 2 * 1 + 2 * 2 + 2),
             zt2_sum=49 * (2 * 1 * 2 + 2 * 2 + 2),
             tz_sum=49 * 2,
             left_empty=17,
-            after_empty=GapSums(count=17, z_sum=34, z2_sum=68, t_sum=17),
-            after_busy=GapSums(count=32, z_sum=64, z2_sum=128, t_sum=32),
+            empty_count=17, empty_z_sum=34, empty_z2_sum=68, empty_t_sum=17,
+            busy_count=32, busy_z_sum=64, busy_z2_sum=128, busy_t_sum=32,
         )
         assert engine_folds(trace) == [stats] * 51
         # two saturated sources under round robin produce that trace after a
         # two-slot warm-up; both decompositions give the per-slot age 2.5
         c = config(n_sources=2, lambdas=(1.0, 1.0), horizon=100, warmup=2)
-        report, run_stats = run_with_logs(c)
-        rx = run_stats[0]
-        assert (rx.count, rx.t_sum, rx.yt2_sum, rx.zt2_sum) == (49, 49, 48 * 10, 48 * 10)
+        report, sums = run_with_logs(c)
+        names = ("count", "t_sum", "yt2_sum", "zt2_sum")
+        assert [sums[name][0] for name in names] == [49, 49, 48 * 10, 48 * 10]
         m = report.per_source[0]
         assert m.estimator_yt == m.estimator_zt == m.avg_aoi == 2.5
 
@@ -157,25 +162,25 @@ class TestEstimators:
         trace = [(0, 2, True), (3, 4, False), (5, 9, True), (10, 11, False)]
         stats = reference_engine.fold_trace(trace)
         assert engine_folds(trace) == [stats] * 5
-        assert stats.count == 4 and stats.left_empty == 2
-        assert stats.t_sum == 2 + 1 + 4 + 1
-        assert stats.yt2_sum == (2 * 1 + 3 + 1) * 3 + (2 * 4 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5
-        assert stats.zt2_sum == (2 * 2 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5 + (2 * 4 + 2 + 1) * 2
-        assert stats.tz_sum == 2 * 2 + 1 * 5 + 4 * 2
-        assert stats.after_empty == GapSums(count=2, z_sum=4, z2_sum=8, t_sum=2)
-        assert stats.after_busy == GapSums(count=1, z_sum=5, z2_sum=25, t_sum=4)
+        assert stats["count"] == 4 and stats["left_empty"] == 2
+        assert stats["t_sum"] == 2 + 1 + 4 + 1
+        assert stats["yt2_sum"] == (2 * 1 + 3 + 1) * 3 + (2 * 4 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5
+        assert stats["zt2_sum"] == (2 * 2 + 2 + 1) * 2 + (2 * 1 + 5 + 1) * 5 + (2 * 4 + 2 + 1) * 2
+        assert stats["tz_sum"] == 2 * 2 + 1 * 5 + 4 * 2
+        assert gaps(stats, "empty") == [2, 4, 8, 2]
+        assert gaps(stats, "busy") == [1, 5, 25, 4]
 
     def test_needs_two_deliveries(self) -> None:
         # a lone reception closes no gap, so neither estimate exists
         trace = [(3, 4, True)]
         stats = reference_engine.fold_trace(trace)
         assert engine_folds(trace) == [stats] * 2
-        assert stats.after_empty == stats.after_busy == GapSums()
-        assert stats.yt2_sum == stats.zt2_sum == stats.tz_sum == 0
+        assert gaps(stats, "empty") == gaps(stats, "busy") == [0, 0, 0, 0]
+        assert stats["yt2_sum"] == stats["zt2_sum"] == stats["tz_sum"] == 0
         # a single update at slot 0, delivered in slot 1, and nothing after it
         c = config(lambdas=(1.0,), horizon=2)
-        _, run_stats = run_with_logs(c)
-        assert run_stats[0].count == 1
+        _, sums = run_with_logs(c)
+        assert sums["count"] == [1]
         m = run(c).per_source[0]
         assert math.isnan(m.estimator_yt) and math.isnan(m.estimator_zt)
         assert m.mean_system_time == 1.0
@@ -270,6 +275,25 @@ class TestAccounting:
                              len(slots) - len(sent)))
         assert expected[0] == ({0: 1 / 9, 1: 6 / 9, 2: 2 / 9}, 1)
         assert engine_occupancy(traces, horizon, warmup) == [expected] * (horizon - 1)
+
+    def test_report_quotients_are_exact_past_two_to_the_53(self) -> None:
+        # 2**55 + 1 is no float64, so dividing its rounding by 3 misses the
+        # correctly rounded quotient by one unit in the last place; a run
+        # past 2**30 slots keeps its sums as Python ints, and building one
+        # draws nothing.  A window of 3 slots makes the age area's quotient
+        # the same one
+        num, den = 2**55 + 1, 3
+        assert np.float64(num) / den != float(Fraction(num, den))
+        horizon = 2**40
+        c = config(horizon=horizon, warmup=horizon - den)
+        run = engine._Run(c)
+        total_age = (horizon * (horizon + 1) - c.warmup * (c.warmup + 1)) // 2
+        for name, value in (("count", den), ("t_sum", num), ("y_count", den), ("y_sum", num),
+                            ("base_area", total_age - num)):
+            run.sums[engine._ROW[name], 0] = value
+        m = run.report()[0].per_source[0]
+        exact = float(Fraction(num, den))
+        assert m.mean_system_time == m.mean_interarrival == m.avg_aoi == exact
 
     def test_interarrival_moments(self) -> None:
         lam = 0.3

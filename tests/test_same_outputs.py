@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from aoisim.cli import build_sim_config
 from aoisim.engine import MeasurePoint
@@ -34,10 +36,34 @@ def test_configs_are_valid_and_cover_every_path_and_feature() -> None:
 
 def test_outputs_of_one_config(tmp_path) -> None:
     doc = same_outputs.random_configs(1, seed=5)[0] | {"horizon": 300, "warmup": 0}
-    report, stats, csv = same_outputs.outputs(doc, tmp_path)
-    assert report.startswith("MetricsReport(") and stats.startswith("[ReceptionStats(")
+    report, sums, csv = same_outputs.outputs(doc, tmp_path)
+    assert report.startswith("MetricsReport(")
+    assert list(json.loads(sums)) == list(same_outputs.RECEPTION_SUMS)
     assert csv.startswith("source_id,")
-    assert [report, stats, csv] == same_outputs.outputs(doc, tmp_path)
+    assert [report, sums, csv] == same_outputs.outputs(doc, tmp_path)
+
+
+def test_reception_sums_by_name_and_from_the_older_records_agree() -> None:
+    # two sources' sums, by name, and as the per-source records of revisions
+    # before the sums were returned by name, gaps split into after_empty and after_busy
+    names = same_outputs.RECEPTION_SUMS
+    by_name = {name: [j, 100 + j] for j, name in enumerate(names)} | {"generated": [7, 8]}
+
+    def record(i: int) -> SimpleNamespace:
+        gaps = {
+            kind: SimpleNamespace(**{
+                field: by_name[f"{kind}_{field}"][i] for field in ("count", "z_sum", "z2_sum", "t_sum")
+            })
+            for kind in ("empty", "busy")
+        }
+        return SimpleNamespace(
+            **{name: by_name[name][i] for name in names[:6]},
+            after_empty=gaps["empty"], after_busy=gaps["busy"],
+        )
+
+    sums = same_outputs.reception_sums(by_name)
+    assert sums == same_outputs.reception_sums([record(0), record(1)])
+    assert json.loads(sums) == {name: by_name[name] for name in names}
 
 
 def test_first_difference_names_the_config_and_the_output() -> None:

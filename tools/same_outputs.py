@@ -9,9 +9,12 @@ without a delay stage and a measure point, warm-up, silent and saturated
 sources, and horizons short, long and just across a span end.  Each tree
 runs every config in a process of its own, with its own ``src`` first on
 the path, and gives three outputs per config: the ``repr`` of the
-``MetricsReport``, the ``repr`` of the ``ReceptionStats`` list and the bytes
-``aoisim simulate`` writes.  The tool prints the number of configs that
-differ and exits 1 naming the first of them, or 0 when none does.
+``MetricsReport``, the run's reception sums by name as JSON and the bytes
+``aoisim simulate`` writes.  A tree's ``run_with_logs`` returns its sums by
+name, or, in revisions before it did, a list of per-source records whose
+``after_empty.z_sum`` is the sum named ``empty_z_sum`` and so on.  The
+tool prints the number of configs that differ and exits 1 naming the
+first of them, or 0 when none does.
 Standard library only; it writes only to the temporary directory.
 """
 from __future__ import annotations
@@ -27,10 +30,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _BLOCK = 16_384  # slots per stream block: the longest span of a run
-OUTPUTS = ("report", "stats", "simulate csv")
+OUTPUTS = ("report", "reception sums", "simulate csv")
 POLICIES = ("round_robin", "work_conserving", "random_access")
 DISCIPLINES = ("fifo", "replacement")
 CHANNELS = ("perfect", "erasure", "collision")
+RECEPTION_SUMS = (
+    "count", "t_sum", "yt2_sum", "zt2_sum", "tz_sum", "left_empty",
+    "empty_count", "empty_z_sum", "empty_z2_sum", "empty_t_sum",
+    "busy_count", "busy_z_sum", "busy_z2_sum", "busy_t_sum",
+)
 
 
 def _rate(rng: random.Random) -> float:
@@ -98,17 +106,35 @@ def random_configs(count: int, seed: int) -> list[dict]:
     return [random_config(rng, j) for j in range(count)]
 
 
+def reception_sums(sums) -> str:
+    """The reception sums by name, one int per source, as JSON.
+
+    ``sums`` is what ``run_with_logs`` returns next to the report: the sums
+    by name, or, from older revisions, a list of per-source records.
+    """
+    if isinstance(sums, dict):
+        return json.dumps({name: sums[name] for name in RECEPTION_SUMS})
+    named = {}
+    for name in RECEPTION_SUMS:
+        kind, _, field = name.partition("_")
+        if kind in ("empty", "busy"):
+            named[name] = [getattr(getattr(rx, f"after_{kind}"), field) for rx in sums]
+        else:
+            named[name] = [getattr(rx, name) for rx in sums]
+    return json.dumps(named)
+
+
 def outputs(doc: dict, tmp: Path) -> list[str]:
     """The three outputs of one config, from the ``aoisim`` on the path."""
     from aoisim import cli, engine
 
     config = cli.build_sim_config(doc)
-    report, stats = engine.run_with_logs(config)
+    report, sums = engine.run_with_logs(config)
     cfg, csv = tmp / "config.json", tmp / "out.csv"
     cfg.write_text(json.dumps(doc))
     code = cli.main(["simulate", "--config", str(cfg), "--out", str(csv)])
     written = csv.read_text() if code == 0 else f"exit {code}"
-    return [repr(report), repr(stats), written]
+    return [repr(report), reception_sums(sums), written]
 
 
 def first_difference(base: list[list[str]], change: list[list[str]]) -> tuple[int, str] | None:
