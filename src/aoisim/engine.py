@@ -89,7 +89,7 @@ from .analytic import QueueParams
 from .errors import ConfigError
 from .netdelay import DelayStage, deliver_due
 from .queueing import Discipline, SourceQueue
-from .streams import _BLOCK, SourceStreams
+from .streams import _BLOCK, Role, run_streams
 
 __all__ = [
     "MeasurePoint",
@@ -304,7 +304,15 @@ class _Run:
         horizon = config.horizon
         self.config = config
         block = min(_BLOCK, max(_MIN_STREAM_BLOCK, _STREAM_BUDGET // n))
-        self.streams = [SourceStreams(config.seed, i, horizon, block) for i in range(n)]
+        # the roles a source can draw: only a source with arrivals transmits
+        shared = [Role.ACCESS] * (config.policy.kind is PolicyKind.RANDOM_ACCESS)
+        shared += [Role.DELAY] * (config.network_k is not None)
+        roles = [
+            [Role.ARRIVAL, *[Role.CHANNEL] * (config.channel.attempt_prob(i) < 1.0), *shared]
+            if lam > 0.0 else []
+            for i, lam in enumerate(config.lambdas)
+        ]
+        self.streams = run_streams(config.seed, horizon, block, roles)
         self.stage = (
             DelayStage(config.network_k, self.streams) if config.network_k is not None else None
         )

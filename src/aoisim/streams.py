@@ -6,129 +6,105 @@ SeedSequence spawn keys give, ``PCG64(SeedSequence(entropy=seed & (2**64 - 1),
 spawn_key=key))``, so adding sources or roles never perturbs the draws of
 existing streams, and the same key always reproduces the same sequence.
 
-The state is derived without a SeedSequence per stream.  A SeedSequence with
-a spawn key pads the seed's (at most two) 32-bit words with zeros to its
-4-word pool, hashes them into the pool, mixes every pool word into every
-other, then mixes each 32-bit word of the key into every pool word; the
-PCG64 state is 8 words hashed out of the pool.  Everything before the key
-depends on the seed alone and equals ``SeedSequence(seed & (2**64 - 1)).pool``,
-since an unkeyed SeedSequence hashes zeros in place of the padding.  So the
-run seed's pool is taken once and cached, and each stream only mixes in its
-key's words, continuing SeedSequence's sequence of hash constants, hashes out
-the state and hands it to ``PCG64`` through numpy's ``ISeedSequence``
-interface.  ``numpy.random`` is imported at the first draw, not at import.
+No SeedSequence is built per stream.  A SeedSequence with a spawn key pads
+the seed's (at most two) 32-bit words with zeros to its 4-word pool, hashes
+them into the pool, mixes every pool word into every other, then mixes each
+32-bit word of the key into every pool word; the PCG64 state is 8 words
+hashed out of the pool.  Everything before the key depends on the seed alone
+and equals ``SeedSequence(seed & (2**64 - 1)).pool``, since an unkeyed
+SeedSequence hashes zeros in place of the padding.  So the seed's pool is
+taken once and cached, and ``_states`` derives the states of many keys in one
+pass on uint32 arrays (which wrap as SeedSequence's arithmetic does), pool
+words as rows and keys as columns, continuing SeedSequence's hash constants.
+It returns them as the rows of one C-contiguous table, since ``PCG64`` reads
+a state's 4 words through a raw pointer.  A run derives the states of all the
+streams it can use in one call (``run_streams``); any other stream derives
+its own at its first draw.  ``numpy.random`` is imported at the first
+derivation, not at import.
 
 A source builds a role's stream on first use.  A stream builds its generator
 and draws its first block of uniforms on first use, so a source's unused
-roles cost nothing; a first use that says how many draws it may take
-(``skip_to_below``, ``take_below``, ``geometric``) draws no more than that.  Later blocks
-hold ``block`` values, ``_BLOCK`` unless the stream is made with fewer; a
-take of more than a block past the block's end is drawn whole and not kept.
-A stream made for a run of known horizon draws no more than ``horizon``
-values in all, its last block holding what is left: no stream takes more
-than one draw per slot, so a run never needs more.  Block sizes never
-change which values are drawn, only when.
+roles draw nothing; a first use that says how many draws it may take
+(``skip_to_below``, ``take_below``, ``geometric``) draws no more than that.
+Later blocks hold ``block`` values, ``_BLOCK`` unless the stream is made
+with fewer; a take of more than a block past the block's end is drawn whole
+and not kept.  A stream made for a run of known horizon draws no more than
+``horizon`` values in all, its last block holding what is left: no stream
+takes more than one draw per slot, so a run never needs more.  Block sizes
+never change which values are drawn, only when.
 """
 from __future__ import annotations
 
 import math
 from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from functools import cache, lru_cache
 
 import numpy as np
 
-__all__ = ["Role", "UniformStream", "SourceStreams"]
+__all__ = ["Role", "UniformStream", "SourceStreams", "run_streams"]
 
 _BLOCK = 1 << 14
 _U32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
 
-# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx); 0-d uint32 arrays
+# where they meet arrays: numpy takes them faster than scalars, and as uint32 in any version
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
-_MIX_L = 0xCA01F9DD
-_MIX_R = 0x4973F715
+_MIX_L = np.array(0xCA01F9DD, np.uint32)
+_MIX_R = np.array(0x4973F715, np.uint32)
+_XSHIFT = np.array(16, np.uint32)
 _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 
 
-def _hash_constants(h: int, mult: int, count: int) -> tuple[int, ...]:
-    """(xor, multiply) constant pairs, flat, of ``count`` successive hashes from ``h``."""
-    out = []
-    for _ in range(count):
-        nxt = h * mult & _U32
-        out += (h, nxt)
-        h = nxt
-    return tuple(out)
-
-
-# Word j of a key: the constants that mix it into pool words 0..3, filled in
-# on first use.  The key's hashes continue after the pool's 4 + 4 * 3.
-_KEY_HASH: dict[int, tuple[int, ...]] = {}
-# generate_state's constants for the 8 state words, hashed from pool words 0..3, 0..3
-_OUT_HASH = _hash_constants(_INIT_B, _MULT_B, 8)
+@cache
+def _hashes(h: int, mult: int, skip: int, count: int, shape: tuple) -> tuple[np.ndarray, ...]:
+    """Xor and multiply constants of ``count`` hashes from ``h`` after ``skip``, in ``shape``."""
+    consts = [h * pow(mult, skip + i, 1 << 32) & _U32 for i in range(count + 1)]
+    consts = np.array(consts, np.uint32)
+    return consts[:-1].reshape(shape), consts[1:].reshape(shape)
 
 
 @lru_cache(maxsize=64)
-def _seed_pool(entropy: int) -> tuple[int, ...]:
-    """A seed's SeedSequence pool: its 4 words before any spawn key is mixed in."""
-    return tuple(np.random.SeedSequence(entropy).pool.tolist())
+def _seed_pool(entropy: int) -> np.ndarray:
+    """A seed's SeedSequence pool, as a column: its 4 words before any spawn key is mixed in."""
+    return np.random.SeedSequence(entropy).pool.reshape(4, 1)
 
 
-def _generator(seed: int, key: tuple[int, ...]) -> np.random.Generator:
-    """``Generator(PCG64(SeedSequence(entropy=seed & _U64, spawn_key=key)))``."""
-    pcg64, generator, state = _numpy_random()
-    p0, p1, p2, p3 = _seed_pool(seed & _U64)
-    M, L, R = _U32, _MIX_L, _MIX_R
-    j = 0
-    for v in key:
-        if v < 0:
-            raise ValueError(f"spawn key elements must be non-negative: {key}")
-        while True:  # v's 32-bit words, lowest first; 0 is one word
-            row = _KEY_HASH.get(j)
-            if row is None:
-                h = _INIT_A * pow(_MULT_A, 16 + 4 * j, 1 << 32) & M
-                row = _KEY_HASH[j] = _hash_constants(h, _MULT_A, 4)
-            x0, m0, x1, m1, x2, m2, x3, m3 = row
-            # for each pool word d: hash w with the next constants, mix it into p_d
-            w = v & M
-            x = (w ^ x0) * m0 & M
-            r = (L * p0 - R * (x ^ x >> 16)) & M
-            p0 = r ^ r >> 16
-            x = (w ^ x1) * m1 & M
-            r = (L * p1 - R * (x ^ x >> 16)) & M
-            p1 = r ^ r >> 16
-            x = (w ^ x2) * m2 & M
-            r = (L * p2 - R * (x ^ x >> 16)) & M
-            p2 = r ^ r >> 16
-            x = (w ^ x3) * m3 & M
-            r = (L * p3 - R * (x ^ x >> 16)) & M
-            p3 = r ^ r >> 16
-            j += 1
-            v >>= 32
-            if not v:
-                break
-    # generate_state(4, uint64): 8 hashed words, paired little-endian
-    x0, m0, x1, m1, x2, m2, x3, m3, x4, m4, x5, m5, x6, m6, x7, m7 = _OUT_HASH
-    s0 = (p0 ^ x0) * m0 & M
-    s1 = (p1 ^ x1) * m1 & M
-    s2 = (p2 ^ x2) * m2 & M
-    s3 = (p3 ^ x3) * m3 & M
-    s4 = (p0 ^ x4) * m4 & M
-    s5 = (p1 ^ x5) * m5 & M
-    s6 = (p2 ^ x6) * m6 & M
-    s7 = (p3 ^ x7) * m7 & M
-    words = np.array(
-        [
-            s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32,
-            s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32,
-            s4 ^ s4 >> 16 | (s5 ^ s5 >> 16) << 32,
-            s6 ^ s6 >> 16 | (s7 ^ s7 >> 16) << 32,
-        ],
-        np.uint64,
-    )
-    return generator(pcg64(state(words)))
+def _states(seed: int, keys: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """The PCG64 seed states of ``keys`` under ``seed``, one row of 4 uint64 words per key.
+
+    Row k is ``SeedSequence(seed & _U64, spawn_key=keys[k]).generate_state(4,
+    np.uint64)``, its 4 words side by side, as ``PCG64`` reads them.  The
+    keys must have equally many 32-bit words.
+    """
+    elements = [v for key in keys for v in key]
+    if min(elements, default=0) < 0:
+        raise ValueError(f"spawn key elements must be non-negative, got {min(elements)}")
+    if max(elements, default=0) > _U32:  # each element's 32-bit words, lowest first
+        keys = [[v >> s & _U32 for v in k for s in range(0, v.bit_length() or 1, 32)] for k in keys]
+    table = np.array(keys, np.uint32, ndmin=2).T  # word j of key k at [j, k]
+    # every word hashed for every pool word at once, [j, d, k] for pool word d,
+    # with the hashes that follow the pool's 4 + 4 * 3
+    xor, mult = _hashes(_INIT_A, _MULT_A, 16, 4 * len(table), (len(table), 4, 1))
+    hashed = (table[:, None, :] ^ xor) * mult
+    hashed ^= hashed >> _XSHIFT
+    hashed *= _MIX_R
+    pool = _seed_pool(seed & _U64)
+    for j in range(len(hashed)):
+        pool = _MIX_L * pool - hashed[j]
+        pool ^= pool >> _XSHIFT
+    # generate_state(4, uint64): 8 words hashed from pool words 0..3, 0..3, paired
+    # little-endian; word 4a + d of key k at [k, a, d]
+    xor, mult = _hashes(_INIT_B, _MULT_B, 0, 8, (2, 4))
+    states = np.empty((len(keys), 2, 4), "<u4")
+    np.bitwise_xor(pool.T[:, None, :], xor, out=states)
+    states *= mult
+    states ^= states >> _XSHIFT
+    return states.reshape(-1, 8).view("<u8").astype(np.uint64, copy=False)
 
 
 @cache
@@ -138,7 +114,7 @@ def _numpy_random():
     from numpy.random.bit_generator import ISeedSequence
 
     class _State(ISeedSequence):
-        """A PCG64 seed state derived in advance: 4 uint64 words."""
+        """A PCG64 seed state derived in advance: 4 contiguous uint64 words."""
 
         __slots__ = ("words",)
 
@@ -169,22 +145,24 @@ class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
     __slots__ = (
-        "_seed", "_key", "_left", "_block", "_gen", "_buf", "_idx", "_end", "_below", "_below_p",
-        "_next",
+        "_seed", "_key", "_state", "_left", "_block", "_gen", "_buf", "_idx", "_end", "_below",
+        "_below_p", "_next",
     )
 
     def __init__(
-        self, seed: int, key: tuple[int, ...], horizon: int | None = None, block: int = _BLOCK
+        self, seed: int, key: tuple[int, ...], horizon: int | None = None, block: int = _BLOCK,
+        state: np.ndarray | None = None,
     ):
         self._seed = seed
         self._key = key
+        self._state = state  # the key's row of _states, or None to derive it at the first draw
         self._left = horizon  # values the stream may still draw; None: no bound
         self._block = block  # values drawn at a time
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
-        # positions in the block of draws below _below_p, 8 bytes each
-        self._below = array("q")
+        # positions in the block of draws below _below_p: an array("q") per block, 8 bytes each
+        self._below: Sequence[int] = ()
         self._below_p: float | None = None
         # index into _below of the first position >= _idx whenever that
         # position is >= _idx (_idx only grows within a block)
@@ -201,7 +179,9 @@ class UniformStream:
         """The generator's next ``size`` values, or as many as the stream has left."""
         gen = self._gen
         if gen is None:
-            gen = self._gen = _generator(self._seed, self._key)
+            state = self._state if self._state is not None else _states(self._seed, [self._key])[0]
+            pcg64, generator, seed_state = _numpy_random()
+            gen = self._gen = generator(pcg64(seed_state(state)))
         left = self._left
         if left is not None:
             if not left:
@@ -305,27 +285,45 @@ class SourceStreams:
     """The independent streams one source consumes during a run.
 
     Each role's stream (``arrival``, ``channel``, ``access``, ``delay``) is
-    built on first use.  Given the run's ``horizon``, each stream draws at
-    most ``horizon`` values; each draws ``block`` values at a time.
+    built on first use, with its state from ``states`` (by key) when that
+    holds it.  Given the run's ``horizon``, each stream draws at most
+    ``horizon`` values; each draws ``block`` values at a time.
     """
 
     __slots__ = (
-        "_seed", "_source_id", "_horizon", "_block", "arrival", "channel", "access", "delay"
+        "_seed", "_source_id", "_horizon", "_block", "_states", "arrival", "channel", "access",
+        "delay",
     )
 
     def __init__(
-        self, seed: int, source_id: int, horizon: int | None = None, block: int = _BLOCK
+        self, seed: int, source_id: int, horizon: int | None = None, block: int = _BLOCK,
+        states: dict[tuple[int, int], np.ndarray] | None = None,
     ):
         self._seed = seed
         self._source_id = source_id
         self._horizon = horizon
         self._block = block
+        self._states = states or {}
 
     def __getattr__(self, name: str) -> UniformStream:
         # reached only while a role's slot is unset: build its stream there
         role = _ROLES.get(name)
         if role is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        stream = UniformStream(self._seed, (self._source_id, role), self._horizon, self._block)
+        key = (self._source_id, role)
+        stream = UniformStream(self._seed, key, self._horizon, self._block, self._states.get(key))
         setattr(self, name, stream)
         return stream
+
+
+def run_streams(
+    seed: int, horizon: int, block: int, roles: Sequence[Sequence[int]]
+) -> list[SourceStreams]:
+    """A run's streams: one ``SourceStreams`` per source, source i able to use ``roles[i]``.
+
+    The states of all those streams are derived in one ``_states`` call; a
+    stream of another role derives its own at its first draw.
+    """
+    keys = [(i, role) for i, used in enumerate(roles) for role in used]
+    states = dict(zip(keys, _states(seed, keys)))
+    return [SourceStreams(seed, i, horizon, block, states) for i in range(len(roles))]

@@ -16,10 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aoisim
-from aoisim import engine
+from aoisim import engine, streams
 from aoisim.access import ChannelConfig, ChannelKind, PolicyConfig, PolicyKind
 from aoisim.queueing import Discipline
 from aoisim.streams import _BLOCK, Role, SourceStreams, UniformStream
+
+
+def spawn_key_state(seed: int, key: tuple[int, ...]) -> list[int]:
+    ss = np.random.SeedSequence(seed & (2**64 - 1), spawn_key=key)
+    return ss.generate_state(4, np.uint64).tolist()
 
 
 @pytest.mark.parametrize("key", [(0, 0), (7, 3), (2**32 - 1, 1), (2**32, 2)])
@@ -33,6 +38,81 @@ def test_draws_equal_the_spawn_key_generator(seed: int, key: tuple[int, ...]) ->
     assert [stream.uniform() for _ in range(_BLOCK + 500)] == expected.tolist()
     with pytest.raises(RuntimeError):
         stream.uniform()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1])
+def test_one_batched_derivation_equals_the_spawn_key_states(seed: int) -> None:
+    """One call derives what SeedSequence does for every key, at the seeds above."""
+    keys = [(i, role) for i in range(300) for role in range(4)]
+    table = streams._states(seed, keys)
+    assert table.dtype == np.uint64 and table.shape == (len(keys), 4)
+    assert table.tolist() == [spawn_key_state(seed, key) for key in keys]
+    # elements of 2**32 and more take one more 32-bit word each, 0 takes one
+    wide = [(2**32, 2), (2**40 + 3, 0), (7, 2**63 + 1)]
+    assert streams._states(seed, wide).tolist() == [spawn_key_state(seed, key) for key in wide]
+
+
+def test_a_negative_key_element_is_refused() -> None:
+    with pytest.raises(ValueError):
+        streams._states(1, [(0, 0), (-1, 0)])
+    with pytest.raises(ValueError):
+        UniformStream(1, (3, -2)).uniform()
+
+
+def _config(n: int, policy: PolicyConfig, channel: ChannelConfig, **kw) -> engine.SimConfig:
+    return engine.SimConfig(
+        n_sources=n, lambdas=(0.05,) * n, discipline=Discipline.FIFO, policy=policy,
+        channel=channel, horizon=3000, seed=11, **kw,
+    )
+
+
+def test_streams_seeded_from_a_run_table_draw_what_streams_made_alone_draw() -> None:
+    # PCG64 reads a state's words through a raw pointer: a row that is not
+    # contiguous in the run's table would seed some other state
+    config = dataclasses.replace(
+        _config(
+            6,
+            PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.3,) * 6),
+            ChannelConfig(ChannelKind.ERASURE, service_probs=(0.5,) * 6),
+            network_k=0.2,
+        ),
+        lambdas=(0.05, 0.0, 0.1, 0.2, 0.3, 0.4),
+    )
+    run = engine._Run(config)
+    for i, source in enumerate(run.streams):
+        alone = SourceStreams(config.seed, i)
+        for role in ("arrival", "channel", "access", "delay"):
+            draws = [getattr(source, role).uniform() for _ in range(5)]
+            assert draws == [getattr(alone, role).uniform() for _ in range(5)], (i, role)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        _config(100, PolicyConfig(PolicyKind.ROUND_ROBIN), ChannelConfig(ChannelKind.PERFECT)),
+        _config(
+            10,
+            PolicyConfig(PolicyKind.RANDOM_ACCESS, access_probs=(0.15,) * 10),
+            ChannelConfig(ChannelKind.COLLISION),
+            network_k=0.1,
+        ),
+    ],
+    ids=["round_robin_100", "random_access_10_delay"],
+)
+def test_a_run_derives_its_stream_states_in_one_call(monkeypatch, config) -> None:
+    calls = []
+    derive = streams._states
+
+    def counting(seed, keys):
+        calls.append(len(keys))
+        return derive(seed, keys)
+
+    monkeypatch.setattr(streams, "_states", counting)
+    report = engine.run(config)
+    assert sum(m.delivered for m in report.per_source) > 0
+    n = config.n_sources
+    # arrivals on a perfect channel; arrivals, access and delay under random access
+    assert calls == [n if config.policy.kind is PolicyKind.ROUND_ROBIN else 3 * n]
 
 
 def test_round_robin_on_a_perfect_channel_builds_only_arrival_streams(monkeypatch) -> None:
