@@ -68,6 +68,7 @@ slot-by-slot loop would, so results are the same at every seed.
 """
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -303,7 +304,8 @@ class _Run:
         n = config.n_sources
         horizon = config.horizon
         self.config = config
-        block = min(_BLOCK, max(_MIN_STREAM_BLOCK, _STREAM_BUDGET // n))
+        # draws each stream buffers
+        self.block = block = min(_BLOCK, max(_MIN_STREAM_BLOCK, _STREAM_BUDGET // n))
         # the roles a source can draw: only a source with arrivals transmits
         shared = [Role.ACCESS] * (config.policy.kind is PolicyKind.RANDOM_ACCESS)
         shared += [Role.DELAY] * (config.network_k is not None)
@@ -592,23 +594,29 @@ def _attempts(config: SimConfig, run: _Run) -> None:
     Goes a span at a time: merges the span's arrivals by (slot, source) into
     a calendar, and visits the earlier of the next calendar slot and the
     next ``(slot, source)`` attempt on a heap.  A slot resolves its attempts
-    first; a round robin's are drawn to succeed.  A source still backlogged
-    after its attempt, or whose arrival finds its queue idle, then draws its
-    next attempt: under random access the first later slot whose access
-    draw is below q, one draw per slot; under round robin the owner's first
-    success over the slots it owns, since the failed attempts in between
-    change nothing but the draws.  An arrival in or after the first slot of
-    that service runs its ``begin_attempt`` first.  Work conserving draws
-    nothing: after the slot's arrivals ``grant`` puts the next slot's
-    attempt on the heap while any source is backlogged.  The span's admitted
-    arrivals and deliveries go to ``run.add_span``.
+    first.  A source still backlogged after its attempt, or whose arrival
+    finds its queue idle, then draws its next attempt from one stream:
+    under random access the first later slot whose access draw is below q,
+    one draw per slot; under round robin the owner's first channel success
+    over the slots it owns, since the failed attempts in between change
+    nothing but the draws.  So a round robin's attempt, at most one a slot,
+    always succeeds, and is delivered as it is popped.  An arrival in or
+    after the first slot of that service runs its ``begin_attempt`` first.
+    Work conserving draws nothing: after the slot's arrivals ``grant`` puts
+    the next slot's attempt on the heap while any source is backlogged.
+    The span's admitted arrivals and deliveries go to ``run.add_span``.
+
+    A source reads the positions below p of that stream's draws from a
+    table that ``take_below`` fills a run block at a time, never past the
+    draws the source may take; a service that starts after ``used`` draws
+    and ends at position s attempts s - used attempt slots after its start.
     """
     n = config.n_sources
     horizon = config.horizon
     streams = run.streams
+    block = run.block
     round_robin = config.policy.kind is PolicyKind.ROUND_ROBIN
     conserving = config.policy.kind is PolicyKind.WORK_CONSERVING
-    access_probs = config.policy.access_probs
     attempt_probs = [config.channel.attempt_prob(i) for i in range(n)]
     collision = config.channel.kind is ChannelKind.COLLISION
     queues = [SourceQueue(config.discipline, i) for i in range(n)]
@@ -618,20 +626,47 @@ def _attempts(config: SimConfig, run: _Run) -> None:
     attempts: list[tuple[int, int]] = []  # heap of (slot, source)
     backlogged = [False] * n  # whether a queue holds an update, under work conserving
     n_backlogged = 0
+    # the stream that decides a source's attempts, by p: the channel's
+    # under round robin (none where p is 1), the access stream's under
+    # random access; its attempt slots are `stride` apart, and it may take
+    # `most` draws
+    if round_robin:
+        probs, stride = attempt_probs, n
+        most = [(horizon - i + n - 1) // n for i in range(n)]
+    else:
+        probs, stride, most = config.policy.access_probs, 1, [horizon] * n
+    drawing = [not round_robin or p < 1.0 for p in attempt_probs]
+    # each source's positions below p in one block of its draws, last first
+    tables = [array("q")] * n
+    used = [0] * n  # draws its services have taken
+    drawn = [0] * n  # draws taken into its tables
+
+    def refill(i: int) -> array:
+        # the source's next block of draws with one below p; past its last
+        # draw, a position no service reaches
+        stream = streams[i].channel if round_robin else streams[i].access
+        while drawn[i] < most[i]:
+            count = min(block, most[i] - drawn[i])
+            hits = stream.take_below(probs[i], count).astype(np.int64, copy=False) + drawn[i]
+            drawn[i] += count
+            if len(hits):
+                return array("q", hits[::-1].tobytes())
+        return array("q", [used[i] + horizon])
 
     def schedule(i: int, after: int) -> None:
-        # the next service starts after slot `after`; with no attempt left
-        # before the horizon the source is never scheduled again
-        if round_robin:
-            begin = slot = after + 1 + (i - after - 1) % n  # the next slot i owns
-            p = attempt_probs[i]
-            if p < 1.0:
-                slot += n * streams[i].channel.skip_to_below(p, (horizon - 1 - begin) // n + 1)
-        else:
-            begin = slot = after + 1 + streams[i].access.skip_to_below(
-                access_probs[i], horizon - after - 1
-            )
-        begins[i] = begin
+        # the next service starts after slot `after`, under round robin in
+        # the next slot i owns; with no attempt left before the horizon the
+        # source is never scheduled again
+        begin = slot = after + 1 + (i - after - 1) % stride
+        if drawing[i]:
+            table = tables[i]
+            if not table:
+                tables[i] = table = refill(i)
+            s = table.pop()
+            slot += stride * (s - used[i])
+            used[i] = s + 1
+        # under random access a service's first attempt slot is its attempt
+        begins[i] = begin if round_robin else slot
         if slot < horizon:
             heappush(attempts, (slot, i))
 
@@ -654,23 +689,32 @@ def _attempts(config: SimConfig, run: _Run) -> None:
             if slot >= end:
                 break
 
-            granted = []
-            while attempts and attempts[0][0] == slot:
-                i = heappop(attempts)[1]
-                queues[i].begin_attempt()
-                begins[i] = horizon
-                granted.append(i)
-            if granted:
-                delivered = granted if round_robin else resolve(attempt_probs, granted, streams, collision)
-                for i in delivered:
-                    sent.append((i, queues[i].on_delivery(), slot))
-                for i in granted:
-                    if queues[i].in_system:
-                        if not conserving:
-                            schedule(i, slot)
-                    elif conserving:
-                        backlogged[i] = False
-                        n_backlogged -= 1
+            if round_robin:
+                if attempts and attempts[0][0] == slot:
+                    i = heappop(attempts)[1]
+                    q = queues[i]
+                    q.begin_attempt()
+                    begins[i] = horizon
+                    sent.append((i, q.on_delivery(), slot))
+                    if q.in_system:
+                        schedule(i, slot)
+            else:
+                granted = []
+                while attempts and attempts[0][0] == slot:
+                    i = heappop(attempts)[1]
+                    queues[i].begin_attempt()
+                    begins[i] = horizon
+                    granted.append(i)
+                if granted:
+                    for i in resolve(attempt_probs, granted, streams, collision):
+                        sent.append((i, queues[i].on_delivery(), slot))
+                    for i in granted:
+                        if queues[i].in_system:
+                            if not conserving:
+                                schedule(i, slot)
+                        elif conserving:
+                            backlogged[i] = False
+                            n_backlogged -= 1
 
             while cal_slots[ci] == slot:
                 i = cal_sources[ci]

@@ -25,19 +25,19 @@ derivation, not at import.
 A source builds a role's stream on first use.  A stream builds its generator
 and draws its first block of uniforms on first use, so a source's unused
 roles draw nothing; a first use that says how many draws it may take
-(``skip_to_below``, ``take_below``, ``geometric``) draws no more than that.
+(``take_below``, ``geometric``) draws no more than that.
 Later blocks hold ``block`` values, ``_BLOCK`` unless the stream is made
 with fewer; a take of more than a block past the block's end is drawn whole
 and not kept.  A stream made for a run of known horizon draws no more than
 ``horizon`` values in all, its last block holding what is left: no stream
 takes more than one draw per slot, so a run never needs more.  Block sizes
-never change which values are drawn, only when.
+never change which values are drawn, only when.  ``take_below`` returns
+the positions below p of many draws at once: a span's arrivals, and the
+channel and access successes from which the engine reads its attempts.
 """
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left
 from collections.abc import Sequence
 from functools import cache, lru_cache
 
@@ -144,10 +144,7 @@ _ROLES = {"arrival": Role.ARRIVAL, "channel": Role.CHANNEL, "access": Role.ACCES
 class UniformStream:
     """Buffered stream of U(0,1) draws on a dedicated substream."""
 
-    __slots__ = (
-        "_seed", "_key", "_state", "_left", "_block", "_gen", "_buf", "_idx", "_end", "_below",
-        "_below_p", "_next",
-    )
+    __slots__ = ("_seed", "_key", "_state", "_left", "_block", "_gen", "_buf", "_idx", "_end")
 
     def __init__(
         self, seed: int, key: tuple[int, ...], horizon: int | None = None, block: int = _BLOCK,
@@ -161,19 +158,12 @@ class UniformStream:
         self._gen: np.random.Generator | None = None
         self._buf: np.ndarray | None = None
         self._idx = self._end = 0
-        # positions in the block of draws below _below_p: an array("q") per block, 8 bytes each
-        self._below: Sequence[int] = ()
-        self._below_p: float | None = None
-        # index into _below of the first position >= _idx whenever that
-        # position is >= _idx (_idx only grows within a block)
-        self._next = 0
 
     def _refill(self, first_size: int = _BLOCK) -> None:
         size = self._block if self._gen is not None else min(first_size, self._block)
         self._buf = self._draw(size)
         self._idx = 0
         self._end = len(self._buf)
-        self._below_p = None
 
     def _draw(self, size: int) -> np.ndarray:
         """The generator's next ``size`` values, or as many as the stream has left."""
@@ -198,43 +188,6 @@ class UniformStream:
         i = self._idx
         self._idx = i + 1
         return self._buf.item(i)
-
-    def skip_to_below(self, p: float, limit: int) -> int:
-        """Take draws up to and including the first one below ``p``.
-
-        Takes at most ``limit`` draws and returns how many draws came before
-        the one below ``p``, or ``limit`` when none of them is.  Equivalent
-        to counting ``uniform() >= p`` calls, but one block at a time.
-        """
-        if self._below_p == p:  # fast path: the next hit is in this block
-            j = self._next
-            below = self._below
-            if j < len(below):
-                k = below[j] - self._idx
-                if 0 <= k < limit:
-                    self._idx += k + 1
-                    self._next = j + 1
-                    return k
-        skipped = 0
-        while skipped < limit:
-            if self._idx == self._end:
-                self._refill(limit - skipped)
-            if self._below_p != p:
-                below = (self._buf < p).nonzero()[0].astype(np.int64, copy=False)
-                self._below = array("q", below.tobytes())
-                self._below_p = p
-                self._next = 0
-            i = self._idx
-            below = self._below
-            j = bisect_left(below, i)
-            stop = min(self._end, i + limit - skipped)
-            if j < len(below) and below[j] < stop:
-                self._idx = below[j] + 1
-                self._next = j + 1
-                return skipped + below[j] - i
-            skipped += stop - i
-            self._idx = stop
-        return limit
 
     def take_below(self, p: float, count: int) -> np.ndarray:
         """Take the next ``count`` draws; return the positions of those below ``p``.

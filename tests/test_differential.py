@@ -217,6 +217,61 @@ def test_horizon_crossing_the_block_boundary(policy: PolicyConfig) -> None:
     assert_same_run(config)
 
 
+@st.composite
+def small_block_configs(draw) -> SimConfig:
+    """Attempt-path runs whose successes are rare enough to cross 256-draw blocks.
+
+    Round robin with packet management on an erasure or a thinned
+    collision channel, or random access under either discipline; μ or q
+    down to 0.05, and 0.003, where a block often holds no success.
+    """
+    n = draw(st.integers(1, 4))
+
+    def per_source(values):
+        return tuple(draw(st.lists(values, min_size=n, max_size=n)))
+
+    rare = st.one_of(st.just(0.003), st.floats(0.05, 0.6))
+    kind = draw(st.sampled_from(["erasure", "collision", "random_access"]))
+    if kind == "random_access":
+        policy = PolicyConfig(PolicyKind.RANDOM_ACCESS, per_source(rare))
+        channel = ChannelConfig(ChannelKind.COLLISION)
+        discipline = draw(st.sampled_from(list(Discipline)))
+    else:
+        policy = PolicyConfig(PolicyKind.ROUND_ROBIN)
+        channel = ChannelConfig(
+            ChannelKind(kind), success_probs=per_source(rare), collision_thinning=kind == "collision"
+        )
+        discipline = Discipline.REPLACEMENT
+    horizon = draw(st.integers(1000, 3000))
+    return SimConfig(
+        n_sources=n,
+        lambdas=per_source(st.floats(0.01, 0.5)),
+        discipline=discipline,
+        policy=policy,
+        channel=channel,
+        network_k=draw(st.one_of(st.none(), st.floats(0.2, 0.9))),
+        horizon=horizon,
+        seed=draw(st.integers(0, 2**32)),
+        warmup=draw(st.one_of(st.just(0), st.integers(0, horizon // 2))),
+    )
+
+
+@settings(
+    derandomize=True,
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_block_configs())
+def test_attempt_tables_refill_mid_run_and_mid_service(config: SimConfig) -> None:
+    # every stream block 256 draws, so the tables of positions below p
+    # that decide the attempts refill many times in a run, often within
+    # a service's failed attempts
+    with mock.patch.object(engine, "_STREAM_BUDGET", 1):
+        assert engine._Run(config).block == 256
+        assert_same_run(config)
+
+
 def test_unstable_fifo_backlog_crosses_blocks() -> None:
     # source 0 arrives faster than it is served, so its backlog, and under
     # round robin the deliveries already computed for it, carry from one

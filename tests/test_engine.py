@@ -362,37 +362,89 @@ class TestMemory:
         assert max(buffered) == 300
 
 
+    def test_random_access_of_1024_sources_peaks_below_70_mb(self) -> None:
+        # README's traced peak: each of 1,024 access streams buffers a
+        # block of 2,048 draws, and its source a table of the positions
+        # below q among them, 8 bytes each.  Tables refilled 16,384 draws
+        # at a time, whatever the block, peak at about 150 MB.
+        n = 1024
+        c = config(
+            n_sources=n,
+            lambdas=(2e-4,) * n,
+            policy=PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.9,) * n),
+            channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.99,) * n),
+            horizon=50_000,
+        )
+        tracemalloc.start()
+        try:
+            run(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70e6
+
+    @pytest.mark.parametrize(
+        "policy", [RR, PolicyConfig(PolicyKind.RANDOM_ACCESS, (0.3,) * 64)],
+        ids=["round_robin", "random_access"],
+    )
+    def test_attempt_tables_refill_a_block_at_a_time(self, monkeypatch, policy) -> None:
+        # the attempt path takes the draws that decide its attempts a run
+        # block at a time, so its tables shrink with the blocks
+        asked = []
+        take_below = UniformStream.take_below
+
+        def recording(self, p, count):
+            if self._key[1] in (Role.CHANNEL, Role.ACCESS):
+                asked.append(count)
+            return take_below(self, p, count)
+
+        monkeypatch.setattr(UniformStream, "take_below", recording)
+        monkeypatch.setattr(engine, "_STREAM_BUDGET", 64 * 300)
+        report = run(config(
+            n_sources=64,
+            lambdas=(0.01,) * 64,
+            policy=policy,
+            channel=ChannelConfig(ChannelKind.ERASURE, service_probs=(0.2,) * 64),
+            horizon=40_000,
+        ))
+        assert sum(m.delivered for m in report.per_source) > 5000
+        assert len(asked) > 64 and max(asked) == 300
+
+
 class TestWork:
-    def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch) -> None:
-        # when an update enters service the attempt path draws the owner's
-        # channel stream ahead to the success slot in one step, so round
-        # robin never runs the channel rule and skips once per service
-        # rather than once per attempt (about 10 attempts per delivery at
-        # mu = 0.1); a round robin with packet management runs on that path
-        resolves = skips = 0
+    def test_round_robin_resolves_one_attempt_per_service(self, monkeypatch, stream_draws) -> None:
+        # the attempt path reads the owner's next channel success from a
+        # table of its draws below mu, so round robin never runs the
+        # channel rule, never draws past the slots the source owns, and
+        # takes its channel draws a block at a time rather than once per
+        # service (about 10 attempts per delivery at mu = 0.1); a round
+        # robin with packet management runs on that path
+        resolves = takes = 0
         original_resolve = engine.resolve
-        original_skip = UniformStream.skip_to_below
+        original_take = UniformStream.take_below
 
         def counting_resolve(*args):
             nonlocal resolves
             resolves += 1
             return original_resolve(*args)
 
-        def counting_skip(self, *args):
-            nonlocal skips
+        def counting_take(self, *args):
+            nonlocal takes
             if self._key[1] == Role.CHANNEL:
-                skips += 1
-            return original_skip(self, *args)
+                takes += 1
+            return original_take(self, *args)
 
         monkeypatch.setattr(engine, "resolve", counting_resolve)
-        monkeypatch.setattr(UniformStream, "skip_to_below", counting_skip)
+        monkeypatch.setattr(UniformStream, "take_below", counting_take)
+        h = 20_000
         report = dedicated_channel_run(
-            QueueParams(0.05, 0.1), Discipline.REPLACEMENT, horizon=20_000, seed=3
+            QueueParams(0.05, 0.1), Discipline.REPLACEMENT, horizon=h, seed=3
         )
-        delivered = report.per_source[0].delivered
-        assert delivered > 500
+        assert report.per_source[0].delivered > 500
         assert resolves == 0
-        assert 0 < skips <= delivered + 1
+        draws = stream_draws[0, Role.CHANNEL]
+        assert 0 < draws <= h  # one owned slot each
+        assert takes == -(-draws // _BLOCK)
 
     def test_sparse_fifo_round_robin_merges_empty_spans(self, monkeypatch) -> None:
         # a span with no arrivals and no deliveries due merges into the
@@ -423,7 +475,6 @@ class TestWork:
             raise AssertionError("a FIFO round robin draws through take_below only")
 
         monkeypatch.setattr(UniformStream, "uniform", refuse)
-        monkeypatch.setattr(UniformStream, "skip_to_below", refuse)
         h = 3000
         c = config(
             n_sources=3,

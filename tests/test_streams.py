@@ -1,4 +1,4 @@
-"""Random streams: the spawn-key derivation, lazy start, reproducibility, block-wise skipping."""
+"""Random streams: the spawn-key derivation, lazy start, reproducibility, block-wise takes."""
 from __future__ import annotations
 
 import ast
@@ -167,9 +167,9 @@ def test_draws_do_not_depend_on_block_sizes() -> None:
     plain = UniformStream(9, (0, 0))
     draws = [plain.uniform() for _ in range(_BLOCK + 20)]
     assert all(0.0 <= u < 1.0 for u in draws)
-    # a first skip limited to 10 draws sizes the first block to 10
+    # a first take of 10 draws sizes the first block to 10
     short = UniformStream(9, (0, 0))
-    assert short.skip_to_below(0.0, 10) == 10
+    assert short.take_below(0.0, 10).tolist() == []
     assert [short.uniform() for _ in range(_BLOCK + 10)] == draws[10:]
 
 
@@ -210,103 +210,29 @@ def test_unused_streams_draw_nothing() -> None:
         streams.other  # noqa: B018  (only the four roles are built on demand)
 
 
-def test_skip_to_below_limit() -> None:
-    s = UniformStream(4, (1, 2))
-    assert s.skip_to_below(0.0, 50) == 50  # no draw is below 0
-    assert s.skip_to_below(0.5, 0) == 0
-
-
-def test_skip_to_below_caches_eight_bytes_per_position() -> None:
-    # a skip caches the block's positions below p; at p = 0.9 that is about
-    # 14,700 of a 16,384-draw block, which a list of ints would hold at
-    # about 36 bytes each.  The cache answers the later skips, the same as
-    # drawing one value at a time.
-    fast = UniformStream(6, (2, 2))
-    slow = UniformStream(6, (2, 2))
-    for limit in [_BLOCK] + [1000] * 200:
-        taken = 0
-        while taken < limit and not slow.uniform() < 0.9:
-            taken += 1
-        assert fast.skip_to_below(0.9, limit) == taken
-        positions = len(fast._below)
-        assert positions > 14_000
-        # 8 bytes a position, and the array's growth slack of an eighth
-        assert sys.getsizeof(fast._below) <= 9 * positions + 128
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    p=st.one_of(st.just(1.0), st.floats(0.001, 0.9)),
-    steps=st.lists(
-        st.one_of(st.none(), st.integers(1, 3 * _BLOCK)), min_size=1, max_size=40
-    ),
-)
-def test_skip_to_below_equals_counting_draws(p: float, steps: list[int | None]) -> None:
-    """Interleaved skips (integer limit) and single draws (None) on two copies."""
-    fast = UniformStream(5, (3, 1))
-    slow = UniformStream(5, (3, 1))
-    for limit in steps:
-        if limit is None:
-            assert fast.uniform() == slow.uniform()
-            continue
-        taken = 0
-        while taken < limit and not slow.uniform() < p:
-            taken += 1
-        assert fast.skip_to_below(p, limit) == taken
-    assert fast.uniform() == slow.uniform()
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.001, 0.999)),
     slack=st.sampled_from([None, 0, 7, 1000]),
     steps=st.lists(
-        st.one_of(
-            st.none(),
-            st.tuples(st.booleans(), st.integers(0, 3 * _BLOCK)),
-        ),
-        min_size=1,
-        max_size=30,
+        st.one_of(st.none(), st.integers(0, 3 * _BLOCK)), min_size=1, max_size=30
     ),
 )
 def test_take_below_equals_counting_draws(
-    p: float, slack: int | None, steps: list[tuple[bool, int] | None]
+    p: float, slack: int | None, steps: list[int | None]
 ) -> None:
-    """Block-wise takes interleaved with skips and single draws, with or without a budget.
+    """Block-wise takes interleaved with single draws, with or without a budget.
 
     A budget of ``slack`` values beyond the most the steps can take sizes
     the last block by what is left; with no slack every value is drawn.
     """
-    most = sum(1 if step is None else step[1] for step in steps) + 1
+    most = sum(1 if step is None else step for step in steps) + 1
     fast = UniformStream(5, (3, 0), None if slack is None else most + slack)
     slow = UniformStream(5, (3, 0))
-    for step in steps:
-        if step is None:
+    for count in steps:
+        if count is None:
             assert fast.uniform() == slow.uniform()
             continue
-        take, count = step
-        if take:
-            expected = [k for k in range(count) if slow.uniform() < p]
-            assert fast.take_below(p, count).tolist() == expected
-        else:
-            taken = 0
-            while taken < count and not slow.uniform() < p:
-                taken += 1
-            assert fast.skip_to_below(p, count) == taken
+        expected = [k for k in range(count) if slow.uniform() < p]
+        assert fast.take_below(p, count).tolist() == expected
     assert fast.uniform() == slow.uniform()
-
-
-@pytest.mark.parametrize("p", [0.01, 0.5])
-def test_skip_across_blocks_matches_positions(p: float) -> None:
-    s = UniformStream(6, (0, 0))
-    ref = UniformStream(6, (0, 0))
-    draws = [ref.uniform() for _ in range(3 * _BLOCK)]
-    expected = [k for k, u in enumerate(draws) if u < p]
-    got, pos = [], 0
-    while True:
-        pos += s.skip_to_below(p, 3 * _BLOCK - pos)
-        if pos >= 3 * _BLOCK:
-            break
-        got.append(pos)
-        pos += 1
-    assert got == expected
