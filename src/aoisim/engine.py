@@ -15,28 +15,34 @@ Time is slotted.  Within each slot, events happen in a fixed order:
 
 The average age reported for a run is the per-slot mean of those samples.
 
-Two implementations compute the queues; which one runs depends only on
-the policy and the discipline:
+Three implementations compute the queues; which one runs depends only on
+the policy, the discipline and, under round robin, the number of sources:
 
 * ``_fifo_round_robin``, FIFO round robin, visits no slot.  A source's
   queue is a Geo/Geo/1 queue in the slots it owns, so its deliveries follow
   Lindley's recursion, computed a span of slots at a time with array
   operations, for all sources at once.
-* ``_attempts``, every other policy and discipline, visits only the slots
-  in which an update arrives or an attempt is resolved.  It keeps a heap of
-  the next attempts: a round robin's or random access's depends only on its
-  source's own backlog and draws (a round robin's is drawn ahead to the
-  owner's next success), and work conserving's is the next slot's
-  ``grant`` while any source is backlogged.
+* ``_one_source_round_robin``, round robin of one source under packet
+  management, visits only the slots in which an update arrives or the
+  source's one scheduled attempt succeeds, with no heap.
+* ``_attempts``, every other config (round robin of two or more sources
+  under packet management, work conserving and random access), visits the
+  same slots for every source.  It keeps a heap of the next attempts: a
+  round robin's or random access's depends only on its source's own
+  backlog and draws (a round robin's is drawn ahead to the owner's next
+  success), and work conserving's is the next slot's ``grant`` while any
+  source is backlogged.
 
-The attempt path hands each queue its events from the span's arrival
-calendar in the order of the slot's steps: a slot's ``begin_attempt`` and
-delivery before its arrivals.  It calls ``begin_attempt`` at the first
-attempt slot of every service (the first owned slot under round robin,
-every attempt otherwise) whether or not an update is already in service,
-so which update a queue sends is decided in ``SourceQueue`` alone.
+The last two hand each queue its events from the span's arrival calendar
+in the order of the slot's steps: a slot's ``begin_attempt`` and delivery
+before its arrivals.  They call ``begin_attempt`` at the first attempt
+slot of every service (the first owned slot under round robin, every
+attempt otherwise) whether or not an update is already in service, so
+which update a queue sends is decided in ``SourceQueue`` alone.  Both read
+a source's attempts from tables of the positions below p of its draws,
+which ``_refill`` fills.
 
-Both go a span of slots at a time and share one span accounting, a
+Every path goes a span of slots at a time and shares one span accounting, a
 ``_Run``, which ``run_with_logs`` builds per run and passes to the path.  It
 holds the streams, the delay stage, the run's sums and the state carried
 from span to span.  ``_Run.arrivals`` draws a span's arrivals, one draw per
@@ -62,9 +68,9 @@ and the run's last span adds each source's last level up to the horizon.
 The age area is the sum of ``slot + 1`` over the window less, for each
 reception, the rise of the newest generation times the window slots from
 the reception on; it and the reception sums are written as rows of one
-array per span of receptions and added by source at once.  Both
-implementations take the same values from every random stream as a
-slot-by-slot loop would, so results are the same at every seed.
+array per span of receptions and added by source at once.  Every path
+takes the same values from every random stream as a slot-by-slot loop
+would, so results are the same at every seed.
 """
 from __future__ import annotations
 
@@ -253,11 +259,18 @@ def run_with_logs(config: SimConfig) -> tuple[MetricsReport, dict[str, list[int]
     Z, Z² and closing T; the ``busy_`` four do so for the other gaps.  Each
     sum is an integer, so what is derived from them is exact up to one
     final division, and their memory does not grow with the horizon.
+
+    FIFO round robin runs on ``_fifo_round_robin``, round robin of one
+    source under packet management on ``_one_source_round_robin``, and
+    every other config on ``_attempts``; the three give the same run.
     """
     config.validate()
     run = _Run(config)
-    if config.policy.kind is PolicyKind.ROUND_ROBIN and config.discipline is Discipline.FIFO:
+    round_robin = config.policy.kind is PolicyKind.ROUND_ROBIN
+    if round_robin and config.discipline is Discipline.FIFO:
         _fifo_round_robin(config, run)
+    elif round_robin and config.n_sources == 1:
+        _one_source_round_robin(config, run)
     else:
         _attempts(config, run)
     return run.report()
@@ -589,7 +602,7 @@ def _estimate(area2: int, count: int, window: int) -> float:
 
 
 def _attempts(config: SimConfig, run: _Run) -> None:
-    """Every policy and discipline but FIFO round robin, event slot by event slot.
+    """Every config but FIFO round robin and one-source round robin, event slot by event slot.
 
     Goes a span at a time: merges the span's arrivals by (slot, source) into
     a calendar, and visits the earlier of the next calendar slot and the
@@ -607,7 +620,7 @@ def _attempts(config: SimConfig, run: _Run) -> None:
     The span's admitted arrivals and deliveries go to ``run.add_span``.
 
     A source reads the positions below p of that stream's draws from a
-    table that ``take_below`` fills a run block at a time, never past the
+    table that ``_refill`` fills a run block at a time, never past the
     draws the source may take; a service that starts after ``used`` draws
     and ends at position s attempts s - used attempt slots after its start.
     """
@@ -641,18 +654,6 @@ def _attempts(config: SimConfig, run: _Run) -> None:
     used = [0] * n  # draws its services have taken
     drawn = [0] * n  # draws taken into its tables
 
-    def refill(i: int) -> array:
-        # the source's next block of draws with one below p; past its last
-        # draw, a position no service reaches
-        stream = streams[i].channel if round_robin else streams[i].access
-        while drawn[i] < most[i]:
-            count = min(block, most[i] - drawn[i])
-            hits = stream.take_below(probs[i], count).astype(np.int64, copy=False) + drawn[i]
-            drawn[i] += count
-            if len(hits):
-                return array("q", hits[::-1].tobytes())
-        return array("q", [used[i] + horizon])
-
     def schedule(i: int, after: int) -> None:
         # the next service starts after slot `after`, under round robin in
         # the next slot i owns; with no attempt left before the horizon the
@@ -661,7 +662,9 @@ def _attempts(config: SimConfig, run: _Run) -> None:
         if drawing[i]:
             table = tables[i]
             if not table:
-                tables[i] = table = refill(i)
+                stream = streams[i].channel if round_robin else streams[i].access
+                table, drawn[i] = _refill(stream, probs[i], drawn[i], most[i], block, used[i])
+                tables[i] = table
             s = table.pop()
             slot += stride * (s - used[i])
             used[i] = s + 1
@@ -743,6 +746,95 @@ def _attempts(config: SimConfig, run: _Run) -> None:
         start = end
 
 
+def _refill(stream, p: float, drawn: int, most: int, block: int, used: int) -> tuple[array, int]:
+    """A source's next table of attempt positions, and the draws taken into its tables then.
+
+    The table holds the positions below ``p`` of the stream's next block of
+    draws that has one, last first, as ``array("q")``: it takes blocks of at
+    most ``block`` draws from position ``drawn`` on, never past ``most``, the
+    draws the source may take.  With no success left, the table holds one
+    position, ``used + most``, that no service started after ``used`` draws
+    reaches before the horizon.
+    """
+    while drawn < most:
+        count = min(block, most - drawn)
+        hits = stream.take_below(p, count).astype(np.int64, copy=False) + drawn
+        drawn += count
+        if len(hits):
+            return array("q", hits[::-1].tobytes()), drawn
+    return array("q", [used + most]), drawn
+
+
+def _one_source_round_robin(config: SimConfig, run: _Run) -> None:
+    """Round robin of one source, with no heap: ``_attempts``' steps beside one pending attempt.
+
+    The source owns every slot, so it has at most one attempt scheduled,
+    the slot of its next channel success, and the path walks each span's
+    arrival calendar beside it.  A slot delivers its attempt, then takes
+    its arrival; an arrival in or after the first owned slot of the
+    scheduled service runs that service's ``begin_attempt`` first, and the
+    next service is scheduled after both.  The queue sees its calls in
+    ``_attempts``' order, the successes come from ``_refill`` as there,
+    and ``run.add_span`` gets the same arrays, so the run is the same.
+    """
+    horizon = config.horizon
+    p = config.channel.attempt_prob(0)
+    queue = SourceQueue(config.discipline)
+    table = array("q")  # positions below p in one block of channel draws, last first
+    used = drawn = 0  # channel draws the services have taken, and taken into tables
+    # the first owned slot of the scheduled service until its begin_attempt
+    # has run, and the service's attempt slot; horizon (or past) for none
+    begin = attempt = horizon
+    start = 0
+    while start < horizon:
+        end, a_src, a_slot, _ = run.arrival_span(start)
+        calendar = a_slot.tolist()
+        calendar.append(end)  # a sentinel, the span's end
+        ci = 0
+        replacing: list[int] = []  # calendar indices of arrivals that replaced the waiting update
+        gens: list[int] = []
+        sent: list[int] = []  # the slots of the deliveries of gens
+        while True:
+            slot = calendar[ci]
+            if attempt < slot:
+                slot = attempt
+            if slot >= end:
+                break
+            schedule = False
+            if attempt == slot:
+                queue.begin_attempt()
+                gens.append(queue.on_delivery())
+                sent.append(slot)
+                schedule = queue.in_system > 0
+                begin = attempt = horizon
+            if calendar[ci] == slot:
+                if begin <= slot:
+                    queue.begin_attempt()
+                    begin = horizon
+                idle = not queue.in_system
+                if not queue.on_arrival(slot):
+                    replacing.append(ci)
+                elif idle:
+                    schedule = True
+                ci += 1
+            if schedule:
+                # the next service starts in the next slot
+                begin = attempt = slot + 1
+                if p < 1.0:
+                    if not table:
+                        table, drawn = _refill(
+                            run.streams[0].channel, p, drawn, horizon, run.block, used
+                        )
+                    s = table.pop()
+                    attempt += s - used
+                    used = s + 1
+        delivered = np.zeros((3, len(gens)), np.int64)
+        delivered[1] = gens
+        delivered[2] = sent
+        run.add_span(end, np.delete(a_src, replacing), np.delete(a_slot, replacing), delivered)
+        start = end
+
+
 def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
     """FIFO round robin: each source's deliveries from one Lindley recursion.
 
@@ -810,9 +902,12 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
                     hits.append(streams[i].channel.take_below(p, size) + drawn[i])
                     drawn[i] += size
                 gained = [len(h) for h in hits]
-                # a stable sort by source, so a source's new successes follow its spare ones
-                by = np.concatenate((np.repeat(sources, n_spare), np.repeat(short, gained)))
-                spare = np.concatenate((spare, *hits)).take(by.argsort(kind="stable"))
+                if len(short) == 1 and not len(spare):
+                    spare = hits[0]
+                else:
+                    # a stable sort by source, so a source's new successes follow its spare ones
+                    by = np.concatenate((np.repeat(sources, n_spare), np.repeat(short, gained)))
+                    spare = np.concatenate((spare, *hits)).take(by.argsort(kind="stable"))
                 n_spare[short] += gained
             g_spent = spent[a_src] + rank + 1
             fail = failing[a_src].nonzero()[0]
@@ -829,9 +924,12 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
             spent[a_src[ends]] = g_spent[ends]
             lag[a_src[ends]] = g_lag[ends]
             given = np.array((a_src, a_slot, a_src + n * (g_spent + g_lag)))
-            given = np.concatenate((scheduled, given.compress(given[2] < horizon, axis=1)), axis=1)
-            # a stable sort by source, so a source's new deliveries follow its scheduled ones
-            scheduled = given.take(given[0].argsort(kind="stable"), axis=1)
+            given = given.compress(given[2] < horizon, axis=1)
+            if scheduled.shape[1]:
+                given = np.concatenate((scheduled, given), axis=1)
+                # a stable sort by source, so a source's new deliveries follow its scheduled ones
+                given = given.take(given[0].argsort(kind="stable"), axis=1)
+            scheduled = given
         due = scheduled[2] < end
         run.add_span(end, a_src, a_slot, scheduled.compress(due, axis=1))
         scheduled = scheduled.compress(~due, axis=1)
@@ -840,6 +938,8 @@ def _fifo_round_robin(config: SimConfig, run: _Run) -> None:
 
 def _runs(src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each source's run in ``src``, an array sorted by source, starts and where it ends."""
+    if len(src) and src[0] == src[-1]:
+        return np.zeros(1, np.int64), np.array([len(src) - 1])
     edge = np.empty(len(src) + 1, bool)
     edge[0] = edge[-1] = True
     np.not_equal(src[1:], src[:-1], out=edge[1:-1])

@@ -418,7 +418,8 @@ class TestWork:
         # channel rule, never draws past the slots the source owns, and
         # takes its channel draws a block at a time rather than once per
         # service (about 10 attempts per delivery at mu = 0.1); a round
-        # robin with packet management runs on that path
+        # robin with packet management runs on that path, or with one
+        # source on its own loop, which reads the same table
         resolves = takes = 0
         original_resolve = engine.resolve
         original_take = UniformStream.take_below
